@@ -11,8 +11,8 @@ A configuration document is a JSON object::
       ]
     }
 
-Unknown keys are rejected; every validation message names the offending
-key path and (best effort) its line in the source text.
+Unknown and duplicate keys are rejected; every validation message names
+the offending key path and (best effort) its line in the source text.
 """
 
 import json
@@ -23,6 +23,24 @@ from .modes import DefectConfiguration, VibrationalMode
 
 _TOP_LEVEL_KEYS = ("variant_label", "zpl_energy_mev", "modes")
 _MODE_KEYS = ("label", "hbar_omega_g_mev", "hbar_omega_e_mev", "delta_q", "w_eg")
+
+
+class _JSONObject(dict):
+    """A decoded JSON object that remembers the keys it holds more than once."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.duplicates = []
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                self.duplicates.append(key)
+            seen.add(key)
+
+
+def _reject_duplicates(document, data, path, occurrence):
+    for key in data.duplicates:
+        _fail(document, "duplicate key", f"{path}{key}", key, occurrence + 1)
 
 
 def _key_line(document, key, occurrence=1):
@@ -74,7 +92,7 @@ def parse_defect_config(document):
         Schema violations, naming the offending key.
     """
     try:
-        data = json.loads(document)
+        data = json.loads(document, object_pairs_hook=_JSONObject)
     except json.JSONDecodeError as exc:
         raise ConfigSyntaxError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
@@ -84,6 +102,7 @@ def parse_defect_config(document):
 
     if not isinstance(data, dict):
         raise ConfigValidationError("top level must be a JSON object", key_path="<root>")
+    _reject_duplicates(document, data, "", 1)
     for key in data:
         if key not in _TOP_LEVEL_KEYS:
             _fail(document, "unknown key", key, key)
@@ -107,6 +126,7 @@ def parse_defect_config(document):
         occurrence = index + 1
         if not isinstance(entry, dict):
             _fail(document, f"must be an object, got {entry!r}", path, "modes")
+        _reject_duplicates(document, entry, f"{path}.", occurrence)
         for key in entry:
             if key not in _MODE_KEYS:
                 _fail(document, "unknown key", f"{path}.{key}", key, occurrence)

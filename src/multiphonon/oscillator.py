@@ -84,7 +84,7 @@ def ho_length_scale(phonon_energy):
     return math.sqrt(HBAR_SQ_MEV_AMU_A2 / (2.0 * phonon_energy))
 
 
-def _recurrence_coefficients(pair):
+def _recurrence_coefficients(energy_initial, energy_final, displacement):
     """The five constants driving the two-oscillator overlap recurrence.
 
     With Gaussian exponents A_i, A_f and displacement ΔQ (final minimum at
@@ -96,17 +96,28 @@ def _recurrence_coefficients(pair):
 
     and the transpose-symmetric relation in n with (c, d) in place of
     (a, b).  All coefficients are dimensionless and bounded (|a| = |c| < 1),
-    which keeps the forward recursion contractive.
+    which keeps the forward recursion contractive.  The arguments may be
+    floats or arrays that broadcast together (one pair per element).
     """
-    a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
-    a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
+    a_i = energy_initial / HBAR_SQ_MEV_AMU_A2
+    a_f = energy_final / HBAR_SQ_MEV_AMU_A2
     total = a_i + a_f
     a = (a_i - a_f) / total
-    b = 2.0 * pair.displacement * math.sqrt(a_i) * a_f / total
+    b = 2.0 * displacement * np.sqrt(a_i) * a_f / total
     c = -a
-    d = -2.0 * pair.displacement * math.sqrt(a_f) * a_i / total
-    e = 4.0 * math.sqrt(a_i * a_f) / total
+    d = -2.0 * displacement * np.sqrt(a_f) * a_i / total
+    e = 4.0 * np.sqrt(a_i * a_f) / total
     return a, b, c, d, e
+
+
+def _check_quantum_numbers(m_max, n_max):
+    if m_max < 0 or n_max < 0:
+        raise DomainError("quantum numbers must be non-negative")
+    if max(m_max, n_max) > MAX_CERTIFIED_N:
+        raise CapabilityError(
+            f"quantum number {max(m_max, n_max)} exceeds the certified recursion "
+            f"range (n <= {MAX_CERTIFIED_N})"
+        )
 
 
 def fc_overlap_matrix(pair, m_max, n_max):
@@ -123,14 +134,11 @@ def fc_overlap_matrix(pair, m_max, n_max):
     numpy.ndarray
         Shape ``(m_max + 1, n_max + 1)``.
     """
-    if m_max < 0 or n_max < 0:
-        raise DomainError("quantum numbers must be non-negative")
-    if max(m_max, n_max) > MAX_CERTIFIED_N:
-        raise CapabilityError(
-            f"quantum number {max(m_max, n_max)} exceeds the certified recursion "
-            f"range (n <= {MAX_CERTIFIED_N})"
-        )
-    a, b, c, d, e = _recurrence_coefficients(pair)
+    _check_quantum_numbers(m_max, n_max)
+    coefficients = _recurrence_coefficients(
+        pair.energy_initial, pair.energy_final, pair.displacement
+    )
+    a, b, c, d, e = map(float, coefficients)
     s = np.zeros((m_max + 1, n_max + 1))
     s[0, 0] = math.sqrt(e / 2.0) * math.exp(b * d / (2.0 * e))
     for n in range(1, n_max + 1):
@@ -183,6 +191,54 @@ def fc_overlap(m, n, pair):
     return float(fc_overlap_matrix(pair, m, int(n))[m, n])
 
 
+def _moment_rows(energy_initial, energy_final, displacement, n_max):
+    """Rows m = 0 and m = 1 of :func:`fc_overlap_matrix` for G pairs at once.
+
+    The arguments are floats or arrays that broadcast to G oscillator
+    pairs (G = 1 for three floats).  Each entry comes from the same IEEE
+    operations, in the same order, as the scalar table, so column g equals
+    ``fc_overlap_matrix(pair_g, 1, n_max)`` bit for bit.  The recurrence
+    runs forward in n, so the first k + 1 rows do not depend on ``n_max``.
+
+    Returns
+    -------
+    (numpy.ndarray, numpy.ndarray)
+        S[0, n] and S[1, n], each of shape ``(n_max + 1, G)``.
+    """
+    _check_quantum_numbers(1, n_max)
+    _, b, c, d, e = _recurrence_coefficients(energy_initial, energy_final, displacement)
+    b, d = np.atleast_1d(b, d)  # both carry every argument's shape
+    n = np.arange(1.0, n_max + 1.0)[:, None]
+    step = d / np.sqrt(2.0 * n)
+    back = c * np.sqrt((n - 1.0) / n)
+    # S[0, 0] through math.exp, as in the scalar table (np.exp may differ by 1 ulp).
+    exponent = (b * d / (2.0 * e)).tolist()
+    rows = [np.sqrt(e / 2.0) * np.array([math.exp(x) for x in exponent])]
+    if n_max >= 1:
+        rows.append(step[0] * rows[0])
+    for step_n, back_n in zip(step[1:], back[1:]):
+        rows.append(step_n * rows[-1] + back_n * rows[-2])
+    s0 = np.array(rows)
+    s1 = b / math.sqrt(2.0) * s0
+    s1[1:] += 0.5 * e * np.sqrt(n) * s0[:-1]
+    return s0, s1
+
+
+def _moments(energy_initial, energy_final, displacement, n_max, reference):
+    """Transition moments of G pairs at once, shape ``(n_max + 1, G)``.
+
+    Arguments as for :func:`_moment_rows`, except that ``energy_initial``
+    is a float; see :func:`transition_moments`.
+    """
+    if reference not in (REFERENCE_INITIAL, REFERENCE_FINAL):
+        raise DomainError(f"reference must be 'initial' or 'final', got {reference!r}")
+    s0, s1 = _moment_rows(energy_initial, energy_final, displacement, n_max)
+    moments = ho_length_scale(energy_initial) * s1
+    if reference == REFERENCE_FINAL:
+        moments -= displacement * s0
+    return moments
+
+
 def transition_moments(pair, n_max, reference=REFERENCE_INITIAL):
     """All transition moments M_n = <chi_initial_0 | Q - Q_ref | chi_final_n>.
 
@@ -210,14 +266,9 @@ def transition_moments(pair, n_max, reference=REFERENCE_INITIAL):
     numpy.ndarray
         M_0 .. M_n_max in amu^(1/2)·Å.
     """
-    if reference not in (REFERENCE_INITIAL, REFERENCE_FINAL):
-        raise DomainError(f"reference must be 'initial' or 'final', got {reference!r}")
-    length = ho_length_scale(pair.energy_initial)
-    rows = fc_overlap_matrix(pair, 1, n_max)
-    moments = length * rows[1]
-    if reference == REFERENCE_FINAL:
-        moments = moments - pair.displacement * rows[0]
-    return moments
+    return _moments(
+        pair.energy_initial, pair.energy_final, pair.displacement, n_max, reference
+    )[:, 0]
 
 
 def transition_moment(n, pair, reference=REFERENCE_INITIAL):

@@ -9,21 +9,36 @@ where G is a normalized Gaussian standing in for the energy-conserving
 delta function, with broadening fixed to σ = ħΩ_e/2.  The phonon sum is
 truncated once the Gaussian weight is negligible (10σ past the ZPL
 energy, where the weight is below 2e-22).
+
+One kernel, ``_rate_terms``, evaluates the terms for a batch of rows at
+once.  ``nonradiative_rate`` is the kernel on one row; ``rate_sweep``
+runs all valid grid points through it in one batched pass, so every
+sweep row equals ``nonradiative_rate`` of its own configuration exactly.
+Sweep rows are grouped by phonon cut-off into chunks of at most
+``_SWEEP_CHUNK_CELLS`` terms, which bounds memory.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .constants import HBAR_MEV_S
-from .errors import DegeneracyError, DomainError, MultiphononError
-from .oscillator import REFERENCE_INITIAL, OscillatorPair, transition_moments
+from .errors import CapabilityError, DegeneracyError, DomainError, MultiphononError
+from .oscillator import MAX_CERTIFIED_N, REFERENCE_FINAL, REFERENCE_INITIAL, _moments
 
 SWEEP_PARAMETERS = ("zpl_energy", "displacement", "coupling", "energy_ground")
 
 SWEEP_CSV_HEADER = "parameter,value,rate_per_s,n_max,sigma_meV"
+
+# Phonon terms × rows evaluated per batched pass of ``rate_sweep``; bounds
+# the kernel's temporary arrays to about 64 kB each.
+_SWEEP_CHUNK_CELLS = 1 << 13
+
+_TWO_PI_OVER_HBAR = 2.0 * math.pi / HBAR_MEV_S
+_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 class RateTerm(NamedTuple):
@@ -80,6 +95,58 @@ def gaussian_delta(detuning, sigma):
     return math.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
 
+def _rate_terms(moments, energy_excited, energy_ground, coupling, zpl_energy):
+    """The rate kernel: per-term rate tables for a batch of rows.
+
+    Parameters
+    ----------
+    moments : numpy.ndarray
+        Transition moments M_0 .. M_N, shape ``(N + 1, G)`` with G equal
+        to the number of rows R, or 1 when every row shares the pair.
+    energy_excited, energy_ground, coupling, zpl_energy : float or numpy.ndarray
+        Per-row parameters, each a float or an array of length R.
+
+    Returns
+    -------
+    (moment_sq, weight, contribution)
+        M_n² (amu·Å², shaped like ``moments``), the Gaussian weight
+        G(E_ZPL − n ħΩ_g; σ) (meV⁻¹) and (2π/ħ) W² M_n² G (s⁻¹), the last
+        of shape ``(N + 1, R)``.  The arithmetic is that of
+        :func:`gaussian_delta`, term by term.
+    """
+    moment_sq = moments * moments
+    sigma = energy_excited / 2.0
+    z = (zpl_energy - np.arange(len(moments), dtype=float)[:, None] * energy_ground) / sigma
+    weight = np.exp(-0.5 * z * z) / (sigma * _SQRT_TWO_PI)
+    contribution = _TWO_PI_OVER_HBAR * (coupling * coupling) * moment_sq * weight
+    return moment_sq, weight, contribution
+
+
+def _row_totals(contribution, n_max):
+    """Correctly rounded sum of each row's first n_max + 1 terms."""
+    return [math.fsum(column[: k + 1].tolist()) for column, k in zip(contribution.T, n_max)]
+
+
+def _underflows(total, coupling):
+    # With W > 0 the true rate is strictly positive; a zero or subnormal
+    # total means the float64 terms underflowed.  Floats or arrays.
+    return (coupling > 0.0) & (total < sys.float_info.min)
+
+
+def _chunks(rows, n_max):
+    """Split rows sorted by n_max into runs of at most _SWEEP_CHUNK_CELLS terms.
+
+    A run's last row has the largest cut-off, so it sets the run's size;
+    a row too large for the budget forms a run of its own.
+    """
+    start = 0
+    while start < len(rows):
+        cells = (n_max[rows[start:]] + 1) * np.arange(1, len(rows) - start + 1)
+        stop = start + max(1, int(np.searchsorted(cells, _SWEEP_CHUNK_CELLS, side="right")))
+        yield rows[start:stop]
+        start = stop
+
+
 def nonradiative_rate(config, mode_label, moment_reference=REFERENCE_INITIAL):
     """T = 0 nonradiative decay rate through one vibrational mode.
 
@@ -97,24 +164,31 @@ def nonradiative_rate(config, mode_label, moment_reference=REFERENCE_INITIAL):
     -------
     RateResult
         Total rate in s⁻¹ and the list of per-n terms that sum to it.
+
+    Raises
+    ------
+    CapabilityError
+        If the phonon sum needs n > 512, or if W > 0 and the rate
+        underflows double precision (Huang-Rhys factors of several hundred).
     """
     mode = config.mode(mode_label)
-    pair = OscillatorPair(
-        energy_initial=mode.energy_excited,
-        energy_final=mode.energy_ground,
-        displacement=mode.displacement,
-    )
     sigma = mode.energy_excited / 2.0
     n_max = int(math.ceil((config.zpl_energy + 10.0 * sigma) / mode.energy_ground))
-    moments = transition_moments(pair, n_max, reference=moment_reference)
-    prefactor = 2.0 * math.pi / HBAR_MEV_S * mode.coupling**2
-    terms = []
-    for n in range(n_max + 1):
-        moment_sq = float(moments[n]) ** 2
-        weight = gaussian_delta(config.zpl_energy - n * mode.energy_ground, sigma)
-        terms.append(RateTerm(n, moment_sq, weight, prefactor * moment_sq * weight))
-    total = float(math.fsum(term.contribution for term in terms))
-    return RateResult(total_rate=total, terms=tuple(terms), n_max_used=n_max, sigma=sigma)
+    moments = _moments(
+        mode.energy_excited, mode.energy_ground, mode.displacement, n_max, moment_reference
+    )
+    columns = _rate_terms(
+        moments, mode.energy_excited, mode.energy_ground, mode.coupling, config.zpl_energy
+    )
+    moment_sq, weight, contribution = (column[:, 0].tolist() for column in columns)
+    total = math.fsum(contribution)
+    if _underflows(total, mode.coupling):
+        raise CapabilityError(
+            f"the rate through mode {mode_label!r} underflows double precision "
+            f"(got {total!r} s⁻¹ with W > 0)"
+        )
+    terms = tuple(map(RateTerm, range(n_max + 1), moment_sq, weight, contribution))
+    return RateResult(total_rate=total, terms=terms, n_max_used=n_max, sigma=sigma)
 
 
 def isotope_rate_ratio(config_a, config_b, mode_label, moment_reference=REFERENCE_INITIAL):
@@ -130,18 +204,10 @@ def isotope_rate_ratio(config_a, config_b, mode_label, moment_reference=REFERENC
 
 
 def _apply_parameter(config, mode_label, parameter, value):
-    mode = config.mode(mode_label)
     if parameter == "zpl_energy":
         return replace(config, zpl_energy=value)
-    if parameter == "displacement":
-        return config.with_mode(replace(mode, displacement=value))
-    if parameter == "coupling":
-        return config.with_mode(replace(mode, coupling=value))
-    if parameter == "energy_ground":
-        return config.with_mode(replace(mode, energy_ground=value))
-    raise DomainError(
-        f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
-    )
+    # The other sweep parameters name fields of the mode.
+    return config.with_mode(replace(config.mode(mode_label), **{parameter: value}))
 
 
 def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_INITIAL):
@@ -151,6 +217,12 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
     reported in its row's ``error`` field instead of aborting the sweep.
     Output order always matches input order.
 
+    The valid rows run through the same kernel as
+    :func:`nonradiative_rate` in one batched pass, so every row equals
+    the rate of its own configuration exactly.  Rows are grouped by
+    phonon cut-off into chunks of bounded size, which caps memory.  The
+    failing rows are rebuilt one by one to report their errors.
+
     Returns
     -------
     list of SweepPoint
@@ -159,10 +231,62 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
         raise DomainError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
         )
-    config.mode(mode_label)
+    mode = config.mode(mode_label)
+    values = np.array([float(value) for value in grid], dtype=float)
+    fixed = {
+        "zpl_energy": config.zpl_energy,
+        "displacement": mode.displacement,
+        "coupling": mode.coupling,
+        "energy_ground": mode.energy_ground,
+    }
+    swept = dict(fixed, **{parameter: values})
+    sigma = mode.energy_excited / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_max = np.ceil((swept["zpl_energy"] + 10.0 * sigma) / swept["energy_ground"])
+        valid = np.isfinite(values) & (n_max <= MAX_CERTIFIED_N)
+        if parameter == "coupling":
+            valid &= values >= 0.0
+        elif parameter != "displacement":
+            valid &= values > 0.0
+    valid &= moment_reference in (REFERENCE_INITIAL, REFERENCE_FINAL)
+    n_max = np.where(valid, n_max, 0).astype(int)
+
+    order = np.flatnonzero(valid)
+    order = order[np.argsort(n_max[order], kind="stable")]
+    # The oscillator pair does not depend on E_ZPL or W: one moment table
+    # at the largest cut-off serves every row, by the prefix property.
+    shared = parameter in ("zpl_energy", "coupling")
+    if shared and len(order):
+        top = int(n_max[order[-1]])
+        pair_moments = _moments(
+            mode.energy_excited, mode.energy_ground, mode.displacement, top, moment_reference
+        )
+    rates = {}
+    for chunk in _chunks(order, n_max):
+        row = dict(fixed, **{parameter: values[chunk]})
+        top = int(n_max[chunk[-1]])
+        if shared:
+            moments = pair_moments[: top + 1]
+        else:
+            moments = _moments(
+                mode.energy_excited, row["energy_ground"], row["displacement"], top,
+                moment_reference,
+            )
+        _, _, contribution = _rate_terms(
+            moments, mode.energy_excited, row["energy_ground"], row["coupling"],
+            row["zpl_energy"],
+        )
+        totals = np.array(_row_totals(contribution, n_max[chunk]))
+        kept = ~_underflows(totals, row["coupling"])
+        rates.update(zip(chunk[kept].tolist(), totals[kept].tolist()))
+
     points = []
-    for value in grid:
-        value = float(value)
+    for index, value in enumerate(values.tolist()):
+        if index in rates:
+            points.append(
+                SweepPoint(parameter, value, rates[index], int(n_max[index]), sigma)
+            )
+            continue
         try:
             varied = _apply_parameter(config, mode_label, parameter, value)
             result = nonradiative_rate(varied, mode_label, moment_reference=moment_reference)

@@ -124,3 +124,23 @@ def test_duplicate_mode_labels_rejected():
     with pytest.raises(ConfigValidationError) as excinfo:
         parse_defect_config(json.dumps(doc))
     assert "unique" in str(excinfo.value)
+
+
+def test_duplicate_top_level_key_rejected():
+    bad = NATURAL_DOC.replace(
+        '"zpl_energy_mev": 935,', '"zpl_energy_mev": 935,\n  "zpl_energy_mev": 940,'
+    )
+    with pytest.raises(ConfigValidationError) as excinfo:
+        parse_defect_config(bad)
+    assert excinfo.value.key_path == "zpl_energy_mev"
+    assert "duplicate" in str(excinfo.value)
+    assert excinfo.value.line == bad[: bad.index("940")].count("\n") + 1
+
+
+def test_duplicate_mode_key_rejected():
+    bad = NATURAL_DOC.replace('"w_eg": 0.58', '"w_eg": 0.58,\n      "w_eg": 0.7')
+    with pytest.raises(ConfigValidationError) as excinfo:
+        parse_defect_config(bad)
+    assert excinfo.value.key_path == "modes[1].w_eg"
+    assert "duplicate" in str(excinfo.value)
+    assert excinfo.value.line == bad[: bad.index("0.7\n")].count("\n") + 1

@@ -17,6 +17,7 @@ from multiphonon import (
     transition_moment,
     transition_moments,
 )
+from multiphonon.oscillator import MAX_CERTIFIED_N, _moment_rows
 
 HSQ = CONSTANTS.hbar_sq_mev_amu_a2
 
@@ -190,3 +191,59 @@ class TestTransitionMoment:
     def test_bad_reference_rejected(self, accepting_pair):
         with pytest.raises(DomainError):
             transition_moments(accepting_pair, 4, reference="midpoint")
+
+
+class TestBatchedMomentRows:
+    """The batched m <= 1 rows against the scalar table, bit for bit."""
+
+    @staticmethod
+    def _pairs(seed, count):
+        # Seeded pairs across the certification domain: ħΩ 20-400 meV, ΔQ 0-1.
+        rng = np.random.default_rng(seed)
+        energies = rng.uniform(20.0, 400.0, size=(2, count))
+        return energies[0], energies[1], rng.uniform(0.0, 1.0, size=count)
+
+    def test_batched_columns_equal_scalar_table_to_n_512(self):
+        e_i, e_f, dq = self._pairs(7, 48)
+        s0, s1 = _moment_rows(e_i, e_f, dq, MAX_CERTIFIED_N)
+        assert s0.shape == s1.shape == (MAX_CERTIFIED_N + 1, 48)
+        for g in range(48):
+            pair = OscillatorPair(float(e_i[g]), float(e_f[g]), float(dq[g]))
+            table = fc_overlap_matrix(pair, 1, MAX_CERTIFIED_N)
+            assert np.array_equal(table[0], s0[:, g])
+            assert np.array_equal(table[1], s1[:, g])
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 34, MAX_CERTIFIED_N])
+    def test_single_pair_equals_scalar_table(self, n_max):
+        e_i, e_f, dq = self._pairs(n_max, 12)
+        for g in range(12):
+            pair = OscillatorPair(float(e_i[g]), float(e_f[g]), float(dq[g]))
+            s0, s1 = _moment_rows(e_i[g : g + 1], e_f[g], dq[g], n_max)
+            table = fc_overlap_matrix(pair, 1, n_max)
+            assert np.array_equal(table, np.stack([s0[:, 0], s1[:, 0]]))
+
+    def test_shared_energies_broadcast_against_displacements(self):
+        dq = np.linspace(-1.0, 1.0, 9)
+        s0, s1 = _moment_rows(np.array([33.0]), 41.0, dq, 40)
+        for g, value in enumerate(dq):
+            table = fc_overlap_matrix(OscillatorPair(33.0, 41.0, float(value)), 1, 40)
+            assert np.array_equal(table, np.stack([s0[:, g], s1[:, g]]))
+
+    def test_prefix_does_not_depend_on_n_max(self):
+        e_i, e_f, dq = self._pairs(3, 5)
+        long0, long1 = _moment_rows(e_i, e_f, dq, 300)
+        short0, short1 = _moment_rows(e_i, e_f, dq, 17)
+        assert np.array_equal(long0[:18], short0) and np.array_equal(long1[:18], short1)
+
+    def test_transition_moments_use_the_scalar_table_values(self, accepting_pair):
+        table = fc_overlap_matrix(accepting_pair, 1, 64)
+        length = ho_length_scale(accepting_pair.energy_initial)
+        assert np.array_equal(transition_moments(accepting_pair, 64), length * table[1])
+        final = length * table[1] - accepting_pair.displacement * table[0]
+        assert np.array_equal(transition_moments(accepting_pair, 64, reference="final"), final)
+
+    def test_refuses_beyond_certified_range(self):
+        with pytest.raises(CapabilityError):
+            _moment_rows(np.array([33.0]), 33.0, 0.7, MAX_CERTIFIED_N + 1)
+        with pytest.raises(DomainError):
+            _moment_rows(np.array([33.0]), 33.0, 0.7, -1)

@@ -9,15 +9,20 @@ from multiphonon import (
     DegeneracyError,
     DomainError,
     ModeLookupError,
+    MultiphononError,
     OscillatorPair,
+    fc_overlap_matrix,
     gaussian_delta,
+    ho_length_scale,
     isotope_rate_ratio,
     nonradiative_rate,
     rate_sweep,
     sweep_grid,
     transition_moments,
 )
+from multiphonon import rates
 from multiphonon.constants import HBAR_MEV_S
+from multiphonon.rates import SWEEP_PARAMETERS
 
 EXPERIMENT_RATE = 1.0 / 0.885e-6  # s^-1, natural-variant total decay rate
 
@@ -171,3 +176,167 @@ class TestRateSweep:
         assert sweep_grid(3.0, 9.0, 1) == [3.0]
         with pytest.raises(DomainError):
             sweep_grid(0.0, 1.0, 0)
+
+
+def _vary(config, mode_label, parameter, value):
+    """The configuration a sweep evaluates at one grid value, built independently."""
+    if parameter == "zpl_energy":
+        return replace(config, zpl_energy=value)
+    return config.with_mode(replace(config.mode(mode_label), **{parameter: value}))
+
+
+def _direct(config, mode_label, parameter, value, reference):
+    """(rate, n_max, sigma, error) of one grid value through nonradiative_rate."""
+    try:
+        varied = _vary(config, mode_label, parameter, value)
+        result = nonradiative_rate(varied, mode_label, moment_reference=reference)
+    except MultiphononError as exc:
+        return None, None, None, str(exc)
+    return result.total_rate, result.n_max_used, result.sigma, None
+
+
+def _sweep_grid(mode_label, parameter):
+    """In-range values plus rows that must fail, in shuffled order."""
+    if parameter == "zpl_energy":
+        grid = list(np.linspace(300.0, 2500.0, 41)) + [0.0, -5.0, 1e5]
+    elif parameter == "coupling":
+        grid = list(np.linspace(0.0, 10.0, 41)) + [-0.5, math.inf]
+    elif parameter == "displacement":
+        top = 1.5 if mode_label == "accepting" else 0.01
+        grid = list(np.linspace(-top, top, 41)) + [15.0, math.nan]
+    elif mode_label == "accepting":
+        grid = list(np.geomspace(2.2, 140.0, 41)) + [2.1, 1.0, 0.0]
+    else:
+        grid = list(np.linspace(0.7 * 359.0, 1.3 * 359.0, 41)) + [-359.0]
+    return [float(v) for v in np.random.default_rng(len(grid)).permutation(grid)]
+
+
+def _seed_rate(config, mode_label, reference="initial"):
+    """The rate by the scalar formula: table moments and a gaussian_delta loop."""
+    mode = config.mode(mode_label)
+    pair = OscillatorPair(mode.energy_excited, mode.energy_ground, mode.displacement)
+    sigma = mode.energy_excited / 2.0
+    n_max = int(math.ceil((config.zpl_energy + 10.0 * sigma) / mode.energy_ground))
+    rows = fc_overlap_matrix(pair, 1, n_max)
+    moments = ho_length_scale(mode.energy_excited) * rows[1]
+    if reference == "final":
+        moments = moments - mode.displacement * rows[0]
+    prefactor = 2.0 * math.pi / HBAR_MEV_S * mode.coupling**2
+    return math.fsum(
+        prefactor
+        * float(moments[n]) ** 2
+        * gaussian_delta(config.zpl_energy - n * mode.energy_ground, sigma)
+        for n in range(n_max + 1)
+    )
+
+
+class TestSweepExactness:
+    """Every sweep row equals nonradiative_rate of its own configuration."""
+
+    @pytest.mark.parametrize("reference", ["initial", "final"])
+    @pytest.mark.parametrize("mode_label", ["accepting", "ch-stretch"])
+    @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+    def test_rows_equal_direct_rate_across_chunks(
+        self, natural, monkeypatch, parameter, mode_label, reference
+    ):
+        # A small cell budget splits every grid into many chunks.
+        monkeypatch.setattr(rates, "_SWEEP_CHUNK_CELLS", 97)
+        grid = _sweep_grid(mode_label, parameter)
+        points = rate_sweep(natural, mode_label, parameter, grid, moment_reference=reference)
+        assert np.array_equal([p.value for p in points], grid, equal_nan=True)
+        resolved = 0
+        for point in points:
+            expected = _direct(natural, mode_label, parameter, point.value, reference)
+            assert (point.rate, point.n_max, point.sigma, point.error) == expected
+            resolved += point.error is None
+        assert resolved >= 40
+
+    def test_mixed_n_max_grid_at_default_budget(self, natural):
+        # Accepting-mode ħΩ_g from 2.2 to 140 meV needs n_max from 500 down
+        # to 8; below ~2.148 meV the phonon sum needs n > 512.
+        in_range = list(np.geomspace(2.2, 140.0, 200))
+        refused = list(np.linspace(1.0, 2.14, 20))
+        grid = [float(v) for v in np.random.default_rng(5).permutation(in_range + refused)]
+        points = rate_sweep(natural, "accepting", "energy_ground", grid)
+        assert [p.value for p in points] == grid
+        n_max = {p.n_max for p in points if p.error is None}
+        assert min(n_max) == 8 and max(n_max) == 500
+        for point in points:
+            expected = _direct(natural, "accepting", "energy_ground", point.value, "initial")
+            assert (point.rate, point.n_max, point.sigma, point.error) == expected
+            if point.value < 2.148:
+                assert "exceeds the certified recursion range" in point.error
+            else:
+                assert point.error is None and point.rate > 0.0
+
+    def test_long_zpl_sweep_spans_several_chunks(self, natural):
+        grid = [float(v) for v in np.linspace(500.0, 1200.0, 2000)]
+        points = rate_sweep(natural, "accepting", "zpl_energy", grid)
+        assert sum(p.n_max + 1 for p in points) > 3 * rates._SWEEP_CHUNK_CELLS
+        for point in points[::97] + points[-1:]:
+            assert (point.rate, point.n_max, point.sigma, None) == _direct(
+                natural, "accepting", "zpl_energy", point.value, "initial"
+            )
+
+    def test_empty_grid(self, natural):
+        for parameter in SWEEP_PARAMETERS:
+            assert rate_sweep(natural, "accepting", parameter, []) == []
+
+    def test_unknown_reference_fails_every_row(self, natural):
+        points = rate_sweep(natural, "ch-stretch", "coupling", [0.58, 1.0], moment_reference="mid")
+        assert all(p.rate is None and "reference" in p.error for p in points)
+
+
+class TestRateKernelOracle:
+    """The batched kernel against the scalar formula it replaced."""
+
+    def test_reference_configurations(self, natural, deuterium):
+        for config in (natural, deuterium):
+            for mode in config.modes:
+                for reference in ("initial", "final"):
+                    total = nonradiative_rate(config, mode.label, reference).total_rate
+                    assert total == pytest.approx(
+                        _seed_rate(config, mode.label, reference), rel=1e-14
+                    )
+
+    @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+    def test_sweep_rows(self, natural, parameter):
+        for label in ("accepting", "ch-stretch"):
+            for point in rate_sweep(natural, label, parameter, _sweep_grid(label, parameter)):
+                if point.error is None:
+                    seed = _seed_rate(_vary(natural, label, parameter, point.value), label)
+                    assert point.rate == pytest.approx(seed, rel=1e-14, abs=0.0)
+
+    def test_terms_are_the_gaussian_delta_terms(self, natural):
+        mode = natural.mode("accepting")
+        result = nonradiative_rate(natural, "accepting")
+        assert [term.n for term in result.terms] == list(range(result.n_max_used + 1))
+        assert math.fsum(term.contribution for term in result.terms) == result.total_rate
+        for term in result.terms:
+            weight = gaussian_delta(natural.zpl_energy - term.n * mode.energy_ground, result.sigma)
+            assert term.delta_weight == pytest.approx(weight, rel=1e-15)
+            assert type(term.contribution) is float
+
+
+class TestUnderflow:
+    """With W > 0 the rate is strictly positive; float64 underflow is refused."""
+
+    @pytest.mark.parametrize("displacement", [15.0, 20.0])
+    def test_large_huang_rhys_factor_refused(self, natural, displacement):
+        config = _vary(natural, "accepting", "displacement", displacement)
+        with pytest.raises(CapabilityError, match="underflows"):
+            nonradiative_rate(config, "accepting")
+
+    def test_sweep_reports_underflow_per_row(self, natural):
+        points = rate_sweep(natural, "accepting", "displacement", [12.0, 15.0, 20.0, 0.734])
+        assert 0.0 < points[0].rate < 1e-150
+        for point in points[1:3]:
+            assert point.rate is None and "underflows" in point.error
+        assert points[3].rate == nonradiative_rate(natural, "accepting").total_rate
+
+    def test_zero_coupling_still_exactly_zero(self, natural):
+        config = _vary(natural, "accepting", "displacement", 15.0)
+        silent = config.with_mode(replace(config.mode("accepting"), coupling=0.0))
+        assert nonradiative_rate(silent, "accepting").total_rate == 0.0
+        points = rate_sweep(config, "accepting", "coupling", [0.0, 9.23])
+        assert points[0].rate == 0.0 and points[1].error is not None
