@@ -8,132 +8,101 @@ local-mode energies, radiative/nonradiative rate budgets (quantum
 efficiency, ZPL fractions, Purcell-enhanced cyclicity), and lifetime
 extraction from photon-counting transients.  Ships with a reference
 dataset for the silicon T centre isotopic variants.
+
+``import multiphonon`` loads no submodule.  Each public name is imported
+from its submodule on first access (PEP 562), so numpy loads only once a
+name that needs it is used.
 """
 
-from .constants import CONSTANTS, PhysicalConstants
-from .errors import (
-    AccuracyError,
-    CapabilityError,
-    ConfigSyntaxError,
-    ConfigValidationError,
-    DegeneracyError,
-    DomainError,
-    FitError,
-    FitPreconditionError,
-    InfeasibleKineticsError,
-    ModeLookupError,
-    MultiphononError,
-)
-from .oscillator import (
-    MAX_CERTIFIED_N,
-    OscillatorPair,
-    fc_overlap,
-    fc_overlap_matrix,
-    ho_length_scale,
-    huang_rhys_factor,
-    transition_moment,
-    transition_moments,
-)
-from .quadrature import (
-    GridSpec,
-    quadrature_overlap_oracle,
-    quadrature_overlap_table,
-    quadrature_overlap_with_error,
-)
-from .modes import (
-    DefectConfiguration,
-    ReferenceRecord,
-    VibrationalMode,
-    configurations_config_json,
-    isotope_scale_energy,
-    load_reference_dataset,
-    reduced_mass,
-    reference_records_csv,
-)
-from .rates import (
-    RateResult,
-    RateTerm,
-    SweepPoint,
-    gaussian_delta,
-    isotope_rate_ratio,
-    nonradiative_rate,
-    rate_sweep,
-    sweep_grid,
-)
-from .kinetics import (
-    KineticsResult,
-    cyclicity,
-    infer_radiative_rate,
-    purcell_radiative_efficiency,
-    total_lifetime,
-    zpl_emission_fraction,
-)
-from .transient import (
-    LifetimeFit,
-    TransientHistogram,
-    fit_lifetime,
-    read_histogram_csv,
-    simulate_transient,
-    write_histogram_csv,
-)
-from .config_io import parse_defect_config, serialize_defect_config
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyError",
-    "CapabilityError",
-    "ConfigSyntaxError",
-    "ConfigValidationError",
-    "CONSTANTS",
-    "cyclicity",
-    "DefectConfiguration",
-    "DegeneracyError",
-    "DomainError",
-    "fc_overlap",
-    "fc_overlap_matrix",
-    "FitError",
-    "FitPreconditionError",
-    "fit_lifetime",
-    "gaussian_delta",
-    "GridSpec",
-    "ho_length_scale",
-    "huang_rhys_factor",
-    "InfeasibleKineticsError",
-    "infer_radiative_rate",
-    "isotope_rate_ratio",
-    "isotope_scale_energy",
-    "KineticsResult",
-    "LifetimeFit",
-    "load_reference_dataset",
-    "MAX_CERTIFIED_N",
-    "ModeLookupError",
-    "MultiphononError",
-    "nonradiative_rate",
-    "OscillatorPair",
-    "parse_defect_config",
-    "PhysicalConstants",
-    "purcell_radiative_efficiency",
-    "quadrature_overlap_oracle",
-    "quadrature_overlap_table",
-    "quadrature_overlap_with_error",
-    "RateResult",
-    "RateTerm",
-    "rate_sweep",
-    "read_histogram_csv",
-    "reduced_mass",
-    "ReferenceRecord",
-    "reference_records_csv",
-    "configurations_config_json",
-    "serialize_defect_config",
-    "simulate_transient",
-    "sweep_grid",
-    "SweepPoint",
-    "total_lifetime",
-    "TransientHistogram",
-    "transition_moment",
-    "transition_moments",
-    "VibrationalMode",
-    "write_histogram_csv",
-    "zpl_emission_fraction",
-]
+# Public name -> owning submodule, by submodule.
+_EXPORTS = {
+    "constants": ("CONSTANTS", "PhysicalConstants"),
+    "errors": (
+        "AccuracyError",
+        "CapabilityError",
+        "ConfigSyntaxError",
+        "ConfigValidationError",
+        "DegeneracyError",
+        "DomainError",
+        "FitError",
+        "FitPreconditionError",
+        "InfeasibleKineticsError",
+        "ModeLookupError",
+        "MultiphononError",
+    ),
+    "oscillator": (
+        "MAX_CERTIFIED_N",
+        "OscillatorPair",
+        "fc_overlap",
+        "fc_overlap_matrix",
+        "ho_length_scale",
+        "huang_rhys_factor",
+        "transition_moment",
+        "transition_moments",
+    ),
+    "quadrature": (
+        "GridSpec",
+        "quadrature_overlap_oracle",
+        "quadrature_overlap_table",
+        "quadrature_overlap_with_error",
+    ),
+    "modes": (
+        "DefectConfiguration",
+        "ReferenceRecord",
+        "VibrationalMode",
+        "configurations_config_json",
+        "isotope_scale_energy",
+        "load_reference_dataset",
+        "reduced_mass",
+        "reference_records_csv",
+    ),
+    "rates": (
+        "RateResult",
+        "RateTerm",
+        "SweepPoint",
+        "gaussian_delta",
+        "isotope_rate_ratio",
+        "nonradiative_rate",
+        "rate_sweep",
+        "sweep_grid",
+    ),
+    "kinetics": (
+        "KineticsResult",
+        "cyclicity",
+        "infer_radiative_rate",
+        "purcell_radiative_efficiency",
+        "total_lifetime",
+        "zpl_emission_fraction",
+    ),
+    "transient": (
+        "LifetimeFit",
+        "TransientHistogram",
+        "fit_lifetime",
+        "read_histogram_csv",
+        "simulate_transient",
+        "write_histogram_csv",
+    ),
+    "config_io": ("parse_defect_config", "serialize_defect_config"),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

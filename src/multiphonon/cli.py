@@ -3,6 +3,9 @@
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 on domain/validation errors, 2 on usage errors.  All numeric output is
 printed at full precision (``repr``), rates in s⁻¹ and lifetimes in µs.
+
+Handlers import the numpy-backed modules (``rates``, ``transient``)
+themselves, so subcommands that never use them do not pay for numpy.
 """
 
 import argparse
@@ -12,9 +15,7 @@ from .config_io import parse_defect_config
 from .errors import MultiphononError
 from .kinetics import cyclicity as cyclicity_value
 from .kinetics import infer_radiative_rate, purcell_radiative_efficiency, zpl_emission_fraction
-from .modes import configurations_config_json, reference_records_csv
-from .rates import SWEEP_CSV_HEADER, SWEEP_PARAMETERS, nonradiative_rate, rate_sweep, sweep_grid
-from .transient import fit_lifetime, read_histogram_csv, simulate_transient, write_histogram_csv
+from .modes import SWEEP_CSV_HEADER, SWEEP_PARAMETERS, configurations_config_json, reference_records_csv
 
 
 def _fmt(value):
@@ -46,6 +47,7 @@ def _build_parser():
     p_rate = sub.add_parser("rate", help="nonradiative rate with its term breakdown")
     p_rate.add_argument("--config", required=True, help="defect configuration JSON file")
     p_rate.add_argument("--mode", required=True, help="vibrational mode label")
+    p_rate.set_defaults(handler=_cmd_rate)
 
     p_sweep = sub.add_parser("sweep", help="rate across a linear parameter grid (CSV)")
     p_sweep.add_argument("--config", required=True)
@@ -54,6 +56,7 @@ def _build_parser():
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_kin = sub.add_parser("kinetics", help="shared-radiative-rate inference for two variants")
     p_kin.add_argument("--tau-a", type=float, required=True, help="lifetime of variant a, µs")
@@ -61,14 +64,17 @@ def _build_parser():
     p_kin.add_argument("--nr-ratio", type=float, required=True, help="Γ_NR,a / Γ_NR,b")
     p_kin.add_argument("--debye-waller", type=float, default=None,
                        help="ZPL fraction of radiative emission; adds ZPL output fractions")
+    p_kin.set_defaults(handler=_cmd_kinetics)
 
     p_cyc = sub.add_parser("cyclicity", help="optical cyclicity under Purcell enhancement")
     p_cyc.add_argument("--eta0", type=float, required=True, help="intrinsic radiative efficiency")
     p_cyc.add_argument("--purcell", type=float, required=True, help="Purcell factor")
+    p_cyc.set_defaults(handler=_cmd_cyclicity)
 
     p_fit = sub.add_parser("fit", help="extract a lifetime from a transient histogram")
     p_fit.add_argument("--histogram", required=True, help="CSV file with header t_us,counts")
     p_fit.add_argument("--window", type=_window, default=None, help="fit window 'START,STOP' in µs")
+    p_fit.set_defaults(handler=_cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic transient histogram")
     p_sim.add_argument("--tau", type=float, required=True, help="decay lifetime, µs")
@@ -78,13 +84,17 @@ def _build_parser():
     p_sim.add_argument("--tmax", type=float, required=True, help="histogram span, µs")
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--out", required=True, help="output CSV path")
+    p_sim.set_defaults(handler=_cmd_simulate)
 
     p_data = sub.add_parser("dataset", help="export the embedded reference dataset")
     p_data.add_argument("--format", choices=("csv", "config"), default="csv")
+    p_data.set_defaults(handler=_cmd_dataset)
     return parser
 
 
-def _cmd_rate(args, out):
+def _cmd_rate(args, out, err):
+    from .rates import nonradiative_rate
+
     config = _load_config(args.config)
     result = nonradiative_rate(config, args.mode)
     print(f"variant {config.variant_label}", file=out)
@@ -100,6 +110,8 @@ def _cmd_rate(args, out):
 
 
 def _cmd_sweep(args, out, err):
+    from .rates import rate_sweep, sweep_grid
+
     config = _load_config(args.config)
     grid = sweep_grid(args.start, args.stop, args.steps)
     points = rate_sweep(config, args.mode, args.vary, grid)
@@ -116,7 +128,7 @@ def _cmd_sweep(args, out, err):
     return 1 if failures == len(points) else 0
 
 
-def _cmd_kinetics(args, out):
+def _cmd_kinetics(args, out, err):
     result = infer_radiative_rate(args.tau_a * 1e-6, args.tau_b * 1e-6, args.nr_ratio)
     print(f"radiative_rate_per_s {_fmt(result.radiative_rate)}", file=out)
     print(f"nonradiative_rate_a_per_s {_fmt(result.nonradiative_rate_a)}", file=out)
@@ -132,7 +144,7 @@ def _cmd_kinetics(args, out):
     return 0
 
 
-def _cmd_cyclicity(args, out):
+def _cmd_cyclicity(args, out, err):
     efficiency = purcell_radiative_efficiency(args.eta0, args.purcell)
     value = cyclicity_value(args.eta0, args.purcell)
     print(f"purcell_radiative_efficiency {_fmt(efficiency)}", file=out)
@@ -140,7 +152,9 @@ def _cmd_cyclicity(args, out):
     return 0
 
 
-def _cmd_fit(args, out):
+def _cmd_fit(args, out, err):
+    from .transient import fit_lifetime, read_histogram_csv
+
     histogram = read_histogram_csv(args.histogram)
     fit = fit_lifetime(histogram, fit_window=args.window)
     print(f"lifetime_us {_fmt(fit.lifetime_us)}", file=out)
@@ -152,7 +166,9 @@ def _cmd_fit(args, out):
     return 0
 
 
-def _cmd_simulate(args, out):
+def _cmd_simulate(args, out, err):
+    from .transient import simulate_transient, write_histogram_csv
+
     histogram = simulate_transient(
         args.tau, args.amplitude, args.background, args.bins, args.tmax, args.seed
     )
@@ -162,7 +178,7 @@ def _cmd_simulate(args, out):
     return 0
 
 
-def _cmd_dataset(args, out):
+def _cmd_dataset(args, out, err):
     if args.format == "csv":
         out.write(reference_records_csv())
     else:
@@ -179,21 +195,7 @@ def run_command(argv):
         return 2 if exc.code not in (0, None) else 0
     out, err = sys.stdout, sys.stderr
     try:
-        if args.command == "rate":
-            return _cmd_rate(args, out)
-        if args.command == "sweep":
-            return _cmd_sweep(args, out, err)
-        if args.command == "kinetics":
-            return _cmd_kinetics(args, out)
-        if args.command == "cyclicity":
-            return _cmd_cyclicity(args, out)
-        if args.command == "fit":
-            return _cmd_fit(args, out)
-        if args.command == "simulate":
-            return _cmd_simulate(args, out)
-        if args.command == "dataset":
-            return _cmd_dataset(args, out)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.handler(args, out, err)
     except MultiphononError as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -20,6 +20,12 @@ MASS_H2 = 2.01410
 MASS_C12 = 12.0
 MASS_C13 = 13.00335
 
+# Configuration parameters a rate sweep can vary, and the header of its CSV
+# output.  Kept here, free of numpy, so the CLI parser can offer them.
+SWEEP_PARAMETERS = ("zpl_energy", "displacement", "coupling", "energy_ground")
+
+SWEEP_CSV_HEADER = "parameter,value,rate_per_s,n_max,sigma_meV"
+
 
 def _check_finite(value, name):
     if not (isinstance(value, (int, float)) and math.isfinite(value)):

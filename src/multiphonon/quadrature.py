@@ -84,7 +84,7 @@ def _grid_layout(pair, n_top, grid):
     wavelength = 2.0 * math.pi / math.sqrt(a_narrow * (2.0 * n_top + 1.0))
     step = wavelength / grid.points_per_wavelength
     count = int(math.ceil((hi - lo) / step)) + 1
-    return lo, hi, count, a_i, a_f
+    return lo, hi, count
 
 
 def _hermite_rows(y, n_max):
@@ -102,11 +102,12 @@ def _hermite_rows(y, n_max):
     return rows
 
 
-def _trapezoid_table(pair, m_max, n_max, lo, hi, count):
-    """Overlap tables for every (m <= m_max, n <= n_max) on one grid.
+def _trapezoid_factors(pair, m_max, n_max, lo, hi, count):
+    """Wavefunction rows on one grid, the final ones trapezoid-weighted.
 
-    Returns the trapezoid values and the integrals of |integrand| used for
-    the roundoff floor.
+    ``rows_i @ weighted_f.T`` is the overlap table for every
+    (m <= m_max, n <= n_max); the same product of absolute values is the
+    integral of |integrand| used for the roundoff floor.
     """
     x, step = np.linspace(lo, hi, count, retstep=True)
     a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
@@ -115,10 +116,7 @@ def _trapezoid_table(pair, m_max, n_max, lo, hi, count):
     rows_f = a_f**0.25 * _hermite_rows(np.sqrt(a_f) * (x - pair.displacement), n_max)
     weights = np.full(count, step)
     weights[0] = weights[-1] = 0.5 * step
-    weighted_f = rows_f * weights
-    values = rows_i @ weighted_f.T
-    l1 = np.abs(rows_i) @ np.abs(weighted_f).T
-    return values, l1
+    return rows_i, rows_f * weights
 
 
 def quadrature_overlap_table(pair, m_max, n_max, grid=GridSpec()):
@@ -140,11 +138,12 @@ def quadrature_overlap_table(pair, m_max, n_max, grid=GridSpec()):
         raise DomainError(f"oracle is certified for quantum numbers <= {MAX_ORACLE_N}")
     if grid.dps is not None:
         raise DomainError("bulk tables are float64 only; use the scalar oracle for mpmath")
-    n_top = max(m_max, n_max, 1)
-    lo, hi, count, _, _ = _grid_layout(pair, n_top, grid)
-    coarse, _ = _trapezoid_table(pair, m_max, n_max, lo, hi, count)
-    fine, l1 = _trapezoid_table(pair, m_max, n_max, lo, hi, 2 * count - 1)
-    floor = 64.0 * np.finfo(float).eps * l1
+    lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
+    rows_i, weighted_f = _trapezoid_factors(pair, m_max, n_max, lo, hi, count)
+    coarse = rows_i @ weighted_f.T
+    rows_i, weighted_f = _trapezoid_factors(pair, m_max, n_max, lo, hi, 2 * count - 1)
+    fine = rows_i @ weighted_f.T
+    floor = 64.0 * np.finfo(float).eps * (np.abs(rows_i) @ np.abs(weighted_f).T)
     return fine, np.abs(fine - coarse) + floor
 
 
@@ -191,16 +190,16 @@ def _mpmath_overlap(pair, m, n, lo, hi, count, dps):
 
 
 def quadrature_overlap_with_error(m, n, pair, grid=GridSpec()):
-    """Oracle overlap plus its self-estimated absolute error (no tolerance check)."""
+    """Oracle overlap plus its self-estimated absolute error (no tolerance check).
+
+    In float64 this is the ``[m, n]`` entry of :func:`quadrature_overlap_table`.
+    """
     if not (0 <= m <= MAX_ORACLE_N) or not (0 <= n <= MAX_ORACLE_N):
         raise DomainError(f"oracle is certified for 0 <= m, n <= {MAX_ORACLE_N}")
-    n_top = max(m, n, 1)
-    lo, hi, count, _, _ = _grid_layout(pair, n_top, grid)
     if grid.dps is None:
-        coarse, _ = _trapezoid_table(pair, m, n, lo, hi, count)
-        fine, l1 = _trapezoid_table(pair, m, n, lo, hi, 2 * count - 1)
-        floor = 64.0 * np.finfo(float).eps * l1[m, n]
-        return float(fine[m, n]), float(abs(fine[m, n] - coarse[m, n]) + floor)
+        values, errors = quadrature_overlap_table(pair, m, n, grid)
+        return float(values[m, n]), float(errors[m, n])
+    lo, hi, count = _grid_layout(pair, max(m, n, 1), grid)
     coarse, _ = _mpmath_overlap(pair, m, n, lo, hi, count, grid.dps)
     fine, floor = _mpmath_overlap(pair, m, n, lo, hi, 2 * count - 1, grid.dps)
     return fine, abs(fine - coarse) + floor

@@ -27,11 +27,8 @@ import numpy as np
 
 from .constants import HBAR_MEV_S
 from .errors import CapabilityError, DegeneracyError, DomainError, MultiphononError
+from .modes import SWEEP_CSV_HEADER, SWEEP_PARAMETERS  # noqa: F401  (re-exported)
 from .oscillator import MAX_CERTIFIED_N, REFERENCE_FINAL, REFERENCE_INITIAL, _moments
-
-SWEEP_PARAMETERS = ("zpl_energy", "displacement", "coupling", "energy_ground")
-
-SWEEP_CSV_HEADER = "parameter,value,rate_per_s,n_max,sigma_meV"
 
 # Phonon terms × rows evaluated per batched pass of ``rate_sweep``; bounds
 # the kernel's temporary arrays to about 64 kB each.

@@ -204,7 +204,8 @@ def fit_lifetime(histogram, fit_window=None):
         )
 
     theta = np.array([amplitude0, tau0, background0])
-    trace = [(0, tuple(theta), _neg_log_likelihood(theta, t_all, c_all))]
+    nll = _neg_log_likelihood(theta, t_all, c_all)
+    trace = [(0, tuple(theta), nll)]
     converged = False
     iterations = 0
     for iteration in range(1, _MAX_ITERATIONS + 1):
@@ -220,14 +221,15 @@ def fit_lifetime(histogram, fit_window=None):
             step = np.linalg.solve(normal, gradient)
         except np.linalg.LinAlgError:
             raise FitError("normal equations are singular; data is unidentifiable", trace)
-        nll = _neg_log_likelihood(theta, t_all, c_all)
         factor = 1.0
         accepted = None
         for _ in range(60):
             candidate = theta + factor * step
-            if _valid(candidate) and _neg_log_likelihood(candidate, t_all, c_all) <= nll + 1e-12 * abs(nll):
-                accepted = candidate
-                break
+            if _valid(candidate):
+                candidate_nll = _neg_log_likelihood(candidate, t_all, c_all)
+                if candidate_nll <= nll + 1e-12 * abs(nll):
+                    accepted = candidate
+                    break
             factor *= 0.5
         if accepted is None:
             # Even infinitesimal steps along the scoring direction do not
@@ -235,8 +237,8 @@ def fit_lifetime(histogram, fit_window=None):
             converged = True
             break
         rel_change = np.max(np.abs(factor * step) / np.maximum(np.abs(accepted), 1e-300))
-        theta = accepted
-        trace.append((iteration, tuple(theta), _neg_log_likelihood(theta, t_all, c_all)))
+        theta, nll = accepted, candidate_nll
+        trace.append((iteration, tuple(theta), nll))
         if rel_change < _RELATIVE_STEP_TOL:
             converged = True
             break

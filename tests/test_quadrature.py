@@ -85,6 +85,18 @@ def test_halving_step_is_converged():
     assert denser == pytest.approx(value, abs=10 * max(error, 1e-15))
 
 
+def test_scalar_float64_oracle_is_the_table_entry():
+    # One float64 path: the scalar oracle is the [m, n] entry of the table
+    # built on the same grid (sized for max(m, n)), bit for bit.
+    rng = np.random.default_rng(20260)
+    for _ in range(40):
+        energies = np.exp(rng.uniform(np.log(20.0), np.log(400.0), size=2))
+        pair = OscillatorPair(float(energies[0]), float(energies[1]), float(rng.uniform(0.0, 1.0)))
+        m, n = (int(k) for k in rng.integers(0, 31, size=2))
+        values, errors = quadrature_overlap_table(pair, m, n)
+        assert quadrature_overlap_with_error(m, n, pair) == (values[m, n], errors[m, n])
+
+
 def test_accuracy_error_when_tolerance_unreachable(accepting_pair):
     with pytest.raises(AccuracyError):
         quadrature_overlap_oracle(1, 28, accepting_pair, GridSpec(abs_tol=1e-22))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from multiphonon import transient
 from multiphonon import (
     DomainError,
     FitError,
     FitPreconditionError,
+    LifetimeFit,
     TransientHistogram,
     fit_lifetime,
     read_histogram_csv,
@@ -154,6 +156,32 @@ class TestFit:
         hist = simulate_transient(0.885, 1e4, 10.0, 500, 10.0, seed=1)
         with pytest.raises(FitPreconditionError):
             fit_lifetime(hist, fit_window=(5.0, 5.0))
+
+    @pytest.mark.parametrize("args, window, expected", [
+        ((0.885, 1000.0, 5.0, 500, 10.0, 11), None,
+         LifetimeFit(0.8848336758908874, 0.005062339951009242, 992.5303719036308,
+                     4.970524659532792, 1.0286333439863098, 6)),
+        ((4.807, 200.0, 2.0, 10000, 40.0, 12), (0.5, 35.0),
+         LifetimeFit(4.818621641333787, 0.015090541593675757, 199.1095376011119,
+                     2.0267393700288365, 0.9927325286347182, 6)),
+    ])
+    def test_seeded_fit_is_pinned_exactly(self, args, window, expected):
+        # Exact values: any change to the optimiser's arithmetic or to its
+        # step acceptance shows here.
+        assert fit_lifetime(simulate_transient(*args), fit_window=window) == expected
+
+    def test_fit_error_trace_records_objective_of_each_iterate(self, monkeypatch):
+        monkeypatch.setattr(transient, "_MAX_ITERATIONS", 3)
+        hist = simulate_transient(0.885, 1000.0, 5.0, 500, 10.0, seed=11)
+        with pytest.raises(FitError, match="no convergence") as info:
+            fit_lifetime(hist)
+        trace = info.value.trace
+        assert [entry[0] for entry in trace] == [0, 1, 2, 3]
+        for _, params, objective in trace:
+            assert objective == transient._neg_log_likelihood(
+                np.array(params), hist.bin_centers, hist.counts
+            )
+        assert all(later[2] <= earlier[2] for earlier, later in zip(trace, trace[1:]))
 
     def test_uncertainty_positive_on_noisy_data(self):
         fit = fit_lifetime(simulate_transient(0.885, 1e4, 10.0, 500, 10.0, seed=9))
