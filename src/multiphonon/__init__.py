@@ -54,7 +54,6 @@ _EXPORTS = {
         "DefectConfiguration",
         "ReferenceRecord",
         "VibrationalMode",
-        "configurations_config_json",
         "isotope_scale_energy",
         "load_reference_dataset",
         "reduced_mass",
@@ -86,7 +85,11 @@ _EXPORTS = {
         "simulate_transient",
         "write_histogram_csv",
     ),
-    "config_io": ("parse_defect_config", "serialize_defect_config"),
+    "config_io": (
+        "configurations_config_json",
+        "parse_defect_config",
+        "serialize_defect_config",
+    ),
 }
 
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

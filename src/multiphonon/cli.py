@@ -11,11 +11,11 @@ themselves, so subcommands that never use them do not pay for numpy.
 import argparse
 import sys
 
-from .config_io import parse_defect_config
+from .config_io import configurations_config_json, parse_defect_config
 from .errors import MultiphononError
 from .kinetics import cyclicity as cyclicity_value
 from .kinetics import infer_radiative_rate, purcell_radiative_efficiency, zpl_emission_fraction
-from .modes import SWEEP_CSV_HEADER, SWEEP_PARAMETERS, configurations_config_json, reference_records_csv
+from .modes import SWEEP_CSV_HEADER, SWEEP_PARAMETERS, reference_records_csv
 
 
 def _fmt(value):

@@ -16,13 +16,26 @@ the offending key path and (best effort) its line in the source text.
 """
 
 import json
-import math
+from types import SimpleNamespace
 
-from .errors import ConfigSyntaxError, ConfigValidationError
-from .modes import DefectConfiguration, VibrationalMode
+from .errors import ConfigSyntaxError, ConfigValidationError, DomainError, _number
+from .modes import _BOUNDS, _MODE_ROWS, _ZPL_ENERGY_MEV, DefectConfiguration, VibrationalMode
 
-_TOP_LEVEL_KEYS = ("variant_label", "zpl_energy_mev", "modes")
-_MODE_KEYS = ("label", "hbar_omega_g_mev", "hbar_omega_e_mev", "delta_q", "w_eg")
+# The schema: JSON key -> attribute of DefectConfiguration / VibrationalMode.
+# Numeric attributes take their bounds from ``modes._BOUNDS``; the others
+# are labels (non-empty strings) or the mode list.
+_CONFIG_SCHEMA = {
+    "variant_label": "variant_label",
+    "zpl_energy_mev": "zpl_energy",
+    "modes": "modes",
+}
+_MODE_SCHEMA = {
+    "label": "label",
+    "hbar_omega_g_mev": "energy_ground",
+    "hbar_omega_e_mev": "energy_excited",
+    "delta_q": "displacement",
+    "w_eg": "coupling",
+}
 
 
 class _JSONObject(dict):
@@ -36,11 +49,6 @@ class _JSONObject(dict):
             if key in seen:
                 self.duplicates.append(key)
             seen.add(key)
-
-
-def _reject_duplicates(document, data, path, occurrence):
-    for key in data.duplicates:
-        _fail(document, "duplicate key", f"{path}{key}", key, occurrence + 1)
 
 
 def _key_line(document, key, occurrence=1):
@@ -57,19 +65,37 @@ def _key_line(document, key, occurrence=1):
 def _fail(document, message, key_path, key=None, occurrence=1):
     line = _key_line(document, key, occurrence) if key else None
     suffix = f" (line {line})" if line is not None else ""
-    raise ConfigValidationError(f"{key_path}: {message}{suffix}", key_path=key_path, line=line)
+    raise ConfigValidationError(f"{message}{suffix}", key_path=key_path, line=line)
 
 
-def _require_number(document, value, key_path, key, occurrence, positive=False, non_negative=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(document, f"must be a number, got {value!r}", key_path, key, occurrence)
-    if not math.isfinite(value):
-        _fail(document, f"must be finite, got {value!r}", key_path, key, occurrence)
-    if positive and value <= 0:
-        _fail(document, f"must be positive, got {value!r}", key_path, key, occurrence)
-    if non_negative and value < 0:
-        _fail(document, f"must be non-negative, got {value!r}", key_path, key, occurrence)
-    return float(value)
+def _fields(document, data, schema, prefix, occurrence):
+    """Validate one JSON object against *schema*; its fields by attribute name.
+
+    The ``modes`` list is left to the caller.
+    """
+    for key in data.duplicates:
+        _fail(document, f"duplicate key {prefix}{key}", f"{prefix}{key}", key, occurrence + 1)
+    for key in data:
+        if key not in schema:
+            _fail(document, f"unknown key {prefix}{key}", f"{prefix}{key}", key, occurrence)
+    for key in schema:
+        if key not in data:
+            path = f"{prefix}{key}"
+            raise ConfigValidationError(f"required key {path} is missing", key_path=path)
+    values = {}
+    for key, attribute in schema.items():
+        path, value = f"{prefix}{key}", data[key]
+        if attribute in _BOUNDS:
+            try:
+                values[attribute] = _number(value, path, **_BOUNDS[attribute])
+            except DomainError as exc:
+                _fail(document, str(exc), path, key, occurrence)
+        elif attribute != "modes":
+            if not isinstance(value, str) or not value:
+                _fail(document, f"{path} must be a non-empty string, got {value!r}",
+                      path, key, occurrence)
+            values[attribute] = value
+    return values
 
 
 def parse_defect_config(document):
@@ -102,66 +128,51 @@ def parse_defect_config(document):
 
     if not isinstance(data, dict):
         raise ConfigValidationError("top level must be a JSON object", key_path="<root>")
-    _reject_duplicates(document, data, "", 1)
-    for key in data:
-        if key not in _TOP_LEVEL_KEYS:
-            _fail(document, "unknown key", key, key)
-    for key in _TOP_LEVEL_KEYS:
-        if key not in data:
-            raise ConfigValidationError(f"{key}: required key is missing", key_path=key)
-
-    label = data["variant_label"]
-    if not isinstance(label, str) or not label:
-        _fail(document, f"must be a non-empty string, got {label!r}", "variant_label", "variant_label")
-    zpl = _require_number(
-        document, data["zpl_energy_mev"], "zpl_energy_mev", "zpl_energy_mev", 1, positive=True
-    )
-
+    values = _fields(document, data, _CONFIG_SCHEMA, "", 1)
     raw_modes = data["modes"]
     if not isinstance(raw_modes, list) or not raw_modes:
-        _fail(document, "must be a non-empty list of mode objects", "modes", "modes")
+        _fail(document, "modes must be a non-empty list of mode objects", "modes", "modes")
     modes = []
     for index, entry in enumerate(raw_modes):
         path = f"modes[{index}]"
-        occurrence = index + 1
         if not isinstance(entry, dict):
-            _fail(document, f"must be an object, got {entry!r}", path, "modes")
-        _reject_duplicates(document, entry, f"{path}.", occurrence)
-        for key in entry:
-            if key not in _MODE_KEYS:
-                _fail(document, "unknown key", f"{path}.{key}", key, occurrence)
-        for key in _MODE_KEYS:
-            if key not in entry:
-                raise ConfigValidationError(
-                    f"{path}.{key}: required key is missing", key_path=f"{path}.{key}"
-                )
-        mode_label = entry["label"]
-        if not isinstance(mode_label, str) or not mode_label:
-            _fail(document, f"must be a non-empty string, got {mode_label!r}",
-                  f"{path}.label", "label", occurrence)
-        omega_g = _require_number(document, entry["hbar_omega_g_mev"],
-                                  f"{path}.hbar_omega_g_mev", "hbar_omega_g_mev",
-                                  occurrence, positive=True)
-        omega_e = _require_number(document, entry["hbar_omega_e_mev"],
-                                  f"{path}.hbar_omega_e_mev", "hbar_omega_e_mev",
-                                  occurrence, positive=True)
-        delta_q = _require_number(document, entry["delta_q"],
-                                  f"{path}.delta_q", "delta_q", occurrence)
-        w_eg = _require_number(document, entry["w_eg"],
-                               f"{path}.w_eg", "w_eg", occurrence, non_negative=True)
-        modes.append(
-            VibrationalMode(
-                label=mode_label,
-                energy_ground=omega_g,
-                energy_excited=omega_e,
-                displacement=delta_q,
-                coupling=w_eg,
-            )
-        )
+            _fail(document, f"{path} must be an object, got {entry!r}", path, "modes")
+        modes.append(VibrationalMode(**_fields(document, entry, _MODE_SCHEMA, f"{path}.", index + 1)))
     labels = [mode.label for mode in modes]
     if len(set(labels)) != len(labels):
         _fail(document, f"mode labels must be unique, got {labels}", "modes", "modes")
-    return DefectConfiguration(variant_label=label, zpl_energy=zpl, modes=tuple(modes))
+    return DefectConfiguration(modes=tuple(modes), **values)
+
+
+def _write_config(documents, number):
+    """The config writer: one configuration, or a list of them as an array.
+
+    Fields follow the schema tables.  Numbers are rendered by *number*
+    (``repr`` of the float, or a stored decimal string passed through) and
+    labels are JSON-quoted; the layout is that of ``json.dumps(indent=2)``.
+    """
+
+    def fields(source, schema):
+        return {
+            key: [fields(mode, _MODE_SCHEMA) for mode in source.modes] if attribute == "modes"
+            else number(getattr(source, attribute)) if attribute in _BOUNDS
+            else json.dumps(getattr(source, attribute))
+            for key, attribute in schema.items()
+        }
+
+    def layout(value, pad):
+        if isinstance(value, str):
+            return value
+        inner = pad + "  "
+        if isinstance(value, list):
+            items = [inner + layout(item, inner) for item in value]
+            return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        items = [f"{inner}{json.dumps(key)}: {layout(item, inner)}" for key, item in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+
+    if isinstance(documents, list):
+        return layout([fields(doc, _CONFIG_SCHEMA) for doc in documents], "") + "\n"
+    return layout(fields(documents, _CONFIG_SCHEMA), "") + "\n"
 
 
 def serialize_defect_config(config):
@@ -170,18 +181,22 @@ def serialize_defect_config(config):
     Parsing the output reproduces the input configuration exactly (float
     values round-trip through ``repr``).
     """
-    payload = {
-        "variant_label": config.variant_label,
-        "zpl_energy_mev": config.zpl_energy,
-        "modes": [
-            {
-                "label": mode.label,
-                "hbar_omega_g_mev": mode.energy_ground,
-                "hbar_omega_e_mev": mode.energy_excited,
-                "delta_q": mode.displacement,
-                "w_eg": mode.coupling,
-            }
-            for mode in config.modes
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return _write_config(config, repr)
+
+
+def configurations_config_json():
+    """Both parameterized variants of the reference dataset in the config format.
+
+    The document is a JSON array of configuration objects.  It is built
+    from the stored decimal strings (not floats) so every number appears
+    digit for digit as in the source dataset.
+    """
+    documents = [
+        SimpleNamespace(
+            variant_label=label,
+            zpl_energy=_ZPL_ENERGY_MEV,
+            modes=[SimpleNamespace(**dict(zip(_MODE_SCHEMA.values(), row))) for row in rows],
+        )
+        for label, rows in _MODE_ROWS.items()
+    ]
+    return _write_config(documents, str)

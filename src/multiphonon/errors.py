@@ -3,7 +3,13 @@
 Every error raised on a validated code path derives from
 :class:`MultiphononError`, so callers (and the CLI) can separate domain or
 validation failures (exit code 1) from genuine usage errors and bugs.
+Every module checks its numeric inputs with :func:`_number`, so inputs
+of the same kind are validated alike.
 """
+
+import math
+import numbers
+import operator
 
 
 class MultiphononError(Exception):
@@ -70,7 +76,7 @@ class ConfigSyntaxError(MultiphononError):
 class ConfigValidationError(MultiphononError):
     """A well-formed configuration document violates the schema.
 
-    ``key_path`` names the offending key (e.g. ``modes[1].w_eg``); ``line``
+    ``key_path`` names the offending key (e.g. ``modes[1].<key>``); ``line``
     is the best-effort line of that key in the source document.
     """
 
@@ -78,3 +84,36 @@ class ConfigValidationError(MultiphononError):
         super().__init__(message)
         self.key_path = key_path
         self.line = line
+
+
+# ``float`` first: the exact type check is much cheaper than the ABC's.
+_REAL_TYPES = (float, numbers.Real)
+
+
+def _number(value, name, *, integer=False, gt=None, ge=None, le=None):
+    """The package's one numeric input check; raises :class:`DomainError`.
+
+    A real is any finite :class:`numbers.Real`, numpy scalars included; it
+    comes back as a Python float, so a float32 input cannot keep later
+    arithmetic in single precision.  With ``integer=True`` the value must
+    support ``operator.index`` and comes back as an int.  ``bool`` is never
+    a number.  ``gt``, ``ge`` and ``le`` are optional bounds.
+    """
+    try:
+        if isinstance(value, bool) or not (integer or isinstance(value, _REAL_TYPES)):
+            raise TypeError
+        number = operator.index(value) if integer else float(value)
+    except TypeError:
+        kind = "an integer" if integer else "a real number"
+        raise DomainError(f"{name} must be {kind}, got {value!r}") from None
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not (integer or math.isfinite(number)):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    if gt is not None and not number > gt:
+        raise DomainError(f"{name} must be > {gt!r}, got {value!r}")
+    if ge is not None and not number >= ge:
+        raise DomainError(f"{name} must be >= {ge!r}, got {value!r}")
+    if le is not None and not number <= le:
+        raise DomainError(f"{name} must be <= {le!r}, got {value!r}")
+    return number

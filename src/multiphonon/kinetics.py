@@ -10,10 +10,9 @@ spin-mixing nonradiative channel the optical cyclicity is
 C = 2/(1 - η(P)) = 2(1 + η₀(P-1))/(1 - η₀).
 """
 
-import math
 from dataclasses import dataclass
 
-from .errors import DegeneracyError, DomainError, InfeasibleKineticsError
+from .errors import DegeneracyError, InfeasibleKineticsError, _number
 
 
 @dataclass(frozen=True)
@@ -28,17 +27,10 @@ class KineticsResult:
     efficiency_b: float
 
 
-def _check_positive(value, name):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-
-
 def total_lifetime(radiative_rate, nonradiative_rate):
     """Excited-state lifetime 1/(Γ_R + Γ_NR) in seconds."""
-    for name, value in (("radiative_rate", radiative_rate), ("nonradiative_rate", nonradiative_rate)):
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-            raise DomainError(f"{name} must be non-negative and finite, got {value!r}")
-    total = radiative_rate + nonradiative_rate
+    radiative_rate = _number(radiative_rate, "radiative_rate", ge=0.0)
+    total = radiative_rate + _number(nonradiative_rate, "nonradiative_rate", ge=0.0)
     if total == 0.0:
         raise DegeneracyError("both decay rates are zero; the lifetime diverges")
     return 1.0 / total
@@ -70,9 +62,9 @@ def infer_radiative_rate(lifetime_a, lifetime_b, nr_ratio):
     InfeasibleKineticsError
         If the inputs force a negative radiative or nonradiative rate.
     """
-    _check_positive(lifetime_a, "lifetime_a")
-    _check_positive(lifetime_b, "lifetime_b")
-    _check_positive(nr_ratio, "nr_ratio")
+    lifetime_a = _number(lifetime_a, "lifetime_a", gt=0.0)
+    lifetime_b = _number(lifetime_b, "lifetime_b", gt=0.0)
+    nr_ratio = _number(nr_ratio, "nr_ratio", gt=0.0)
     rate_total_a = 1.0 / lifetime_a
     rate_total_b = 1.0 / lifetime_b
     if nr_ratio == 1.0:
@@ -112,10 +104,12 @@ def zpl_emission_fraction(efficiency, debye_waller):
     The product of the quantum efficiency and the Debye-Waller factor
     (the fraction of radiative emission in the ZPL).
     """
-    for name, value in (("efficiency", efficiency), ("debye_waller", debye_waller)):
-        if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-            raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-    return efficiency * debye_waller
+    efficiency = _number(efficiency, "efficiency", ge=0.0, le=1.0)
+    return efficiency * _number(debye_waller, "debye_waller", ge=0.0, le=1.0)
+
+
+def _purcell_inputs(eta0, purcell):
+    return _number(eta0, "eta0", ge=0.0, le=1.0), _number(purcell, "purcell", ge=0.0)
 
 
 def purcell_radiative_efficiency(eta0, purcell):
@@ -125,10 +119,7 @@ def purcell_radiative_efficiency(eta0, purcell):
     P grows.  η₀ of exactly 0 or 1 is treated as the corresponding exact
     limit rather than an error.
     """
-    if not (isinstance(eta0, (int, float)) and 0.0 <= eta0 <= 1.0):
-        raise DomainError(f"eta0 must lie in [0, 1], got {eta0!r}")
-    if not (isinstance(purcell, (int, float)) and math.isfinite(purcell) and purcell >= 0.0):
-        raise DomainError(f"purcell must be non-negative and finite, got {purcell!r}")
+    eta0, purcell = _purcell_inputs(eta0, purcell)
     if eta0 == 0.0:
         return 0.0
     if eta0 == 1.0:
@@ -146,10 +137,7 @@ def cyclicity(eta0, purcell):
     DegeneracyError
         For η₀ = 1 (no nonradiative channel; the cyclicity diverges).
     """
-    if not (isinstance(eta0, (int, float)) and 0.0 <= eta0 <= 1.0):
-        raise DomainError(f"eta0 must lie in [0, 1], got {eta0!r}")
-    if not (isinstance(purcell, (int, float)) and math.isfinite(purcell) and purcell >= 0.0):
-        raise DomainError(f"purcell must be non-negative and finite, got {purcell!r}")
+    eta0, purcell = _purcell_inputs(eta0, purcell)
     if eta0 == 1.0:
         raise DegeneracyError("cyclicity diverges at unit intrinsic efficiency")
     return 2.0 * (1.0 + eta0 * (purcell - 1.0)) / (1.0 - eta0)

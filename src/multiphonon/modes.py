@@ -11,7 +11,7 @@ them digit for digit.
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import DomainError, ModeLookupError
+from .errors import DomainError, ModeLookupError, _number
 
 # Atomic masses in amu, rounded at 1e-5 from the AME2020 atomic mass
 # evaluation (12C is exact by definition of the amu).
@@ -27,9 +27,22 @@ SWEEP_PARAMETERS = ("zpl_energy", "displacement", "coupling", "energy_ground")
 SWEEP_CSV_HEADER = "parameter,value,rate_per_s,n_max,sigma_meV"
 
 
-def _check_finite(value, name):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise DomainError(f"{name} must be a finite number, got {value!r}")
+# Bounds of the numeric configuration fields, by attribute; the config
+# schema in ``config_io`` validates its keys against the same table.
+_BOUNDS = {
+    "zpl_energy": {"gt": 0.0},
+    "energy_ground": {"gt": 0.0},
+    "energy_excited": {"gt": 0.0},
+    "displacement": {},
+    "coupling": {"ge": 0.0},
+}
+
+
+def _store_numbers(instance):
+    """Validate a dataclass's numeric fields by _BOUNDS and store them as floats."""
+    for name, bound in _BOUNDS.items():
+        if name in instance.__dataclass_fields__:
+            object.__setattr__(instance, name, _number(getattr(instance, name), name, **bound))
 
 
 @dataclass(frozen=True)
@@ -59,15 +72,7 @@ class VibrationalMode:
     def __post_init__(self):
         if not self.label:
             raise DomainError("mode label must be non-empty")
-        for name in ("energy_ground", "energy_excited"):
-            value = getattr(self, name)
-            _check_finite(value, name)
-            if value <= 0:
-                raise DomainError(f"{name} must be positive, got {value!r}")
-        _check_finite(self.displacement, "displacement")
-        _check_finite(self.coupling, "coupling")
-        if self.coupling < 0:
-            raise DomainError(f"coupling must be non-negative, got {self.coupling!r}")
+        _store_numbers(self)
 
 
 @dataclass(frozen=True)
@@ -79,9 +84,7 @@ class DefectConfiguration:
     modes: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        _check_finite(self.zpl_energy, "zpl_energy")
-        if self.zpl_energy <= 0:
-            raise DomainError(f"zpl_energy must be positive, got {self.zpl_energy!r}")
+        _store_numbers(self)
         object.__setattr__(self, "modes", tuple(self.modes))
         if not self.modes:
             raise DomainError("a configuration needs at least one vibrational mode")
@@ -127,10 +130,8 @@ class ReferenceRecord:
 
 def reduced_mass(mass_a, mass_b):
     """Reduced mass mass_a·mass_b/(mass_a + mass_b) in amu; symmetric."""
-    for name, value in (("mass_a", mass_a), ("mass_b", mass_b)):
-        _check_finite(value, name)
-        if value <= 0:
-            raise DomainError(f"{name} must be positive, got {value!r}")
+    mass_a = _number(mass_a, "mass_a", gt=0.0)
+    mass_b = _number(mass_b, "mass_b", gt=0.0)
     return mass_a * mass_b / (mass_a + mass_b)
 
 
@@ -144,13 +145,9 @@ def isotope_scale_energy(energy, mu_old, mu_new):
 
     Composable: scaling mu1 -> mu2 -> mu3 equals scaling mu1 -> mu3.
     """
-    _check_finite(energy, "energy")
-    if energy <= 0:
-        raise DomainError(f"energy must be positive, got {energy!r}")
-    for name, value in (("mu_old", mu_old), ("mu_new", mu_new)):
-        _check_finite(value, name)
-        if value <= 0:
-            raise DomainError(f"{name} must be positive, got {value!r}")
+    energy = _number(energy, "energy", gt=0.0)
+    mu_old = _number(mu_old, "mu_old", gt=0.0)
+    mu_new = _number(mu_new, "mu_new", gt=0.0)
     return energy * math.sqrt(mu_old / mu_new)
 
 
@@ -170,15 +167,16 @@ _RECORD_ROWS = (
 
 _ZPL_ENERGY_MEV = "935"
 
-# label -> mode label -> (ΔQ, ħΩ_g, ħΩ_e, W) as printed
+# label -> (mode label, ħΩ_g, ħΩ_e, ΔQ, W) as printed, in the field order
+# of VibrationalMode and of the config schema
 _MODE_ROWS = {
     "natural": (
-        ("accepting", "0.734", "33.0", "33.0", "9.23"),
-        ("ch-stretch", "0.001", "359", "358", "0.58"),
+        ("accepting", "33.0", "33.0", "0.734", "9.23"),
+        ("ch-stretch", "359", "358", "0.001", "0.58"),
     ),
     "deuterium": (
-        ("accepting", "0.734", "33.0", "33.0", "9.23"),
-        ("ch-stretch", "0.002", "263", "262", "0.70"),
+        ("accepting", "33.0", "33.0", "0.734", "9.23"),
+        ("ch-stretch", "263", "262", "0.002", "0.70"),
     ),
 }
 
@@ -213,14 +211,8 @@ def load_reference_dataset():
             variant_label=label,
             zpl_energy=float(_ZPL_ENERGY_MEV),
             modes=tuple(
-                VibrationalMode(
-                    label=mode_label,
-                    displacement=float(dq),
-                    energy_ground=float(wg),
-                    energy_excited=float(we),
-                    coupling=float(w),
-                )
-                for mode_label, dq, wg, we, w in _MODE_ROWS[label]
+                VibrationalMode(mode_label, *map(float, values))
+                for mode_label, *values in _MODE_ROWS[label]
             ),
         )
         for label in ("natural", "deuterium")
@@ -236,32 +228,3 @@ def reference_records_csv():
         lines.append(f"{label},{c_s},{c_w},{h},{shift},{lifetime},{err}")
     return "\n".join(lines) + "\n"
 
-
-def configurations_config_json():
-    """Both parameterized variants in the config file format.
-
-    The document is a JSON array of configuration objects.  It is built
-    from the stored decimal strings (not floats) so every number appears
-    digit for digit as in the source dataset.
-    """
-    docs = []
-    for label in ("natural", "deuterium"):
-        modes = []
-        for mode_label, dq, wg, we, w in _MODE_ROWS[label]:
-            modes.append(
-                "    {\n"
-                f'      "label": "{mode_label}",\n'
-                f'      "hbar_omega_g_mev": {wg},\n'
-                f'      "hbar_omega_e_mev": {we},\n'
-                f'      "delta_q": {dq},\n'
-                f'      "w_eg": {w}\n'
-                "    }"
-            )
-        docs.append(
-            "  {\n"
-            f'    "variant_label": "{label}",\n'
-            f'    "zpl_energy_mev": {_ZPL_ENERGY_MEV},\n'
-            '    "modes": [\n' + ",\n".join(modes) + "\n    ]\n"
-            "  }"
-        )
-    return "[\n" + ",\n".join(docs) + "\n]\n"

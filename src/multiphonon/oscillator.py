@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR_SQ_MEV_AMU_A2
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, _number
 
 # Forward recursion certified against the quadrature oracle (n <= 30) and
 # the sum rule (n <= 256); refuse beyond 512 rather than risk silent error.
@@ -31,11 +31,6 @@ MAX_CERTIFIED_N = 512
 # from the position operator in transition moments.
 REFERENCE_INITIAL = "initial"
 REFERENCE_FINAL = "final"
-
-
-def _require_positive_energy(value, name):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be a positive finite energy in meV, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +55,8 @@ class OscillatorPair:
     displacement: float
 
     def __post_init__(self):
-        _require_positive_energy(self.energy_initial, "energy_initial")
-        _require_positive_energy(self.energy_final, "energy_final")
-        if not math.isfinite(self.displacement):
-            raise DomainError(f"displacement must be finite, got {self.displacement!r}")
+        for name, lower in (("energy_initial", 0.0), ("energy_final", 0.0), ("displacement", None)):
+            object.__setattr__(self, name, _number(getattr(self, name), name, gt=lower))
 
 
 def ho_length_scale(phonon_energy):
@@ -80,7 +73,7 @@ def ho_length_scale(phonon_energy):
         sqrt(ħ² / (2 ħΩ)) in amu^(1/2)·Å.  Strictly decreasing in the
         phonon energy.
     """
-    _require_positive_energy(phonon_energy, "phonon_energy")
+    phonon_energy = _number(phonon_energy, "phonon_energy", gt=0.0)
     return math.sqrt(HBAR_SQ_MEV_AMU_A2 / (2.0 * phonon_energy))
 
 
@@ -110,14 +103,15 @@ def _recurrence_coefficients(energy_initial, energy_final, displacement):
     return a, b, c, d, e
 
 
-def _check_quantum_numbers(m_max, n_max):
-    if m_max < 0 or n_max < 0:
-        raise DomainError("quantum numbers must be non-negative")
-    if max(m_max, n_max) > MAX_CERTIFIED_N:
+def _check_quantum_numbers(m, n):
+    """The quantum-number check: *m* and *n* as non-negative ints in range."""
+    m, n = _number(m, "m", integer=True, ge=0), _number(n, "n", integer=True, ge=0)
+    if max(m, n) > MAX_CERTIFIED_N:
         raise CapabilityError(
-            f"quantum number {max(m_max, n_max)} exceeds the certified recursion "
+            f"quantum number {max(m, n)} exceeds the certified recursion "
             f"range (n <= {MAX_CERTIFIED_N})"
         )
+    return m, n
 
 
 def fc_overlap_matrix(pair, m_max, n_max):
@@ -134,7 +128,7 @@ def fc_overlap_matrix(pair, m_max, n_max):
     numpy.ndarray
         Shape ``(m_max + 1, n_max + 1)``.
     """
-    _check_quantum_numbers(m_max, n_max)
+    m_max, n_max = _check_quantum_numbers(m_max, n_max)
     coefficients = _recurrence_coefficients(
         pair.energy_initial, pair.energy_final, pair.displacement
     )
@@ -176,19 +170,12 @@ def fc_overlap(m, n, pair):
     Raises
     ------
     DomainError
-        If ``m`` is not 0 or 1, or ``n`` is negative.
+        If ``m`` is not 0 or 1, or ``n`` is not a non-negative integer.
     CapabilityError
         If ``n`` exceeds the certified recursion range.
     """
-    if m not in (0, 1):
-        raise DomainError(f"initial quantum number m must be 0 or 1, got {m!r}")
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"final quantum number n must be a non-negative integer, got {n!r}")
-    if n > MAX_CERTIFIED_N:
-        raise CapabilityError(
-            f"n = {n} exceeds the certified recursion range (n <= {MAX_CERTIFIED_N})"
-        )
-    return float(fc_overlap_matrix(pair, m, int(n))[m, n])
+    m, n = _check_quantum_numbers(_number(m, "m", integer=True, le=1), n)
+    return float(fc_overlap_matrix(pair, m, n)[m, n])
 
 
 def _moment_rows(energy_initial, energy_final, displacement, n_max):
@@ -205,7 +192,7 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
     (numpy.ndarray, numpy.ndarray)
         S[0, n] and S[1, n], each of shape ``(n_max + 1, G)``.
     """
-    _check_quantum_numbers(1, n_max)
+    _, n_max = _check_quantum_numbers(1, n_max)
     _, b, c, d, e = _recurrence_coefficients(energy_initial, energy_final, displacement)
     b, d = np.atleast_1d(b, d)  # both carry every argument's shape
     n = np.arange(1.0, n_max + 1.0)[:, None]
@@ -273,13 +260,8 @@ def transition_moments(pair, n_max, reference=REFERENCE_INITIAL):
 
 def transition_moment(n, pair, reference=REFERENCE_INITIAL):
     """Single transition moment M_n; see :func:`transition_moments`."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"final quantum number n must be a non-negative integer, got {n!r}")
-    if n > MAX_CERTIFIED_N:
-        raise CapabilityError(
-            f"n = {n} exceeds the certified recursion range (n <= {MAX_CERTIFIED_N})"
-        )
-    return float(transition_moments(pair, int(n), reference=reference)[n])
+    _, n = _check_quantum_numbers(0, n)
+    return float(transition_moments(pair, n, reference=reference)[n])
 
 
 def huang_rhys_factor(pair):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR_SQ_MEV_AMU_A2
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _number
 
 # Oracle contract is certified for small quantum numbers only.
 MAX_ORACLE_N = 30
@@ -57,18 +57,14 @@ class GridSpec:
     dps: int | None = None
 
     def __post_init__(self):
-        if self.turning_point_spans < _MIN_TURNING_POINT_SPANS:
-            raise DomainError(
-                f"grid must cover >= {_MIN_TURNING_POINT_SPANS} turning-point lengths"
-            )
-        if self.points_per_wavelength < _MIN_POINTS_PER_WAVELENGTH:
-            raise DomainError(
-                f"grid must have >= {_MIN_POINTS_PER_WAVELENGTH} points per wavelength"
-            )
-        if not (self.abs_tol > 0):
-            raise DomainError("abs_tol must be positive")
-        if self.dps is not None and self.dps < 15:
-            raise DomainError("dps below float64 precision is pointless")
+        for name, bound in (
+            ("turning_point_spans", {"ge": _MIN_TURNING_POINT_SPANS}),
+            ("points_per_wavelength", {"ge": _MIN_POINTS_PER_WAVELENGTH}),
+            ("abs_tol", {"gt": 0.0}),
+        ):
+            object.__setattr__(self, name, _number(getattr(self, name), name, **bound))
+        if self.dps is not None:  # fewer digits than float64 would be pointless
+            object.__setattr__(self, "dps", _number(self.dps, "dps", integer=True, ge=15))
 
 
 def _grid_layout(pair, n_top, grid):
@@ -134,8 +130,8 @@ def quadrature_overlap_table(pair, m_max, n_max, grid=GridSpec()):
         ``(m_max + 1, n_max + 1)``.  No tolerance is enforced here; use
         :func:`quadrature_overlap_oracle` for the checked scalar form.
     """
-    if m_max > MAX_ORACLE_N or n_max > MAX_ORACLE_N:
-        raise DomainError(f"oracle is certified for quantum numbers <= {MAX_ORACLE_N}")
+    m_max = _number(m_max, "m_max", integer=True, ge=0, le=MAX_ORACLE_N)
+    n_max = _number(n_max, "n_max", integer=True, ge=0, le=MAX_ORACLE_N)
     if grid.dps is not None:
         raise DomainError("bulk tables are float64 only; use the scalar oracle for mpmath")
     lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
@@ -194,8 +190,8 @@ def quadrature_overlap_with_error(m, n, pair, grid=GridSpec()):
 
     In float64 this is the ``[m, n]`` entry of :func:`quadrature_overlap_table`.
     """
-    if not (0 <= m <= MAX_ORACLE_N) or not (0 <= n <= MAX_ORACLE_N):
-        raise DomainError(f"oracle is certified for 0 <= m, n <= {MAX_ORACLE_N}")
+    m = _number(m, "m", integer=True, ge=0, le=MAX_ORACLE_N)
+    n = _number(n, "n", integer=True, ge=0, le=MAX_ORACLE_N)
     if grid.dps is None:
         values, errors = quadrature_overlap_table(pair, m, n, grid)
         return float(values[m, n]), float(errors[m, n])

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import HBAR_MEV_S
-from .errors import CapabilityError, DegeneracyError, DomainError, MultiphononError
+from .errors import CapabilityError, DegeneracyError, DomainError, MultiphononError, _number
 from .modes import SWEEP_CSV_HEADER, SWEEP_PARAMETERS  # noqa: F401  (re-exported)
 from .oscillator import MAX_CERTIFIED_N, REFERENCE_FINAL, REFERENCE_INITIAL, _moments
 
@@ -84,11 +84,8 @@ def gaussian_delta(detuning, sigma):
     float
         exp(-detuning²/(2σ²)) / (σ·sqrt(2π)) in meV⁻¹; even in detuning.
     """
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma > 0):
-        raise DomainError(f"sigma must be a positive finite broadening, got {sigma!r}")
-    if not math.isfinite(detuning):
-        raise DomainError(f"detuning must be finite, got {detuning!r}")
-    z = detuning / sigma
+    sigma = _number(sigma, "sigma", gt=0.0)
+    z = _number(detuning, "detuning") / sigma
     return math.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
 
@@ -297,8 +294,8 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
 
 def sweep_grid(start, stop, steps):
     """Inclusive linear grid with exactly *steps* points."""
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+    start, stop = _number(start, "start"), _number(stop, "stop")
+    steps = _number(steps, "steps", integer=True, ge=1)
     if steps == 1:
-        return [float(start)]
-    return list(np.linspace(float(start), float(stop), int(steps)))
+        return [start]
+    return list(np.linspace(start, stop, steps))

@@ -11,12 +11,11 @@ the optimum.
 Times are microseconds throughout this module.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FitError, FitPreconditionError
+from .errors import DomainError, FitError, FitPreconditionError, _number
 
 HISTOGRAM_CSV_HEADER = "t_us,counts"
 
@@ -107,15 +106,12 @@ def simulate_transient(lifetime, amplitude, background, n_bins, t_max, seed):
     -------
     TransientHistogram
     """
-    if not (isinstance(lifetime, (int, float)) and math.isfinite(lifetime) and lifetime > 0):
-        raise DomainError(f"lifetime must be positive and finite, got {lifetime!r}")
-    if not (isinstance(t_max, (int, float)) and math.isfinite(t_max) and t_max > 0):
-        raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
-    if not isinstance(n_bins, (int, np.integer)) or n_bins < 10:
-        raise DomainError(f"n_bins must be an integer >= 10, got {n_bins!r}")
-    if amplitude < 0 or background < 0:
-        raise DomainError("amplitude and background must be non-negative")
-    edges = np.linspace(0.0, float(t_max), int(n_bins) + 1)
+    lifetime = _number(lifetime, "lifetime", gt=0.0)
+    t_max = _number(t_max, "t_max", gt=0.0)
+    n_bins = _number(n_bins, "n_bins", integer=True, ge=10)
+    amplitude = _number(amplitude, "amplitude", ge=0.0)
+    background = _number(background, "background", ge=0.0)
+    edges = np.linspace(0.0, t_max, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     means = background + amplitude * np.exp(-centers / lifetime)
     rng = np.random.default_rng(seed)
@@ -123,7 +119,7 @@ def simulate_transient(lifetime, amplitude, background, n_bins, t_max, seed):
     return TransientHistogram(
         bin_edges=edges,
         counts=counts,
-        metadata={"amplitude": float(amplitude), "background": float(background), "seed": int(seed)},
+        metadata={"amplitude": amplitude, "background": background, "seed": int(seed)},
     )
 
 
@@ -158,6 +154,16 @@ def _neg_log_likelihood(theta, t, counts):
     return float(np.sum(mu) - np.sum(counts * np.log(mu)))
 
 
+def _scoring_terms(theta, t):
+    """Model mean μ, Jacobian / μ and the Fisher matrix Jᵀ(J/μ) at *theta*."""
+    amplitude, tau, background = theta
+    decay = np.exp(-t / tau)
+    mu = np.maximum(amplitude * decay + background, 1e-300)
+    jacobian = np.column_stack([decay, amplitude * t * decay / tau**2, np.ones_like(t)])
+    weighted = jacobian / mu[:, None]
+    return mu, weighted, weighted.T @ jacobian
+
+
 def _valid(theta):
     amplitude, tau, background = theta
     return amplitude > 0 and tau > 0 and background >= 0 and np.all(np.isfinite(theta))
@@ -188,7 +194,7 @@ def fit_lifetime(histogram, fit_window=None):
     t_all = histogram.bin_centers
     c_all = histogram.counts
     if fit_window is not None:
-        lo, hi = fit_window
+        lo, hi = (_number(edge, "fit_window edge") for edge in fit_window)
         if not (lo < hi):
             raise FitPreconditionError(f"degenerate fit window ({lo!r}, {hi!r})")
         mask = (t_all >= lo) & (t_all <= hi)
@@ -210,12 +216,7 @@ def fit_lifetime(histogram, fit_window=None):
     iterations = 0
     for iteration in range(1, _MAX_ITERATIONS + 1):
         iterations = iteration
-        amplitude, tau, background = theta
-        decay = np.exp(-t_all / tau)
-        mu = np.maximum(amplitude * decay + background, 1e-300)
-        jacobian = np.column_stack([decay, amplitude * t_all * decay / tau**2, np.ones_like(t_all)])
-        weighted = jacobian / mu[:, None]
-        normal = weighted.T @ jacobian
+        mu, weighted, normal = _scoring_terms(theta, t_all)
         gradient = weighted.T @ (c_all - mu)
         try:
             step = np.linalg.solve(normal, gradient)
@@ -246,10 +247,7 @@ def fit_lifetime(histogram, fit_window=None):
         raise FitError(f"no convergence in {_MAX_ITERATIONS} iterations", trace)
 
     amplitude, tau, background = theta
-    decay = np.exp(-t_all / tau)
-    mu = np.maximum(amplitude * decay + background, 1e-300)
-    jacobian = np.column_stack([decay, amplitude * t_all * decay / tau**2, np.ones_like(t_all)])
-    normal = (jacobian / mu[:, None]).T @ jacobian
+    mu, _, normal = _scoring_terms(theta, t_all)
     try:
         covariance = np.linalg.inv(normal)
     except np.linalg.LinAlgError:

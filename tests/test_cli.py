@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,7 +180,18 @@ class TestSimulateAndFit:
             run(capsys, "simulate", "--tau", "1.5", "--amplitude", "500",
                 "--background", "2", "--bins", "64", "--tmax", "12",
                 "--seed", "3", "--out", path)
-        assert open(paths[0]).read() == open(paths[1]).read()
+        assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
+
+    @pytest.mark.parametrize("flag,value", [("--amplitude", "nan"), ("--background", "inf")])
+    def test_non_finite_rate_exits_1_without_writing(self, capsys, tmp_path, flag, value):
+        out_path = tmp_path / "hist.csv"
+        argv = {"--tau": "0.885", "--amplitude": "10000", "--background": "10",
+                "--bins": "500", "--tmax": "10", "--seed": "7", "--out": str(out_path)}
+        argv[flag] = value
+        code, out, err = run(capsys, "simulate", *(item for pair in argv.items() for item in pair))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
 
     def test_fit_window_flag(self, capsys, tmp_path):
         out_path = str(tmp_path / "hist.csv")

@@ -1,0 +1,63 @@
+"""The package is safe for concurrent use: threads reproduce the serial results."""
+
+import sys
+import threading
+
+from multiphonon import (
+    fit_lifetime,
+    nonradiative_rate,
+    parse_defect_config,
+    rate_sweep,
+    serialize_defect_config,
+    simulate_transient,
+    sweep_grid,
+)
+
+THREADS = 8
+ROUNDS = 10
+
+
+def _work(config, document, seed):
+    """One seeded unit of work touching rates, sweeps, config parsing and fits."""
+    histogram = simulate_transient(0.885 + 0.01 * seed, 1e4, 10.0, 500, 10.0, seed=seed)
+    return (
+        nonradiative_rate(config, "accepting"),
+        nonradiative_rate(config, "ch-stretch"),
+        rate_sweep(config, "ch-stretch", "zpl_energy", sweep_grid(500.0, 1200.0, 29)),
+        rate_sweep(config, "accepting", "displacement", sweep_grid(0.5, 1.0, 9)),
+        parse_defect_config(document),
+        fit_lifetime(histogram),
+    )
+
+
+def test_threads_reproduce_the_serial_results(natural, deuterium):
+    configs = [natural, deuterium]
+    documents = [serialize_defect_config(config) for config in configs]
+    jobs = [[(configs[(t + r) % 2], documents[(t + r) % 2], THREADS * r + t)
+             for r in range(ROUNDS)] for t in range(THREADS)]
+    serial = [[_work(*job) for job in thread_jobs] for thread_jobs in jobs]
+
+    results = [None] * THREADS
+    errors = []
+    barrier = threading.Barrier(THREADS)
+
+    def run(index):
+        try:
+            barrier.wait(timeout=60)
+            results[index] = [_work(*job) for job in jobs[index]]
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert results == serial

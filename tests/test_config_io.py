@@ -50,6 +50,18 @@ def test_dataset_export_round_trips(natural, deuterium):
     assert parse_defect_config(json.dumps(documents[1])) == deuterium
 
 
+@pytest.mark.parametrize("variant", ["natural", "deuterium"])
+def test_config_writer_lays_out_like_json_dumps(request, variant):
+    text = serialize_defect_config(request.getfixturevalue(variant))
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_dataset_config_lays_out_like_json_dumps_with_source_decimals():
+    text = configurations_config_json()
+    # "0.70" is the one stored decimal that a float would print differently.
+    assert text.replace("0.70", "0.7") == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def test_missing_required_key_names_it():
     doc = json.loads(NATURAL_DOC)
     del doc["zpl_energy_mev"]

@@ -111,6 +111,25 @@ def test_grid_spec_minimums_enforced():
         GridSpec(abs_tol=0.0)
 
 
+@pytest.mark.parametrize(
+    "field,bad",
+    [
+        ("turning_point_spans", math.nan),
+        ("turning_point_spans", math.inf),
+        ("points_per_wavelength", math.nan),
+        ("points_per_wavelength", math.inf),
+        ("abs_tol", math.nan),
+        ("abs_tol", math.inf),
+        ("dps", 14),
+        ("dps", 30.5),
+        ("dps", True),
+    ],
+)
+def test_grid_spec_rejects_non_finite_and_non_integer_fields(field, bad):
+    with pytest.raises(DomainError):
+        GridSpec(**{field: bad})
+
+
 def test_oracle_quantum_number_limit(accepting_pair):
     with pytest.raises(DomainError):
         quadrature_overlap_oracle(0, 31, accepting_pair)

@@ -65,6 +65,22 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate_transient(**defaults)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(amplitude=float("nan")),
+            dict(amplitude=float("inf")),
+            dict(background=float("nan")),
+            dict(background=float("inf")),
+            dict(background="1.0"),
+        ],
+    )
+    def test_non_finite_or_non_numeric_rates_are_domain_errors(self, kwargs):
+        defaults = dict(lifetime=1.0, amplitude=10.0, background=1.0, n_bins=50, t_max=5.0, seed=0)
+        defaults.update(kwargs)
+        with pytest.raises(DomainError):
+            simulate_transient(**defaults)
+
 
 class TestHistogramType:
     def test_rejects_nonuniform_bins(self):
