@@ -18,7 +18,7 @@ the offending key path and (best effort) its line in the source text.
 import json
 from types import SimpleNamespace
 
-from .errors import ConfigSyntaxError, ConfigValidationError, DomainError, _number
+from .errors import ConfigSyntaxError, ConfigValidationError, DomainError, _label, _number
 from .modes import _BOUNDS, _MODE_ROWS, _ZPL_ENERGY_MEV, DefectConfiguration, VibrationalMode
 
 # The schema: JSON key -> attribute of DefectConfiguration / VibrationalMode.
@@ -84,17 +84,16 @@ def _fields(document, data, schema, prefix, occurrence):
             raise ConfigValidationError(f"required key {path} is missing", key_path=path)
     values = {}
     for key, attribute in schema.items():
+        if attribute == "modes":
+            continue
         path, value = f"{prefix}{key}", data[key]
-        if attribute in _BOUNDS:
-            try:
-                values[attribute] = _number(value, path, **_BOUNDS[attribute])
-            except DomainError as exc:
-                _fail(document, str(exc), path, key, occurrence)
-        elif attribute != "modes":
-            if not isinstance(value, str) or not value:
-                _fail(document, f"{path} must be a non-empty string, got {value!r}",
-                      path, key, occurrence)
-            values[attribute] = value
+        try:
+            values[attribute] = (
+                _number(value, path, **_BOUNDS[attribute]) if attribute in _BOUNDS
+                else _label(value, path)
+            )
+        except DomainError as exc:
+            _fail(document, str(exc), path, key, occurrence)
     return values
 
 

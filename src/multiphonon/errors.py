@@ -117,3 +117,10 @@ def _number(value, name, *, integer=False, gt=None, ge=None, le=None):
     if le is not None and not number <= le:
         raise DomainError(f"{name} must be <= {le!r}, got {value!r}")
     return number
+
+
+def _label(value, name):
+    """The package's one label check: a non-empty ``str``, else :class:`DomainError`."""
+    if not isinstance(value, str) or not value:
+        raise DomainError(f"{name} must be a non-empty string, got {value!r}")
+    return value

@@ -11,7 +11,7 @@ them digit for digit.
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import DomainError, ModeLookupError, _number
+from .errors import DomainError, ModeLookupError, _label, _number
 
 # Atomic masses in amu, rounded at 1e-5 from the AME2020 atomic mass
 # evaluation (12C is exact by definition of the amu).
@@ -70,8 +70,7 @@ class VibrationalMode:
     coupling: float
 
     def __post_init__(self):
-        if not self.label:
-            raise DomainError("mode label must be non-empty")
+        _label(self.label, "label")
         _store_numbers(self)
 
 
@@ -84,10 +83,13 @@ class DefectConfiguration:
     modes: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        _label(self.variant_label, "variant_label")
         _store_numbers(self)
         object.__setattr__(self, "modes", tuple(self.modes))
         if not self.modes:
             raise DomainError("a configuration needs at least one vibrational mode")
+        if not all(isinstance(mode, VibrationalMode) for mode in self.modes):
+            raise DomainError("modes must be VibrationalMode instances")
         labels = [mode.label for mode in self.modes]
         if len(set(labels)) != len(labels):
             raise DomainError(f"mode labels must be unique, got {labels}")

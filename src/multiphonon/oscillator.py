@@ -9,10 +9,11 @@ eigenfunctions
 with Gaussian exponent A = E/ħ² (1/(amu·Å²)) and equilibrium position Q_c.
 The initial and final oscillators of a transition may differ both in
 frequency and in equilibrium position; the overlap integrals
-<chi_initial_m | chi_final_n> are generated by a numerically stable
-two-index recurrence (no factorials, no binomial sums), certified against
-an independent dense-grid quadrature oracle (see ``quadrature``) and the
-position-operator sum rule.
+<chi_initial_m | chi_final_n> are generated by a two-index recurrence
+(no factorials, no binomial sums).  Its m <= 1 rows are certified to
+n = 512 against an independent dense-grid quadrature oracle (see
+``quadrature``, n <= 30), the position-operator sum rule and completeness;
+rows m > 1 only where that oracle agrees with them.
 """
 
 import math
@@ -23,8 +24,8 @@ import numpy as np
 from .constants import HBAR_SQ_MEV_AMU_A2
 from .errors import CapabilityError, DomainError, _number
 
-# Forward recursion certified against the quadrature oracle (n <= 30) and
-# the sum rule (n <= 256); refuse beyond 512 rather than risk silent error.
+# Rows m <= 1 certified against the quadrature oracle (n <= 30), the sum
+# rule and completeness (n <= 512); refuse beyond 512 rather than risk error.
 MAX_CERTIFIED_N = 512
 
 # Distinguishes the two conventions for the reference position subtracted
@@ -89,8 +90,9 @@ def _recurrence_coefficients(energy_initial, energy_final, displacement):
 
     and the transpose-symmetric relation in n with (c, d) in place of
     (a, b).  All coefficients are dimensionless and bounded (|a| = |c| < 1),
-    which keeps the forward recursion contractive.  The arguments may be
-    floats or arrays that broadcast together (one pair per element).
+    yet the forward recursion in m is not stable in general: only the
+    m <= 1 rows are certified to n = 512.  The arguments may be floats or
+    arrays that broadcast together (one pair per element).
     """
     a_i = energy_initial / HBAR_SQ_MEV_AMU_A2
     a_f = energy_final / HBAR_SQ_MEV_AMU_A2
@@ -133,21 +135,19 @@ def fc_overlap_matrix(pair, m_max, n_max):
         pair.energy_initial, pair.energy_final, pair.displacement
     )
     a, b, c, d, e = map(float, coefficients)
-    s = np.zeros((m_max + 1, n_max + 1))
-    s[0, 0] = math.sqrt(e / 2.0) * math.exp(b * d / (2.0 * e))
+    row = [math.sqrt(e / 2.0) * math.exp(b * d / (2.0 * e))]
     for n in range(1, n_max + 1):
-        s[0, n] = d / math.sqrt(2.0 * n) * s[0, n - 1]
+        row.append(d / math.sqrt(2.0 * n) * row[n - 1])
         if n >= 2:
-            s[0, n] += c * math.sqrt((n - 1.0) / n) * s[0, n - 2]
+            row[n] += c * math.sqrt((n - 1.0) / n) * row[n - 2]
+    s = np.empty((m_max + 1, n_max + 1))
+    s[0] = row
+    # Whole rows, each entry by the operations of the entry-wise recurrence, in order.
     for m in range(1, m_max + 1):
-        s[m, 0] = b / math.sqrt(2.0 * m) * s[m - 1, 0]
+        np.multiply(b / math.sqrt(2.0 * m), s[m - 1], out=s[m])
         if m >= 2:
-            s[m, 0] += a * math.sqrt((m - 1.0) / m) * s[m - 2, 0]
-        for n in range(1, n_max + 1):
-            s[m, n] = b / math.sqrt(2.0 * m) * s[m - 1, n]
-            if m >= 2:
-                s[m, n] += a * math.sqrt((m - 1.0) / m) * s[m - 2, n]
-            s[m, n] += 0.5 * e * math.sqrt(n / m) * s[m - 1, n - 1]
+            s[m] += a * math.sqrt((m - 1.0) / m) * s[m - 2]
+        s[m, 1:] += 0.5 * e * np.sqrt(np.arange(1.0, n_max + 1.0) / m) * s[m - 1, :-1]
     return s
 
 

@@ -6,7 +6,10 @@ grid and integrates their product with the trapezoid rule, never touching
 the recurrence used by the analytic path.  Accuracy is self-diagnosed by a
 halving-step convergence check plus a summation roundoff floor; when the
 requested absolute tolerance cannot be certified, the oracle raises
-instead of returning a number it cannot stand behind.
+instead of returning a number it cannot stand behind.  The wavefunctions
+are evaluated once, on the fine grid: halving a step is exact in binary,
+so the coarse grid is exactly every other fine point, and the coarse
+trapezoid sum reuses those points with the coarse weights.
 
 Overlap magnitudes below roughly 1e-11 arise from cancellation of
 order-one integrand lobes and are unresolvable in float64 regardless of
@@ -83,36 +86,26 @@ def _grid_layout(pair, n_top, grid):
     return lo, hi, count
 
 
-def _hermite_rows(y, n_max):
-    """Normalized Hermite functions h_0..h_n_max on the points *y*.
+def _hermite_rows(y, n_max, scale):
+    """*scale* times the normalized Hermite functions h_0..h_n_max on *y*.
 
-    h_n(y) = (2^n n! sqrt(pi))^(-1/2) H_n(y) exp(-y^2/2), evaluated by the
-    standard three-term recurrence, which keeps every row O(1).
+    h_n(y) = (2^n n! sqrt(pi))^(-1/2) H_n(y) exp(-y^2/2), evaluated in place
+    by the standard three-term recurrence, which keeps every row O(1).
     """
-    rows = np.empty((n_max + 1, y.size))
+    rows, scratch = np.empty((n_max + 1, y.size)), np.empty(y.size)
     rows[0] = math.pi**-0.25 * np.exp(-0.5 * y * y)
-    if n_max >= 1:
-        rows[1] = math.sqrt(2.0) * y * rows[0]
-    for k in range(2, n_max + 1):
-        rows[k] = math.sqrt(2.0 / k) * y * rows[k - 1] - math.sqrt((k - 1.0) / k) * rows[k - 2]
+    for k in range(1, n_max + 1):
+        np.multiply(np.multiply(math.sqrt(2.0 / k), y, out=scratch), rows[k - 1], out=rows[k])
+        if k >= 2:
+            rows[k] -= np.multiply(math.sqrt((k - 1.0) / k), rows[k - 2], out=scratch)
+    rows *= scale
     return rows
 
 
-def _trapezoid_factors(pair, m_max, n_max, lo, hi, count):
-    """Wavefunction rows on one grid, the final ones trapezoid-weighted.
-
-    ``rows_i @ weighted_f.T`` is the overlap table for every
-    (m <= m_max, n <= n_max); the same product of absolute values is the
-    integral of |integrand| used for the roundoff floor.
-    """
-    x, step = np.linspace(lo, hi, count, retstep=True)
-    a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
-    a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
-    rows_i = a_i**0.25 * _hermite_rows(np.sqrt(a_i) * x, m_max)
-    rows_f = a_f**0.25 * _hermite_rows(np.sqrt(a_f) * (x - pair.displacement), n_max)
+def _trapezoid_weights(count, step):
     weights = np.full(count, step)
     weights[0] = weights[-1] = 0.5 * step
-    return rows_i, rows_f * weights
+    return weights
 
 
 def quadrature_overlap_table(pair, m_max, n_max, grid=GridSpec()):
@@ -135,15 +128,23 @@ def quadrature_overlap_table(pair, m_max, n_max, grid=GridSpec()):
     if grid.dps is not None:
         raise DomainError("bulk tables are float64 only; use the scalar oracle for mpmath")
     lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
-    rows_i, weighted_f = _trapezoid_factors(pair, m_max, n_max, lo, hi, count)
-    coarse = rows_i @ weighted_f.T
-    rows_i, weighted_f = _trapezoid_factors(pair, m_max, n_max, lo, hi, 2 * count - 1)
-    fine = rows_i @ weighted_f.T
-    floor = 64.0 * np.finfo(float).eps * (np.abs(rows_i) @ np.abs(weighted_f).T)
+    # linspace(lo, hi, count) == linspace(lo, hi, 2 * count - 1)[::2] exactly.
+    x, step = np.linspace(lo, hi, 2 * count - 1, retstep=True)
+    a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
+    a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
+    rows_i = _hermite_rows(np.sqrt(a_i) * x, m_max, a_i**0.25)
+    rows_f = _hermite_rows(np.sqrt(a_f) * (x - pair.displacement), n_max, a_f**0.25)
+    # Contiguous coarse operands keep the product on the BLAS path.
+    coarse_f = rows_f[:, ::2] * _trapezoid_weights(count, 2.0 * step)
+    coarse = np.ascontiguousarray(rows_i[:, ::2]) @ coarse_f.T
+    rows_f *= _trapezoid_weights(2 * count - 1, step)
+    fine = rows_i @ rows_f.T
+    floor = 64.0 * np.finfo(float).eps * (np.abs(rows_i, out=rows_i) @ np.abs(rows_f, out=rows_f).T)
     return fine, np.abs(fine - coarse) + floor
 
 
 def _mpmath_overlap(pair, m, n, lo, hi, count, dps):
+    """(fine, coarse, floor): overlaps on 2 * count - 1 points and on every other one."""
     import mpmath as mp
 
     with mp.workdps(dps):
@@ -153,7 +154,7 @@ def _mpmath_overlap(pair, m, n, lo, hi, count, dps):
         norm = mp.power(a_i * a_f, mp.mpf(1) / 4) / mp.sqrt(mp.pi)
         dq = mp.mpf(pair.displacement)
         lo_mp, hi_mp = mp.mpf(lo), mp.mpf(hi)
-        step = (hi_mp - lo_mp) / (count - 1)
+        step = (hi_mp - lo_mp) / (2 * count - 2)
         # Precompute recurrence coefficients once.
         coeff_y = [mp.sqrt(mp.mpf(2) / k) for k in range(1, max(m, n) + 1)]
         coeff_p = [mp.sqrt(mp.mpf(k - 1) / k) for k in range(1, max(m, n) + 1)]
@@ -167,22 +168,19 @@ def _mpmath_overlap(pair, m, n, lo, hi, count, dps):
                 h, h_prev = coeff_y[k - 1] * y * h - coeff_p[k - 1] * h_prev, h
             return h
 
-        total = mp.mpf(0)
-        l1 = mp.mpf(0)
-        for idx in range(count):
+        total = coarse = l1 = mp.mpf(0)
+        for idx in range(2 * count - 1):
             x = lo_mp + idx * step
             y_i = sqrt_ai * x
             y_f = sqrt_af * (x - dq)
-            value = (
-                hermite(m, y_i)
-                * hermite(n, y_f)
-                * mp.exp(-(y_i * y_i + y_f * y_f) / 2)
-            )
-            weight = step if 0 < idx < count - 1 else step / 2
+            value = hermite(m, y_i) * hermite(n, y_f) * mp.exp(-(y_i * y_i + y_f * y_f) / 2)
+            weight = step if 0 < idx < 2 * count - 2 else step / 2
             total += value * weight
             l1 += abs(value) * weight
+            if idx % 2 == 0:
+                coarse += value * (2 * weight)
         floor = 100 * mp.mpf(10) ** (-dps) * l1 * norm
-        return float(total * norm), float(floor)
+        return float(total * norm), float(coarse * norm), float(floor)
 
 
 def quadrature_overlap_with_error(m, n, pair, grid=GridSpec()):
@@ -196,8 +194,7 @@ def quadrature_overlap_with_error(m, n, pair, grid=GridSpec()):
         values, errors = quadrature_overlap_table(pair, m, n, grid)
         return float(values[m, n]), float(errors[m, n])
     lo, hi, count = _grid_layout(pair, max(m, n, 1), grid)
-    coarse, _ = _mpmath_overlap(pair, m, n, lo, hi, count, grid.dps)
-    fine, floor = _mpmath_overlap(pair, m, n, lo, hi, 2 * count - 1, grid.dps)
+    fine, coarse, floor = _mpmath_overlap(pair, m, n, lo, hi, count, grid.dps)
     return fine, abs(fine - coarse) + floor
 
 

@@ -26,7 +26,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import HBAR_MEV_S
-from .errors import CapabilityError, DegeneracyError, DomainError, MultiphononError, _number
+from .errors import (
+    _REAL_TYPES,
+    CapabilityError,
+    DegeneracyError,
+    DomainError,
+    MultiphononError,
+    _number,
+)
 from .modes import SWEEP_CSV_HEADER, SWEEP_PARAMETERS  # noqa: F401  (re-exported)
 from .oscillator import MAX_CERTIFIED_N, REFERENCE_FINAL, REFERENCE_INITIAL, _moments
 
@@ -204,12 +211,28 @@ def _apply_parameter(config, mode_label, parameter, value):
     return config.with_mode(replace(config.mode(mode_label), **{parameter: value}))
 
 
+def _sweep_value(value):
+    """A grid entry as a float, or ``None`` if it is not a real number.
+
+    ``bool`` is not a number.  Ints beyond the float range become +-inf, so
+    their rows fail as non-finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_INITIAL):
     """Nonradiative rate across a grid of one model parameter.
 
     Each grid point is evaluated independently; a failing point is
     reported in its row's ``error`` field instead of aborting the sweep.
-    Output order always matches input order.
+    Output order always matches input order.  Grid entries must be real
+    numbers (not ``bool``); any other entry fails its row and is reported
+    as given.
 
     The valid rows run through the same kernel as
     :func:`nonradiative_rate` in one batched pass, so every row equals
@@ -226,7 +249,9 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
         )
     mode = config.mode(mode_label)
-    values = np.array([float(value) for value in grid], dtype=float)
+    grid = list(grid)
+    entries = [_sweep_value(value) for value in grid]
+    values = np.array(entries, dtype=float)  # None, a non-real entry, becomes NaN
     fixed = {
         "zpl_energy": config.zpl_energy,
         "displacement": mode.displacement,
@@ -275,12 +300,14 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
         rates.update(zip(chunk[kept].tolist(), totals[kept].tolist()))
 
     points = []
-    for index, value in enumerate(values.tolist()):
+    for index, value in enumerate(entries):
         if index in rates:
             points.append(
                 SweepPoint(parameter, value, rates[index], int(n_max[index]), sigma)
             )
             continue
+        if value is None:  # the constructors report the entry's type
+            value = grid[index]
         try:
             varied = _apply_parameter(config, mode_label, parameter, value)
             result = nonradiative_rate(varied, mode_label, moment_reference=moment_reference)

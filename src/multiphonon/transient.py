@@ -43,6 +43,8 @@ class TransientHistogram:
         counts = np.asarray(self.counts, dtype=float)
         if edges.ndim != 1 or edges.size < 2:
             raise DomainError("bin_edges must be a 1D array of at least two edges")
+        if not np.all(np.isfinite(edges)):
+            raise DomainError("bin_edges must be finite")
         widths = np.diff(edges)
         if np.any(widths <= 0):
             raise DomainError("bin_edges must be strictly increasing")
@@ -305,6 +307,8 @@ def read_histogram_csv(path):
     counts = np.asarray(counts)
     if centers.size < 2:
         raise DomainError("histogram needs at least two bins")
+    if not np.all(np.isfinite(centers)):
+        raise DomainError("bin centers must be finite")
     widths = np.diff(centers)
     if np.any(widths <= 0):
         raise DomainError("bin centers must be strictly increasing")

@@ -1,10 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiphonon import (
     ConfigSyntaxError,
     ConfigValidationError,
+    DefectConfiguration,
+    DomainError,
+    VibrationalMode,
     configurations_config_json,
     parse_defect_config,
     serialize_defect_config,
@@ -42,6 +47,44 @@ def test_parse_serialize_parse_is_identity():
     assert parse_defect_config(text) == config
     # and once more, byte-stable
     assert serialize_defect_config(parse_defect_config(text)) == text
+
+
+# Valid constructor arguments, and anything a caller might put in their place.
+LABELS = st.text(min_size=1, max_size=6)
+NUMBERS = st.one_of(st.floats(1e-3, 1e4), st.integers(1, 400))
+ANYTHING = st.one_of(
+    st.text(max_size=3), st.floats(), st.integers(-3, 400),
+    st.sampled_from([None, True, b"m", "1.5"]),
+)
+
+
+def _built(constructor, *args):
+    try:
+        return constructor(*args)
+    except DomainError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_config_the_constructors_accept_round_trips(data):
+    # Valid arguments with one of them replaced by an arbitrary value.
+    mode_args = st.tuples(LABELS, NUMBERS, NUMBERS, st.floats(-2.0, 2.0), NUMBERS).map(list)
+    rows = [[data.draw(LABELS), data.draw(NUMBERS)]]
+    rows += data.draw(st.lists(mode_args, min_size=1, max_size=3))
+    row = data.draw(st.integers(0, len(rows) - 1))
+    rows[row][data.draw(st.integers(0, len(rows[row]) - 1))] = data.draw(ANYTHING)
+    modes = [_built(VibrationalMode, *args) for args in rows[1:]]
+    config = None if None in modes else _built(DefectConfiguration, *rows[0], modes)
+    if config is not None:
+        assert parse_defect_config(serialize_defect_config(config)) == config
+
+
+@pytest.mark.parametrize("label", ["natural", "ü", '"q"', " ", "a\nb"])
+def test_accepted_labels_round_trip(natural, label):
+    modes = [VibrationalMode(label, 33.0, 33.0, 0.5, 1.0), natural.mode("ch-stretch")]
+    config = DefectConfiguration(label, 935.0, modes)
+    assert parse_defect_config(serialize_defect_config(config)) == config
 
 
 def test_dataset_export_round_trips(natural, deuterium):

@@ -134,6 +134,21 @@ class TestTypes:
         with pytest.raises(DomainError):
             VibrationalMode("", 33.0, 33.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("label", ["", 5, None, True, b"ch"])
+    def test_labels_must_be_non_empty_strings(self, natural, label):
+        from multiphonon import DefectConfiguration
+
+        with pytest.raises(DomainError, match="label must be a non-empty string"):
+            VibrationalMode(label, 33.0, 33.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="variant_label must be a non-empty string"):
+            DefectConfiguration(label, 935.0, natural.modes)
+
+    def test_modes_must_be_vibrational_modes(self, natural):
+        from multiphonon import DefectConfiguration
+
+        with pytest.raises(DomainError, match="VibrationalMode"):
+            DefectConfiguration("x", 935.0, (natural.modes[0], "ch-stretch"))
+
     def test_missing_mode_lookup(self, natural):
         with pytest.raises(ModeLookupError):
             natural.mode("breathing")

@@ -1,0 +1,232 @@
+"""The overlap kernels against slow reference copies of their loop forms.
+
+``fc_overlap_matrix`` advances whole rows and the quadrature oracle
+evaluates its wavefunctions once, on the fine grid, taking the coarse
+estimate from every other fine point.  Both must give the same IEEE
+results as the straightforward forms below, bit for bit: an entry-by-entry
+recurrence, and two independent grids (two passes in mpmath).
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from multiphonon import (
+    GridSpec,
+    OscillatorPair,
+    fc_overlap,
+    fc_overlap_matrix,
+    quadrature_overlap_oracle,
+    quadrature_overlap_table,
+    quadrature_overlap_with_error,
+)
+from multiphonon.constants import HBAR_SQ_MEV_AMU_A2
+from multiphonon.errors import AccuracyError
+from multiphonon.oscillator import _recurrence_coefficients
+from multiphonon.quadrature import _grid_layout, _mpmath_overlap
+
+MPMATH_GRID = GridSpec(dps=30, abs_tol=1e-12)
+
+
+def reference_fc_overlap_matrix(pair, m_max, n_max):
+    """The recurrence of ``fc_overlap_matrix``, one entry at a time."""
+    a, b, c, d, e = map(float, _recurrence_coefficients(
+        pair.energy_initial, pair.energy_final, pair.displacement
+    ))
+    s = np.zeros((m_max + 1, n_max + 1))
+    s[0, 0] = math.sqrt(e / 2.0) * math.exp(b * d / (2.0 * e))
+    for n in range(1, n_max + 1):
+        s[0, n] = d / math.sqrt(2.0 * n) * s[0, n - 1]
+        if n >= 2:
+            s[0, n] += c * math.sqrt((n - 1.0) / n) * s[0, n - 2]
+    for m in range(1, m_max + 1):
+        s[m, 0] = b / math.sqrt(2.0 * m) * s[m - 1, 0]
+        if m >= 2:
+            s[m, 0] += a * math.sqrt((m - 1.0) / m) * s[m - 2, 0]
+        for n in range(1, n_max + 1):
+            s[m, n] = b / math.sqrt(2.0 * m) * s[m - 1, n]
+            if m >= 2:
+                s[m, n] += a * math.sqrt((m - 1.0) / m) * s[m - 2, n]
+            s[m, n] += 0.5 * e * math.sqrt(n / m) * s[m - 1, n - 1]
+    return s
+
+
+def _reference_hermite_rows(y, n_max):
+    rows = np.empty((n_max + 1, y.size))
+    rows[0] = math.pi**-0.25 * np.exp(-0.5 * y * y)
+    if n_max >= 1:
+        rows[1] = math.sqrt(2.0) * y * rows[0]
+    for k in range(2, n_max + 1):
+        rows[k] = math.sqrt(2.0 / k) * y * rows[k - 1] - math.sqrt((k - 1.0) / k) * rows[k - 2]
+    return rows
+
+
+def _reference_factors(pair, m_max, n_max, lo, hi, count):
+    x, step = np.linspace(lo, hi, count, retstep=True)
+    a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
+    a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
+    rows_i = a_i**0.25 * _reference_hermite_rows(np.sqrt(a_i) * x, m_max)
+    rows_f = a_f**0.25 * _reference_hermite_rows(np.sqrt(a_f) * (x - pair.displacement), n_max)
+    weights = np.full(count, step)
+    weights[0] = weights[-1] = 0.5 * step
+    return rows_i, rows_f * weights
+
+
+def reference_quadrature_table(pair, m_max, n_max, grid=GridSpec()):
+    """The float64 oracle with the coarse and fine grids built separately."""
+    lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
+    rows_i, weighted_f = _reference_factors(pair, m_max, n_max, lo, hi, count)
+    coarse = rows_i @ weighted_f.T
+    rows_i, weighted_f = _reference_factors(pair, m_max, n_max, lo, hi, 2 * count - 1)
+    fine = rows_i @ weighted_f.T
+    floor = 64.0 * np.finfo(float).eps * (np.abs(rows_i) @ np.abs(weighted_f).T)
+    return fine, np.abs(fine - coarse) + floor
+
+
+def _reference_mpmath_pass(pair, m, n, lo, hi, count, dps):
+    with mpmath.workdps(dps):
+        a_i = mpmath.mpf(pair.energy_initial) / mpmath.mpf(HBAR_SQ_MEV_AMU_A2)
+        a_f = mpmath.mpf(pair.energy_final) / mpmath.mpf(HBAR_SQ_MEV_AMU_A2)
+        sqrt_ai, sqrt_af = mpmath.sqrt(a_i), mpmath.sqrt(a_f)
+        norm = mpmath.power(a_i * a_f, mpmath.mpf(1) / 4) / mpmath.sqrt(mpmath.pi)
+        dq = mpmath.mpf(pair.displacement)
+        lo_mp, hi_mp = mpmath.mpf(lo), mpmath.mpf(hi)
+        step = (hi_mp - lo_mp) / (count - 1)
+        coeff_y = [mpmath.sqrt(mpmath.mpf(2) / k) for k in range(1, max(m, n) + 1)]
+        coeff_p = [mpmath.sqrt(mpmath.mpf(k - 1) / k) for k in range(1, max(m, n) + 1)]
+
+        def hermite(order, y):
+            h_prev = mpmath.mpf(1)
+            if order == 0:
+                return h_prev
+            h = mpmath.sqrt(2) * y
+            for k in range(2, order + 1):
+                h, h_prev = coeff_y[k - 1] * y * h - coeff_p[k - 1] * h_prev, h
+            return h
+
+        total = mpmath.mpf(0)
+        l1 = mpmath.mpf(0)
+        for idx in range(count):
+            x = lo_mp + idx * step
+            y_i = sqrt_ai * x
+            y_f = sqrt_af * (x - dq)
+            value = hermite(m, y_i) * hermite(n, y_f) * mpmath.exp(-(y_i * y_i + y_f * y_f) / 2)
+            weight = step if 0 < idx < count - 1 else step / 2
+            total += value * weight
+            l1 += abs(value) * weight
+        floor = 100 * mpmath.mpf(10) ** (-dps) * l1 * norm
+        return float(total * norm), float(floor)
+
+
+def reference_mpmath_with_error(m, n, pair, grid):
+    """The mpmath oracle as two passes, one per grid."""
+    lo, hi, count = _grid_layout(pair, max(m, n, 1), grid)
+    coarse, _ = _reference_mpmath_pass(pair, m, n, lo, hi, count, grid.dps)
+    fine, floor = _reference_mpmath_pass(pair, m, n, lo, hi, 2 * count - 1, grid.dps)
+    return fine, abs(fine - coarse) + floor
+
+
+def _seeded_pairs(seed, count):
+    """Pairs across the certification domain: ħΩ 20-400 meV (log-uniform), ΔQ 0-1."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k in range(count):
+        energies = np.exp(rng.uniform(math.log(20.0), math.log(400.0), size=2))
+        displacement = 0.0 if k % 8 == 0 else float(rng.uniform(0.0, 1.0))
+        pairs.append(OscillatorPair(float(energies[0]), float(energies[1]), displacement))
+    return pairs
+
+
+@pytest.mark.parametrize("pair", _seeded_pairs(11, 24), ids=lambda p: f"{p.energy_initial:.1f}")
+@pytest.mark.parametrize("shape", [(1, 512), (30, 30), (0, 0), (7, 40), (40, 7)])
+def test_overlap_table_equals_entrywise_recurrence(pair, shape):
+    table = fc_overlap_matrix(pair, *shape)
+    assert table.shape == (shape[0] + 1, shape[1] + 1)
+    assert np.array_equal(table, reference_fc_overlap_matrix(pair, *shape))
+
+
+def test_fc_overlap_equals_reference_entry():
+    for k, pair in enumerate(_seeded_pairs(12, 16)):
+        m, n = k % 2, 32 * k
+        assert fc_overlap(m, n, pair) == reference_fc_overlap_matrix(pair, m, n)[m, n]
+
+
+@pytest.mark.parametrize("pair", _seeded_pairs(13, 24), ids=lambda p: f"{p.energy_initial:.1f}")
+@pytest.mark.parametrize("shape", [(1, 30), (30, 30), (0, 0), (3, 11), (12, 2)])
+def test_quadrature_table_equals_two_grid_reference(pair, shape):
+    values, errors = quadrature_overlap_table(pair, *shape)
+    expected_values, expected_errors = reference_quadrature_table(pair, *shape)
+    assert np.array_equal(values, expected_values)
+    assert np.array_equal(errors, expected_errors)
+
+
+def test_quadrature_table_equals_reference_on_other_grids():
+    rng = np.random.default_rng(14)
+    for pair in _seeded_pairs(14, 12):
+        grid = GridSpec(float(rng.uniform(12.0, 20.0)), float(rng.uniform(20.0, 45.0)))
+        m_max, n_max = (int(k) for k in rng.integers(0, 31, size=2))
+        values, errors = quadrature_overlap_table(pair, m_max, n_max, grid)
+        expected_values, expected_errors = reference_quadrature_table(pair, m_max, n_max, grid)
+        assert np.array_equal(values, expected_values)
+        assert np.array_equal(errors, expected_errors)
+
+
+def test_scalar_float64_oracle_equals_reference():
+    rng = np.random.default_rng(15)
+    for pair in _seeded_pairs(15, 16):
+        m, n = (int(k) for k in rng.integers(0, 31, size=2))
+        values, errors = reference_quadrature_table(pair, m, n)
+        assert quadrature_overlap_with_error(m, n, pair) == (values[m, n], errors[m, n])
+        if errors[m, n] <= GridSpec().abs_tol:
+            assert quadrature_overlap_oracle(m, n, pair) == values[m, n]
+        else:
+            with pytest.raises(AccuracyError):
+                quadrature_overlap_oracle(m, n, pair)
+
+
+@pytest.mark.parametrize("pair, m, n", [
+    (OscillatorPair(33.0, 33.0, 0.734), 1, 0),
+    (_seeded_pairs(16, 2)[1], 0, 1),
+])
+def test_mpmath_oracle_equals_two_pass_reference(pair, m, n):
+    expected = reference_mpmath_with_error(m, n, pair, MPMATH_GRID)
+    assert quadrature_overlap_with_error(m, n, pair, MPMATH_GRID) == expected
+    assert quadrature_overlap_oracle(m, n, pair, MPMATH_GRID) == expected[0]
+
+
+@pytest.mark.parametrize("window", ["layout", "narrow"])
+@pytest.mark.parametrize("count", [2, 5, 9, 33])
+def test_mpmath_single_pass_on_unconverged_grids(count, window):
+    # At the oracle's own grid sizes both sums converge past float64, so
+    # only sparse grids show that the coarse sum takes the right points;
+    # a window that cuts the wavefunctions off weighs the end points too.
+    pair = OscillatorPair(47.0, 151.0, 0.42)
+    lo, hi, _ = _grid_layout(pair, 7, GridSpec())
+    if window == "narrow":
+        lo, hi = -0.2, 0.3
+    fine, floor = _reference_mpmath_pass(pair, 5, 7, lo, hi, 2 * count - 1, 30)
+    coarse, _ = _reference_mpmath_pass(pair, 5, 7, lo, hi, count, 30)
+    assert _mpmath_overlap(pair, 5, 7, lo, hi, count, 30) == (fine, coarse, floor)
+    assert count == 2 or fine != coarse
+
+
+def test_coarse_grid_is_every_other_fine_point():
+    # The fact both oracles rest on: halving the step is exact in binary,
+    # for numpy's linspace and for lo + idx * step in mpmath.
+    rng = np.random.default_rng(17)
+    for k, pair in enumerate(_seeded_pairs(17, 200)):
+        grid = GridSpec(float(rng.uniform(12.0, 30.0)), float(rng.uniform(20.0, 60.0)))
+        lo, hi, count = _grid_layout(pair, int(rng.integers(1, 31)), grid)
+        coarse, coarse_step = np.linspace(lo, hi, count, retstep=True)
+        fine, step = np.linspace(lo, hi, 2 * count - 1, retstep=True)
+        assert np.array_equal(fine[::2], coarse) and 2.0 * step == coarse_step
+        if k % 20 == 0:
+            with mpmath.workdps(30):
+                lo_mp, hi_mp = mpmath.mpf(lo), mpmath.mpf(hi)
+                coarse_step = (hi_mp - lo_mp) / (count - 1)
+                step = (hi_mp - lo_mp) / (2 * count - 2)
+                assert all(
+                    lo_mp + 2 * idx * step == lo_mp + idx * coarse_step for idx in range(count)
+                )

@@ -286,6 +286,33 @@ class TestSweepExactness:
         points = rate_sweep(natural, "ch-stretch", "coupling", [0.58, 1.0], moment_reference="mid")
         assert all(p.rate is None and "reference" in p.error for p in points)
 
+    @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+    def test_non_real_entries_fail_their_own_rows(self, natural, parameter):
+        # Only the type is checked: "1.5" is not swept as 1.5, nor True as 1.0.
+        good = {"zpl_energy": 935.0, "displacement": 0.5, "coupling": 0.58, "energy_ground": 300.0}
+        bad = ["1.5", True, None, "x", b"1"]
+        grid = [good[parameter], *bad, np.float32(2.0), 3, good[parameter]]
+        points = rate_sweep(natural, "ch-stretch", parameter, grid)
+        assert [p.value for p in points[1:6]] == bad
+        for point in points[1:6]:
+            assert point.rate is None and point.n_max is None
+            assert point.error == f"{parameter} must be a real number, got {point.value!r}"
+        assert points[0] == points[-1]
+        for point, entry in zip(points, grid):
+            if point.error is None:
+                assert type(point.value) is float and point.value == float(entry)
+                expected = _direct(natural, "ch-stretch", parameter, float(entry), "initial")
+                assert (point.rate, point.n_max, point.sigma, point.error) == expected
+
+    @pytest.mark.parametrize(
+        "entry", [math.nan, -math.inf, np.float64(math.inf), 10**400],
+        ids=["nan", "-inf", "np-inf", "huge-int"],
+    )
+    def test_non_finite_entries_stay_row_errors(self, natural, entry):
+        points = rate_sweep(natural, "ch-stretch", "coupling", [0.58, entry, 1.16])
+        assert points[0].error is None and points[2].error is None
+        assert points[1].rate is None and "coupling must be finite" in points[1].error
+
 
 class TestRateKernelOracle:
     """The batched kernel against the scalar formula it replaced."""

@@ -99,6 +99,14 @@ class TestHistogramType:
         with pytest.raises(DomainError):
             TransientHistogram(bin_edges=edges, counts=np.array([1.0, -2.0, 3.0]))
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 1.0, 2.0], [np.inf, np.inf, np.inf]],
+    )
+    def test_rejects_non_finite_edges(self, edges):
+        with pytest.raises(DomainError, match="bin_edges must be finite"):
+            TransientHistogram(bin_edges=edges, counts=[1.0, 2.0])
+
 
 class TestFit:
     def test_noiseless_recovery_is_exact(self):
@@ -223,4 +231,14 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("t_us,counts\n0.5,3\n1.5,4\n3.5,5\n")
         with pytest.raises(DomainError):
+            read_histogram_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_non_finite_centers_rejected(self, tmp_path, bad, row):
+        centers = ["0.5", "1.5", "2.5"]
+        centers[row] = bad
+        path = tmp_path / "bad.csv"
+        path.write_text("t_us,counts\n" + "".join(f"{t},3\n" for t in centers))
+        with pytest.raises(DomainError, match="bin centers must be finite"):
             read_histogram_csv(path)
