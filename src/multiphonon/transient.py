@@ -8,6 +8,12 @@ inverse-model weights (Fisher scoring for the Poisson likelihood), and
 the parameter covariance comes from the curvature of the objective at
 the optimum.
 
+Histograms are CSV: the header ``t_us,counts``, then one row per bin,
+written in fixed-size blocks: the center with ``repr``, the count without
+``.0`` when integer-valued.  The reader skips blank lines, takes any
+Python ``float`` syntax and names the physical line of a bad row.  Numpy's
+tokenizer parses the file in one pass; a ``float`` loop reads what it refuses.
+
 Times are microseconds throughout this module.
 """
 
@@ -21,6 +27,7 @@ HISTOGRAM_CSV_HEADER = "t_us,counts"
 
 _MAX_ITERATIONS = 100
 _RELATIVE_STEP_TOL = 1e-10
+_CSV_BLOCK_ROWS = 8192  # rows formatted per write: few calls, bounded memory
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,7 @@ def simulate_transient(lifetime, amplitude, background, n_bins, t_max, seed):
     t_max : float
         Histogram span in µs, positive.
     seed : int
-        RNG seed.
+        RNG seed, non-negative.
 
     Returns
     -------
@@ -113,6 +120,7 @@ def simulate_transient(lifetime, amplitude, background, n_bins, t_max, seed):
     n_bins = _number(n_bins, "n_bins", integer=True, ge=10)
     amplitude = _number(amplitude, "amplitude", ge=0.0)
     background = _number(background, "background", ge=0.0)
+    seed = _number(seed, "seed", integer=True, ge=0)
     edges = np.linspace(0.0, t_max, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     means = background + amplitude * np.exp(-centers / lifetime)
@@ -121,7 +129,7 @@ def simulate_transient(lifetime, amplitude, background, n_bins, t_max, seed):
     return TransientHistogram(
         bin_edges=edges,
         counts=counts,
-        metadata={"amplitude": amplitude, "background": background, "seed": int(seed)},
+        metadata={"amplitude": amplitude, "background": background, "seed": seed},
     )
 
 
@@ -279,32 +287,49 @@ def fit_lifetime(histogram, fit_window=None):
 
 def write_histogram_csv(histogram, path):
     """Write a histogram as ``t_us,counts`` rows (t at bin centers)."""
-    lines = [HISTOGRAM_CSV_HEADER]
-    for center, count in zip(histogram.bin_centers, histogram.counts):
-        count_text = str(int(count)) if float(count).is_integer() else repr(float(count))
-        lines.append(f"{float(center)!r},{count_text}")
+    centers, counts = histogram.bin_centers.tolist(), histogram.counts.tolist()
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(HISTOGRAM_CSV_HEADER + "\n")
+        for start in range(0, len(centers), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            handle.write("".join([
+                f"{center!r},{str(int(count)) if count.is_integer() else repr(count)}\n"
+                for center, count in zip(centers[start:stop], counts[start:stop])
+            ]))
 
 
 def read_histogram_csv(path):
     """Load a ``t_us,counts`` file, inferring and validating uniform bins."""
     with open(path) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if not lines or lines[0] != HISTOGRAM_CSV_HEADER:
-        raise DomainError(f"histogram file must start with header '{HISTOGRAM_CSV_HEADER}'")
-    centers, counts = [], []
-    for index, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DomainError(f"line {index}: expected 't,counts', got {line!r}")
-        try:
-            centers.append(float(parts[0]))
-            counts.append(float(parts[1]))
-        except ValueError as exc:
-            raise DomainError(f"line {index}: {exc}") from exc
-    centers = np.asarray(centers)
-    counts = np.asarray(counts)
+        table, stripped = None, (line.strip() for line in iter(handle.readline, ""))
+        try:  # a pipe cannot rewind for the ``float`` loop, so it goes straight there
+            if handle.seekable() and next(filter(None, stripped), None) == HISTOGRAM_CSV_HEADER:
+                start, rest = handle.tell(), handle.read()
+                # Blank: loadtxt would warn about empty input.  Unlike ``float``,
+                # numpy strips the ASCII separators \x1c-\x1f next to a number.
+                if rest and not rest.isspace() and not any(c in rest for c in "\x1c\x1d\x1e\x1f"):
+                    handle.seek(start)
+                    table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # the decoder or numpy refused the text
+            pass
+        if table is None or table.shape[1] != 2:
+            # ``float`` takes ``1_0``, non-ASCII digits...; it also words every error.
+            if handle.seekable():
+                handle.seek(0)
+            lines = [(n, line.strip()) for n, line in enumerate(handle, start=1) if line.strip()]
+            if not lines or lines[0][1] != HISTOGRAM_CSV_HEADER:
+                raise DomainError(f"histogram file must start with header '{HISTOGRAM_CSV_HEADER}'")
+            table = []
+            for n, line in lines[1:]:
+                parts = line.split(",")
+                if len(parts) != 2:
+                    raise DomainError(f"line {n}: expected 't,counts', got {line!r}")
+                try:
+                    table.append((float(parts[0]), float(parts[1])))
+                except ValueError as exc:
+                    raise DomainError(f"line {n}: {exc}") from exc
+            table = np.array(table).reshape(-1, 2)
+    centers, counts = np.ascontiguousarray(table.T)
     if centers.size < 2:
         raise DomainError("histogram needs at least two bins")
     if not np.all(np.isfinite(centers)):

@@ -193,6 +193,15 @@ class TestSimulateAndFit:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_path.exists()
 
+    def test_negative_seed_exits_1_without_writing(self, capsys, tmp_path):
+        out_path = tmp_path / "hist.csv"
+        code, out, err = run(capsys, "simulate", "--tau", "0.885", "--amplitude", "10000",
+                             "--background", "10", "--bins", "500", "--tmax", "10",
+                             "--seed", "-1", "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not out_path.exists()
+
     def test_fit_window_flag(self, capsys, tmp_path):
         out_path = str(tmp_path / "hist.csv")
         run(capsys, "simulate", "--tau", "0.885", "--amplitude", "10000",

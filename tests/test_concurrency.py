@@ -8,19 +8,26 @@ from multiphonon import (
     nonradiative_rate,
     parse_defect_config,
     rate_sweep,
+    read_histogram_csv,
     serialize_defect_config,
     simulate_transient,
     sweep_grid,
+    write_histogram_csv,
 )
 
 THREADS = 8
 ROUNDS = 10
 
 
-def _work(config, document, seed):
-    """One seeded unit of work touching rates, sweeps, config parsing and fits."""
+def _work(config, document, seed, path):
+    """One seeded unit of work: rates, sweeps, config parsing, histogram I/O and fits."""
     histogram = simulate_transient(0.885 + 0.01 * seed, 1e4, 10.0, 500, 10.0, seed=seed)
+    write_histogram_csv(histogram, path)
+    back = read_histogram_csv(path)
     return (
+        path.read_bytes(),
+        back.bin_edges.tolist(),
+        back.counts.tolist(),
         nonradiative_rate(config, "accepting"),
         nonradiative_rate(config, "ch-stretch"),
         rate_sweep(config, "ch-stretch", "zpl_energy", sweep_grid(500.0, 1200.0, 29)),
@@ -30,11 +37,12 @@ def _work(config, document, seed):
     )
 
 
-def test_threads_reproduce_the_serial_results(natural, deuterium):
+def test_threads_reproduce_the_serial_results(natural, deuterium, tmp_path):
     configs = [natural, deuterium]
     documents = [serialize_defect_config(config) for config in configs]
-    jobs = [[(configs[(t + r) % 2], documents[(t + r) % 2], THREADS * r + t)
-             for r in range(ROUNDS)] for t in range(THREADS)]
+    # Each thread writes and reads back its own histogram file.
+    jobs = [[(configs[(t + r) % 2], documents[(t + r) % 2], THREADS * r + t,
+              tmp_path / f"thread{t}.csv") for r in range(ROUNDS)] for t in range(THREADS)]
     serial = [[_work(*job) for job in thread_jobs] for thread_jobs in jobs]
 
     results = [None] * THREADS

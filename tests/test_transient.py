@@ -57,6 +57,9 @@ class TestSimulate:
             dict(n_bins=9),
             dict(amplitude=-1.0),
             dict(background=-0.5),
+            dict(seed=-1),
+            dict(seed=True),
+            dict(seed=1.5),
         ],
     )
     def test_domain_errors(self, kwargs):
