@@ -4,18 +4,16 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 on domain/validation errors, 2 on usage errors.  All numeric output is
 printed at full precision (``repr``), rates in s⁻¹ and lifetimes in µs.
 
-Handlers import the numpy-backed modules (``rates``, ``transient``)
-themselves, so subcommands that never use them do not pay for numpy.
+Each handler imports only the modules it runs: ``dataset``, ``kinetics``
+and ``cyclicity`` load neither numpy nor ``dataclasses``; ``rate`` and
+``sweep`` load ``config_io``, ``modes`` and ``rates``; ``simulate`` and
+``fit`` load ``transient`` alone.  The parser reads the import-free ``_tables``.
 """
 
 import argparse
 import sys
 
-from .config_io import configurations_config_json, parse_defect_config
 from .errors import MultiphononError
-from .kinetics import cyclicity as cyclicity_value
-from .kinetics import infer_radiative_rate, purcell_radiative_efficiency, zpl_emission_fraction
-from .modes import SWEEP_CSV_HEADER, SWEEP_PARAMETERS, reference_records_csv
 
 
 def _fmt(value):
@@ -33,11 +31,15 @@ def _window(text):
 
 
 def _load_config(path):
+    from .config_io import parse_defect_config
+
     with open(path) as handle:
         return parse_defect_config(handle.read())
 
 
 def _build_parser():
+    from ._tables import SWEEP_PARAMETERS
+
     parser = argparse.ArgumentParser(
         prog="multiphonon",
         description="Multiphonon nonradiative decay rates and emitter kinetics.",
@@ -110,6 +112,7 @@ def _cmd_rate(args, out, err):
 
 
 def _cmd_sweep(args, out, err):
+    from ._tables import SWEEP_CSV_HEADER
     from .rates import rate_sweep, sweep_grid
 
     config = _load_config(args.config)
@@ -129,6 +132,8 @@ def _cmd_sweep(args, out, err):
 
 
 def _cmd_kinetics(args, out, err):
+    from .kinetics import infer_radiative_rate, zpl_emission_fraction
+
     result = infer_radiative_rate(args.tau_a * 1e-6, args.tau_b * 1e-6, args.nr_ratio)
     print(f"radiative_rate_per_s {_fmt(result.radiative_rate)}", file=out)
     print(f"nonradiative_rate_a_per_s {_fmt(result.nonradiative_rate_a)}", file=out)
@@ -145,6 +150,8 @@ def _cmd_kinetics(args, out, err):
 
 
 def _cmd_cyclicity(args, out, err):
+    from .kinetics import cyclicity as cyclicity_value, purcell_radiative_efficiency
+
     efficiency = purcell_radiative_efficiency(args.eta0, args.purcell)
     value = cyclicity_value(args.eta0, args.purcell)
     print(f"purcell_radiative_efficiency {_fmt(efficiency)}", file=out)
@@ -180,9 +187,10 @@ def _cmd_simulate(args, out, err):
 
 def _cmd_dataset(args, out, err):
     if args.format == "csv":
-        out.write(reference_records_csv())
+        from ._tables import reference_records_csv as export
     else:
-        out.write(configurations_config_json())
+        from .config_io import configurations_config_json as export
+    out.write(export())
     return 0
 
 

@@ -18,12 +18,13 @@ the offending key path and (best effort) its line in the source text.
 import json
 from types import SimpleNamespace
 
+from ._tables import _BOUNDS, _MODE_ROWS, _ZPL_ENERGY_MEV
 from .errors import ConfigSyntaxError, ConfigValidationError, DomainError, _label, _number
-from .modes import _BOUNDS, _MODE_ROWS, _ZPL_ENERGY_MEV, DefectConfiguration, VibrationalMode
 
 # The schema: JSON key -> attribute of DefectConfiguration / VibrationalMode.
-# Numeric attributes take their bounds from ``modes._BOUNDS``; the others
-# are labels (non-empty strings) or the mode list.
+# Numeric attributes take their bounds from ``_tables._BOUNDS``; the others
+# are labels (non-empty strings) or the mode list.  Only the parser builds
+# those classes, so only it imports ``modes`` (and with it ``dataclasses``).
 _CONFIG_SCHEMA = {
     "variant_label": "variant_label",
     "zpl_energy_mev": "zpl_energy",
@@ -116,6 +117,8 @@ def parse_defect_config(document):
     ConfigValidationError
         Schema violations, naming the offending key.
     """
+    from .modes import DefectConfiguration, VibrationalMode
+
     try:
         data = json.loads(document, object_pairs_hook=_JSONObject)
     except json.JSONDecodeError as exc:

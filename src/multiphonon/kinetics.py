@@ -10,21 +10,22 @@ spin-mixing nonradiative channel the optical cyclicity is
 C = 2/(1 - η(P)) = 2(1 + η₀(P-1))/(1 - η₀).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegeneracyError, InfeasibleKineticsError, _number
 
 
-@dataclass(frozen=True)
-class KineticsResult:
-    """Solved rate budget for a pair of variants sharing Γ_R."""
+class KineticsResult(namedtuple("KineticsResult", (
+    "radiative_rate nonradiative_rate_a nonradiative_rate_b radiative_lifetime_us "
+    "efficiency_a efficiency_b"))):
+    """Solved rate budget for a pair of variants sharing Γ_R.
 
-    radiative_rate: float  # s⁻¹
-    nonradiative_rate_a: float  # s⁻¹
-    nonradiative_rate_b: float  # s⁻¹
-    radiative_lifetime_us: float
-    efficiency_a: float
-    efficiency_b: float
+    Rates are in s⁻¹.  An immutable named tuple, not a dataclass, so that
+    the ``kinetics`` subcommand never imports ``dataclasses``; copy with
+    changes by ``_replace``.
+    """
+
+    __slots__ = ()
 
 
 def total_lifetime(radiative_rate, nonradiative_rate):

@@ -195,7 +195,8 @@ def quadrature_overlap_with_error(m, n, pair, grid=GridSpec()):
         return float(values[m, n]), float(errors[m, n])
     lo, hi, count = _grid_layout(pair, max(m, n, 1), grid)
     fine, coarse, floor = _mpmath_overlap(pair, m, n, lo, hi, count, grid.dps)
-    return fine, abs(fine - coarse) + floor
+    # The float returned is itself rounded: half an ulp joins the error.
+    return fine, abs(fine - coarse) + floor + math.ulp(fine) / 2
 
 
 def quadrature_overlap_oracle(m, n, pair, grid=GridSpec()):

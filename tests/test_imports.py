@@ -1,4 +1,4 @@
-"""Import hygiene of the package: lazy exports and numpy-free CLI paths.
+"""Import hygiene of the package: lazy exports and per-subcommand CLI imports.
 
 Each check runs in a fresh interpreter, because the test session itself
 has long since imported every submodule and numpy.
@@ -75,6 +75,124 @@ def test_numpy_free_subcommands_do_not_import_numpy(argv):
         print(code, "numpy" in sys.modules)
     """)
     assert out.split() == ["0", "False"]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A configuration and a histogram for the CLI calls, written beforehand."""
+    from multiphonon import load_reference_dataset, serialize_defect_config
+    from multiphonon.transient import simulate_transient, write_histogram_csv
+
+    work = tmp_path_factory.mktemp("cli")
+    (work / "natural.json").write_text(serialize_defect_config(load_reference_dataset()[1][0]))
+    write_histogram_csv(simulate_transient(0.885, 1e4, 10.0, 500, 10.0, 7), work / "histogram.csv")
+    return work
+
+
+# One cli-session call per subcommand; {work} is the directory of cli_files.
+SESSION_ARGV = {
+    "dataset": ["dataset", "--format", "csv"],
+    "dataset-config": ["dataset", "--format", "config"],
+    "rate": ["rate", "--config", "{work}/natural.json", "--mode", "accepting"],
+    "sweep": ["sweep", "--config", "{work}/natural.json", "--mode", "ch-stretch",
+              "--vary", "zpl_energy", "--from", "880.1854785303741",
+              "--to", "1169.9153679578228", "--steps", "25"],
+    "kinetics": ["kinetics", "--tau-a", "0.885", "--tau-b", "4.807",
+                 "--nr-ratio", "243.54943560314564", "--debye-waller", "0.18466528979451513"],
+    "cyclicity": ["cyclicity", "--eta0", "0.8366553085001932", "--purcell", "285.2297479905831"],
+    "simulate": ["simulate", "--tau", "4.807", "--amplitude", "13243.905315095892",
+                 "--background", "6.2401600959380765", "--bins", "500",
+                 "--tmax", "48.07000000000001", "--seed", "1858836762",
+                 "--out", "{work}/{name}.csv"],
+    "fit": ["fit", "--histogram", "{work}/histogram.csv", "--window", "0.2,9.5"],
+}
+
+NO_DATACLASSES = ("dataclasses", "inspect", "numpy")
+NO_CONFIG = NO_DATACLASSES + ("multiphonon.modes", "multiphonon.config_io")
+NO_RATES = ("multiphonon.config_io", "multiphonon.modes", "multiphonon.kinetics", "multiphonon.rates")
+NO_TRANSIENT = ("multiphonon.kinetics", "multiphonon.transient")
+
+# Subcommand -> modules its call must leave out of sys.modules.
+NOT_IMPORTED = {
+    "dataset": NO_DATACLASSES,
+    "dataset-config": NO_DATACLASSES,
+    "kinetics": NO_CONFIG,
+    "cyclicity": NO_CONFIG,
+    "simulate": NO_RATES,
+    "fit": NO_RATES,
+    "rate": NO_TRANSIENT,
+    "sweep": NO_TRANSIENT,
+}
+
+
+def session_argv(name, work):
+    return [arg.format(work=work, name=name) for arg in SESSION_ARGV[name]]
+
+
+@pytest.mark.parametrize("name", sorted(NOT_IMPORTED))
+def test_each_subcommand_imports_only_what_it_runs(name, cli_files):
+    out = run_fresh(f"""
+        import contextlib, io, sys
+        from multiphonon.cli import run_command
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run_command({session_argv(name, cli_files)!r})
+        print(code, [module for module in {NOT_IMPORTED[name]!r} if module in sys.modules])
+    """)
+    assert out.split(maxsplit=1) == ["0", "[]\n"]
+
+
+def test_concurrent_handlers_import_safely_and_match_a_serial_run(cli_files):
+    # Every handler runs its own imports; eight threads entering them at
+    # once must give what the same calls give one after another.  Each run
+    # has its own directory, so the simulate outputs do not collide.
+    runs = {}
+    for run in ("threaded", "serial"):
+        (cli_files / run).mkdir()
+        for source in ("natural.json", "histogram.csv"):
+            (cli_files / run / source).write_bytes((cli_files / source).read_bytes())
+        runs[run] = {name: session_argv(name, cli_files / run) for name in SESSION_ARGV}
+    out = run_fresh(f"""
+        import io, sys, threading
+        from multiphonon import cli
+
+        runs = {runs!r}
+        lazy = [m for m in sys.modules if m.split(".")[-1] in ("rates", "transient", "kinetics")]
+        assert not lazy, lazy
+
+        def call(name, argv, results, barrier=None):
+            args = cli._build_parser().parse_args(argv)
+            out, err = io.StringIO(), io.StringIO()
+            if barrier is not None:
+                barrier.wait(timeout=30)
+            code = args.handler(args, out, err)
+            results[name] = (code, out.getvalue().replace("threaded", "serial"), err.getvalue())
+
+        threaded, barrier = {{}}, threading.Barrier(len(runs["threaded"]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(name, argv, threaded, barrier))
+                       for name, argv in runs["threaded"].items()]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+        serial = {{}}
+        for name, argv in runs["serial"].items():
+            call(name, argv, serial)
+        assert threaded.keys() == serial.keys()
+        for name in serial:
+            assert threaded[name] == serial[name], name
+            assert serial[name][0] == 0, name
+        print("ok")
+    """)
+    assert out.split() == ["ok"]
+    written = [(cli_files / run / "simulate.csv").read_bytes() for run in runs]
+    assert written[0] == written[1]
 
 
 def test_every_public_name_resolves_star_import_and_dir():

@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +11,14 @@ from multiphonon import (
     DegeneracyError,
     DomainError,
     InfeasibleKineticsError,
+    KineticsResult,
     cyclicity,
     infer_radiative_rate,
     purcell_radiative_efficiency,
     total_lifetime,
     zpl_emission_fraction,
 )
+from multiphonon.cli import run_command
 
 TAU_A = 0.885e-6
 TAU_B = 4.807e-6
@@ -178,3 +184,48 @@ class TestCyclicity:
     def test_divergence_at_unit_efficiency(self):
         with pytest.raises(DegeneracyError):
             cyclicity(1.0, 10.0)
+
+
+class TestKineticsResult:
+    """The value type keeps the contract it had as a frozen dataclass."""
+
+    FIELDS = ("radiative_rate", "nonradiative_rate_a", "nonradiative_rate_b",
+              "radiative_lifetime_us", "efficiency_a", "efficiency_b")
+
+    def test_field_names_and_order(self):
+        assert KineticsResult._fields == self.FIELDS
+        result = infer_radiative_rate(TAU_A, TAU_B, NR_RATIO)
+        assert tuple(getattr(result, name) for name in self.FIELDS) == tuple(result)
+
+    def test_repr_text(self):
+        assert repr(infer_radiative_rate(TAU_A, TAU_B, NR_RATIO)) == (
+            "KineticsResult(radiative_rate=204783.78185416287, "
+            "nonradiative_rate_a=925159.720970696, nonradiative_rate_b=3246.1744595463015, "
+            "radiative_lifetime_us=4.883199201351559, efficiency_a=0.18123364694093413, "
+            "efficiency_b=0.9843956393729608)"
+        )
+
+    @pytest.mark.parametrize("name", ["radiative_rate", "efficiency_b", "new_attribute"])
+    def test_immutable(self, name):
+        result = infer_radiative_rate(TAU_A, TAU_B, NR_RATIO)
+        with pytest.raises(AttributeError):
+            setattr(result, name, 1.0)
+
+    def test_equal_inputs_equal_and_hash_alike(self):
+        first = infer_radiative_rate(TAU_A, TAU_B, NR_RATIO)
+        second = infer_radiative_rate(TAU_A, TAU_B, NR_RATIO)
+        assert first == second and hash(first) == hash(second)
+        assert first._replace(efficiency_a=0.5) != first
+
+    def test_cli_stdout_bytes_unchanged(self):
+        # A cli-session kinetics call; the digest is that of the output
+        # when KineticsResult was a frozen dataclass.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run_command(["kinetics", "--tau-a", "0.885", "--tau-b", "4.807",
+                                "--nr-ratio", "243.54943560314564",
+                                "--debye-waller", "0.18466528979451513"])
+        assert code == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "d571471799646b20b19a9ea357c203694ce28235c8edc6a27b087d5c77f897fe"
+        )

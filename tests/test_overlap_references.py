@@ -121,11 +121,15 @@ def _reference_mpmath_pass(pair, m, n, lo, hi, count, dps):
 
 
 def reference_mpmath_with_error(m, n, pair, grid):
-    """The mpmath oracle as two passes, one per grid."""
+    """The mpmath oracle as two passes, one per grid.
+
+    The error includes half an ulp of the returned float, which rounding
+    to float64 costs on top of the mpmath estimate.
+    """
     lo, hi, count = _grid_layout(pair, max(m, n, 1), grid)
     coarse, _ = _reference_mpmath_pass(pair, m, n, lo, hi, count, grid.dps)
     fine, floor = _reference_mpmath_pass(pair, m, n, lo, hi, 2 * count - 1, grid.dps)
-    return fine, abs(fine - coarse) + floor
+    return fine, abs(fine - coarse) + floor + math.ulp(fine) / 2
 
 
 def _seeded_pairs(seed, count):
