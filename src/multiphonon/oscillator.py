@@ -181,11 +181,11 @@ def fc_overlap(m, n, pair):
 def _moment_rows(energy_initial, energy_final, displacement, n_max):
     """Rows m = 0 and m = 1 of :func:`fc_overlap_matrix` for G pairs at once.
 
-    The arguments are floats or arrays that broadcast to G oscillator
-    pairs (G = 1 for three floats).  Each entry comes from the same IEEE
-    operations, in the same order, as the scalar table, so column g equals
-    ``fc_overlap_matrix(pair_g, 1, n_max)`` bit for bit.  The recurrence
-    runs forward in n, so the first k + 1 rows do not depend on ``n_max``.
+    The arguments are floats or arrays that broadcast to G oscillator pairs (G = 1 for
+    three floats).  Each entry comes from the same IEEE operations, in the same order,
+    as the scalar table, so column g equals ``fc_overlap_matrix(pair_g, 1, n_max)`` bit
+    for bit; for G = 1 the n-loop runs on Python floats, sparing numpy's per-call cost.
+    The recurrence runs forward in n, so the first k + 1 rows do not depend on ``n_max``.
 
     Returns
     -------
@@ -201,11 +201,13 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
     # S[0, 0] through math.exp, as in the scalar table (np.exp may differ by 1 ulp).
     exponent = (b * d / (2.0 * e)).tolist()
     rows = [np.sqrt(e / 2.0) * np.array([math.exp(x) for x in exponent])]
+    if len(exponent) == 1:  # one pair: the same operations on Python floats
+        step, back, rows = step.ravel().tolist(), back.ravel().tolist(), rows[0].tolist()
     if n_max >= 1:
         rows.append(step[0] * rows[0])
     for step_n, back_n in zip(step[1:], back[1:]):
         rows.append(step_n * rows[-1] + back_n * rows[-2])
-    s0 = np.array(rows)
+    s0 = np.array(rows).reshape(n_max + 1, -1)
     s1 = b / math.sqrt(2.0) * s0
     s1[1:] += 0.5 * e * np.sqrt(n) * s0[:-1]
     return s0, s1

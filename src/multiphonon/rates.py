@@ -13,7 +13,8 @@ energy, where the weight is below 2e-22).
 One kernel, ``_rate_terms``, evaluates the terms for a batch of rows at
 once.  ``nonradiative_rate`` is the kernel on one row; ``rate_sweep``
 runs all valid grid points through it in one batched pass, so every
-sweep row equals ``nonradiative_rate`` of its own configuration exactly.
+sweep row equals ``nonradiative_rate`` of its own configuration exactly;
+both sum a row's terms top down by the correctly rounded ``math.fsum``.
 Sweep rows are grouped by phonon cut-off into chunks of at most
 ``_SWEEP_CHUNK_CELLS`` terms, which bounds memory.
 """
@@ -35,7 +36,8 @@ from .errors import (
     _number,
 )
 from .modes import SWEEP_CSV_HEADER, SWEEP_PARAMETERS  # noqa: F401  (re-exported)
-from .oscillator import MAX_CERTIFIED_N, REFERENCE_FINAL, REFERENCE_INITIAL, _moments
+from .oscillator import MAX_CERTIFIED_N, REFERENCE_FINAL, REFERENCE_INITIAL
+from .oscillator import _moments, ho_length_scale
 
 # Phonon terms × rows evaluated per batched pass of ``rate_sweep``; bounds
 # the kernel's temporary arrays to about 64 kB each.
@@ -124,14 +126,30 @@ def _rate_terms(moments, energy_excited, energy_ground, coupling, zpl_energy):
 
 
 def _row_totals(contribution, n_max):
-    """Correctly rounded sum of each row's first n_max + 1 terms."""
-    return [math.fsum(column[: k + 1].tolist()) for column, k in zip(contribution.T, n_max)]
+    """Correctly rounded, hence order-free, sum of each row's first n_max + 1 terms.
+
+    Top down, ``math.fsum`` meets the peak before the underflowed low-n terms.
+    """
+    return [math.fsum(column[k::-1].tolist()) for column, k in zip(contribution.T, n_max)]
 
 
-def _underflows(total, coupling):
-    # With W > 0 the true rate is strictly positive; a zero or subnormal
-    # total means the float64 terms underflowed.  Floats or arrays.
-    return (coupling > 0.0) & (total < sys.float_info.min)
+def _uncertified(total, n_max, coupling, displacement, energy_excited):
+    """Whether a rate's factors, flushed below the normal range, could move it by > eps.
+
+    A term P·M_n²·G_n (P = (2π/ħ)W²) in which P, M_n², exp(-z²/2), G_n, P·M_n² or
+    the term itself fell below tiny = float_info.min is at most tiny times the bounds
+    of its other factors: G_max = 1/(σ√(2π)) ≥ G_n/exp(-z²/2) and M² = (L + |ΔQ|)² ≥
+    M_n², as |S| ≤ 1.  Each such product is a term of (1 + P)(1 + M²)(1 + G_max), so,
+    doubled for rounding, 2(n_max + 1)·tiny·(1 + P)(1 + M²)(1 + G_max) bounds all
+    flushed terms together.  W = 0 gives exact zeros and is never refused.  Floats
+    or arrays.  Not bounded: a subnormal S₀₀, whose rounding error the overlap
+    recurrence carries into every M_n.
+    """
+    power = _TWO_PI_OVER_HBAR * (coupling * coupling)
+    moment_sq = (ho_length_scale(energy_excited) + abs(displacement)) ** 2
+    peak = 1.0 / (energy_excited / 2.0 * _SQRT_TWO_PI)
+    bound = 2.0 * (n_max + 1) * (1.0 + power) * (1.0 + moment_sq) * (1.0 + peak)
+    return (coupling > 0.0) & (bound * sys.float_info.min > sys.float_info.epsilon * total)
 
 
 def _chunks(rows, n_max):
@@ -169,8 +187,8 @@ def nonradiative_rate(config, mode_label, moment_reference=REFERENCE_INITIAL):
     Raises
     ------
     CapabilityError
-        If the phonon sum needs n > 512, or if W > 0 and the rate
-        underflows double precision (Huang-Rhys factors of several hundred).
+        If the phonon sum needs n > 512, or if W > 0 and the rate underflows: terms
+        flushed below 2.2e-308 could exceed eps of it (Huang-Rhys factors of hundreds).
     """
     mode = config.mode(mode_label)
     sigma = mode.energy_excited / 2.0
@@ -182,11 +200,11 @@ def nonradiative_rate(config, mode_label, moment_reference=REFERENCE_INITIAL):
         moments, mode.energy_excited, mode.energy_ground, mode.coupling, config.zpl_energy
     )
     moment_sq, weight, contribution = (column[:, 0].tolist() for column in columns)
-    total = math.fsum(contribution)
-    if _underflows(total, mode.coupling):
+    total = math.fsum(contribution[::-1])  # top down, as in _row_totals
+    if _uncertified(total, n_max, mode.coupling, mode.displacement, mode.energy_excited):
         raise CapabilityError(
-            f"the rate through mode {mode_label!r} underflows double precision "
-            f"(got {total!r} s⁻¹ with W > 0)"
+            f"the rate through mode {mode_label!r} underflows double precision: flushed "
+            f"terms could exceed eps of the total (got {total!r} s⁻¹ with W > 0)"
         )
     terms = tuple(map(RateTerm, range(n_max + 1), moment_sq, weight, contribution))
     return RateResult(total_rate=total, terms=terms, n_max_used=n_max, sigma=sigma)
@@ -296,15 +314,15 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
             row["zpl_energy"],
         )
         totals = np.array(_row_totals(contribution, n_max[chunk]))
-        kept = ~_underflows(totals, row["coupling"])
+        kept = ~_uncertified(
+            totals, n_max[chunk], row["coupling"], row["displacement"], mode.energy_excited
+        )
         rates.update(zip(chunk[kept].tolist(), totals[kept].tolist()))
 
     points = []
-    for index, value in enumerate(entries):
+    for index, (value, cut_off) in enumerate(zip(entries, n_max.tolist())):
         if index in rates:
-            points.append(
-                SweepPoint(parameter, value, rates[index], int(n_max[index]), sigma)
-            )
+            points.append(SweepPoint(parameter, value, rates[index], cut_off, sigma))
             continue
         if value is None:  # the constructors report the entry's type
             value = grid[index]

@@ -242,6 +242,25 @@ class TestBatchedMomentRows:
         final = length * table[1] - accepting_pair.displacement * table[0]
         assert np.array_equal(transition_moments(accepting_pair, 64, reference="final"), final)
 
+    @given(
+        energies=st.lists(st.floats(-3.0, 4.0).map(lambda x: 10.0**x), min_size=6, max_size=6),
+        displacements=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+        n_max=st.integers(0, MAX_CERTIFIED_N),
+        g=st.integers(0, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lone_pair_equals_its_column_in_a_batch(self, energies, displacements, n_max, g):
+        # One pair runs its n-recurrence on Python floats, which raise no
+        # numpy RuntimeWarning, so the values alone must show that both
+        # paths agree: compared as bytes, NaN and inf positions included.
+        e_i, e_f, dq = np.array(energies[:3]), np.array(energies[3:]), np.array(displacements)
+        with np.errstate(all="ignore"):
+            batch = _moment_rows(e_i, e_f, dq, n_max)
+            lone = _moment_rows(float(e_i[g]), float(e_f[g]), float(dq[g]), n_max)
+        for rows, row in zip(batch, lone):
+            assert row.shape == (n_max + 1, 1)
+            assert rows[:, g].tobytes() == row[:, 0].tobytes()
+
     def test_refuses_beyond_certified_range(self):
         with pytest.raises(CapabilityError):
             _moment_rows(np.array([33.0]), 33.0, 0.7, MAX_CERTIFIED_N + 1)

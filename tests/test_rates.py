@@ -1,8 +1,11 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multiphonon import (
     CapabilityError,
@@ -21,8 +24,8 @@ from multiphonon import (
     transition_moments,
 )
 from multiphonon import rates
-from multiphonon.constants import HBAR_MEV_S
-from multiphonon.rates import SWEEP_PARAMETERS
+from multiphonon.constants import HBAR_MEV_S, HBAR_SQ_MEV_AMU_A2
+from multiphonon.rates import SWEEP_PARAMETERS, SweepPoint
 
 EXPERIMENT_RATE = 1.0 / 0.885e-6  # s^-1, natural-variant total decay rate
 
@@ -345,25 +348,136 @@ class TestRateKernelOracle:
             assert type(term.contribution) is float
 
 
-class TestUnderflow:
-    """With W > 0 the rate is strictly positive; float64 underflow is refused."""
+def _high_precision_rate(config, mode_label, dps=40):
+    """The initial-reference rate by the m <= 1 recurrence and the sum, in mpmath."""
+    mode = config.mode(mode_label)
+    with mpmath.workdps(dps):
+        a_i = mpmath.mpf(mode.energy_excited) / HBAR_SQ_MEV_AMU_A2
+        a_f = mpmath.mpf(mode.energy_ground) / HBAR_SQ_MEV_AMU_A2
+        dq, total = mpmath.mpf(mode.displacement), a_i + a_f
+        b, c = 2 * dq * mpmath.sqrt(a_i) * a_f / total, (a_f - a_i) / total
+        d, e = -2 * dq * mpmath.sqrt(a_f) * a_i / total, 4 * mpmath.sqrt(a_i * a_f) / total
+        sigma = mpmath.mpf(mode.energy_excited) / 2
+        n_max = int(math.ceil((config.zpl_energy + 10.0 * float(sigma)) / mode.energy_ground))
+        s0 = [mpmath.sqrt(e / 2) * mpmath.exp(b * d / (2 * e))]
+        for n in range(1, n_max + 1):
+            s0.append(d / mpmath.sqrt(2 * n) * s0[-1]
+                      + (c * mpmath.sqrt(mpmath.mpf(n - 1) / n) * s0[-2] if n >= 2 else 0))
+        length_sq = HBAR_SQ_MEV_AMU_A2 / (2 * mpmath.mpf(mode.energy_excited))
+        prefactor = 2 * mpmath.pi / HBAR_MEV_S * mpmath.mpf(mode.coupling) ** 2
+        rate = 0
+        for n in range(n_max + 1):
+            s1 = b / mpmath.sqrt(2) * s0[n] + (e / 2 * mpmath.sqrt(n) * s0[n - 1] if n else 0)
+            z = (config.zpl_energy - n * mpmath.mpf(mode.energy_ground)) / sigma
+            weight = mpmath.exp(-z * z / 2) / (sigma * mpmath.sqrt(2 * mpmath.pi))
+            rate += prefactor * length_sq * s1**2 * weight
+        return rate
 
-    @pytest.mark.parametrize("displacement", [15.0, 20.0])
+
+class TestUnderflow:
+    """A W > 0 rate is refused when terms flushed below the normal range could
+    move it by more than eps; the accepting mode crosses that edge between
+    ΔQ = 14 and 14.5 (the bound is 15 % of the total at 14.5)."""
+
+    @pytest.mark.parametrize("displacement", [14.5, 14.8, 15.0, 20.0])
     def test_large_huang_rhys_factor_refused(self, natural, displacement):
         config = _vary(natural, "accepting", "displacement", displacement)
         with pytest.raises(CapabilityError, match="underflows"):
             nonradiative_rate(config, "accepting")
 
+    def test_certified_side_of_the_edge_is_unchanged(self, natural):
+        config = _vary(natural, "accepting", "displacement", 14.0)
+        assert nonradiative_rate(config, "accepting").total_rate == 3.245519206819825e-269
+
+    def test_refusals_guard_real_errors(self, natural):
+        # At ΔQ = 14 the float64 rate agrees with 40 digits to the accuracy
+        # of the recurrence; at 14.8, which is refused, the kernel's own
+        # total is off in the fifth digit.
+        certified = _vary(natural, "accepting", "displacement", 14.0)
+        exact = _high_precision_rate(certified, "accepting")
+        assert abs(nonradiative_rate(certified, "accepting").total_rate - exact) < 1e-12 * exact
+        mode = _vary(natural, "accepting", "displacement", 14.8).mode("accepting")
+        n_max = nonradiative_rate(certified, "accepting").n_max_used  # ΔQ does not change it
+        moments = rates._moments(mode.energy_excited, mode.energy_ground, mode.displacement,
+                                 n_max, "initial")
+        _, _, terms = rates._rate_terms(moments, mode.energy_excited, mode.energy_ground,
+                                        mode.coupling, natural.zpl_energy)
+        exact = _high_precision_rate(_vary(natural, "accepting", "displacement", 14.8), "accepting")
+        assert abs(math.fsum(terms[:, 0].tolist()) - exact) > 1e-6 * exact
+
     def test_sweep_reports_underflow_per_row(self, natural):
-        points = rate_sweep(natural, "accepting", "displacement", [12.0, 15.0, 20.0, 0.734])
+        grid = [12.0, 14.0, 14.5, 14.8, 15.0, 20.0, 0.734]
+        points = rate_sweep(natural, "accepting", "displacement", grid)
         assert 0.0 < points[0].rate < 1e-150
-        for point in points[1:3]:
+        assert points[1].rate == 3.245519206819825e-269
+        for point in points[2:6]:
             assert point.rate is None and "underflows" in point.error
-        assert points[3].rate == nonradiative_rate(natural, "accepting").total_rate
+        for point in points:
+            expected = _direct(natural, "accepting", "displacement", point.value, "initial")
+            assert (point.rate, point.n_max, point.sigma, point.error) == expected
+        assert points[6].rate == nonradiative_rate(natural, "accepting").total_rate
 
     def test_zero_coupling_still_exactly_zero(self, natural):
-        config = _vary(natural, "accepting", "displacement", 15.0)
-        silent = config.with_mode(replace(config.mode("accepting"), coupling=0.0))
-        assert nonradiative_rate(silent, "accepting").total_rate == 0.0
-        points = rate_sweep(config, "accepting", "coupling", [0.0, 9.23])
-        assert points[0].rate == 0.0 and points[1].error is not None
+        for displacement in (14.8, 15.0):
+            config = _vary(natural, "accepting", "displacement", displacement)
+            silent = config.with_mode(replace(config.mode("accepting"), coupling=0.0))
+            assert nonradiative_rate(silent, "accepting").total_rate == 0.0
+            points = rate_sweep(config, "accepting", "coupling", [0.0, 9.23])
+            assert points[0].rate == 0.0 and points[1].error is not None
+
+
+# Non-negative floats from the subnormal range up to ~1e300.
+_SPAN = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 997))
+
+
+class TestRowTotals:
+    """Rows are summed from the top term down; a correctly rounded sum is order-free."""
+
+    @given(values=st.lists(st.one_of(_SPAN, st.just(0.0)), min_size=1, max_size=60),
+           ties=st.integers(0, 20))
+    # Exact ties: a sum halfway between two floats, rounded to even.
+    @example(values=[1.0, 2.0**-53], ties=0)
+    @example(values=[1.0 + 2.0**-52, 2.0**-53], ties=0)
+    @example(values=[1.0, 2.0**-53, 5e-324], ties=0)
+    @example(values=[5e-324, 1e300, 5e-324], ties=2)
+    @settings(max_examples=300, deadline=None)
+    def test_reversed_fsum_equals_natural_order(self, values, ties):
+        values = values + values[:ties]  # repeated terms
+        column = np.array(values)[:, None]
+        for k in {0, len(values) // 2, len(values) - 1}:
+            assert rates._row_totals(column, [k]) == [math.fsum(values[: k + 1])]
+        assert math.fsum(values[::-1]) == math.fsum(values)
+
+
+class TestSweepPoint:
+    """Sweep rows are frozen dataclasses: callers copy them with ``dataclasses.replace``."""
+
+    FIELDS = ("parameter", "value", "rate", "n_max", "sigma", "error")
+
+    def test_field_names_order_and_default(self):
+        assert tuple(field.name for field in fields(SweepPoint)) == self.FIELDS
+        assert SweepPoint("coupling", 1.0, 2.0, 3, 4.0).error is None
+
+    def test_repr_text(self, natural):
+        good, bad = rate_sweep(natural, "accepting", "zpl_energy", [935.0, "x"])
+        assert repr(good) == (
+            "SweepPoint(parameter='zpl_energy', value=935.0, rate=2.715965451055058e-07, "
+            "n_max=34, sigma=16.5, error=None)"
+        )
+        assert repr(bad) == (
+            "SweepPoint(parameter='zpl_energy', value='x', rate=None, n_max=None, "
+            "sigma=None, error=\"zpl_energy must be a real number, got 'x'\")"
+        )
+
+    @pytest.mark.parametrize("name", ["rate", "error", "new_attribute"])
+    def test_immutable(self, natural, name):
+        point = rate_sweep(natural, "accepting", "zpl_energy", [935.0])[0]
+        with pytest.raises(AttributeError):
+            setattr(point, name, 1.0)
+
+    def test_replace_and_equality(self, natural):
+        first, second = rate_sweep(natural, "accepting", "zpl_energy", [935.0, 935.0])
+        assert first == second and hash(first) == hash(second)
+        doubled = replace(first, rate=2 * first.rate)
+        assert doubled != first and doubled.rate == 2 * first.rate
+        assert replace(doubled, rate=first.rate) == first
