@@ -214,10 +214,11 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
 
 
 def _moments(energy_initial, energy_final, displacement, n_max, reference):
-    """Transition moments of G pairs at once, shape ``(n_max + 1, G)``.
+    """Transition moments of G pairs at once, shape ``(n_max + 1, G)``, and their S₀₀.
 
     Arguments as for :func:`_moment_rows`, except that ``energy_initial``
-    is a float; see :func:`transition_moments`.
+    is a float; see :func:`transition_moments`.  S₀₀, shape ``(G,)``, is the
+    value the overlap recurrence started from.
     """
     if reference not in (REFERENCE_INITIAL, REFERENCE_FINAL):
         raise DomainError(f"reference must be 'initial' or 'final', got {reference!r}")
@@ -225,7 +226,7 @@ def _moments(energy_initial, energy_final, displacement, n_max, reference):
     moments = ho_length_scale(energy_initial) * s1
     if reference == REFERENCE_FINAL:
         moments -= displacement * s0
-    return moments
+    return moments, s0[0]
 
 
 def transition_moments(pair, n_max, reference=REFERENCE_INITIAL):
@@ -257,7 +258,7 @@ def transition_moments(pair, n_max, reference=REFERENCE_INITIAL):
     """
     return _moments(
         pair.energy_initial, pair.energy_final, pair.displacement, n_max, reference
-    )[:, 0]
+    )[0][:, 0]
 
 
 def transition_moment(n, pair, reference=REFERENCE_INITIAL):

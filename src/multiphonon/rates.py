@@ -133,7 +133,7 @@ def _row_totals(contribution, n_max):
     return [math.fsum(column[k::-1].tolist()) for column, k in zip(contribution.T, n_max)]
 
 
-def _uncertified(total, n_max, coupling, displacement, energy_excited):
+def _uncertified(total, n_max, coupling, displacement, energy_excited, s00):
     """Whether a rate's factors, flushed below the normal range, could move it by > eps.
 
     A term P·M_n²·G_n (P = (2π/ħ)W²) in which P, M_n², exp(-z²/2), G_n, P·M_n² or
@@ -141,15 +141,16 @@ def _uncertified(total, n_max, coupling, displacement, energy_excited):
     of its other factors: G_max = 1/(σ√(2π)) ≥ G_n/exp(-z²/2) and M² = (L + |ΔQ|)² ≥
     M_n², as |S| ≤ 1.  Each such product is a term of (1 + P)(1 + M²)(1 + G_max), so,
     doubled for rounding, 2(n_max + 1)·tiny·(1 + P)(1 + M²)(1 + G_max) bounds all
-    flushed terms together.  W = 0 gives exact zeros and is never refused.  Floats
-    or arrays.  Not bounded: a subnormal S₀₀, whose rounding error the overlap
-    recurrence carries into every M_n.
+    flushed terms together.  A subnormal *s00*, the overlap recurrence's start, would
+    carry its rounding error into every M_n: it is refused too.  W = 0 gives exact
+    zeros and is never refused.  Floats or arrays.
     """
     power = _TWO_PI_OVER_HBAR * (coupling * coupling)
     moment_sq = (ho_length_scale(energy_excited) + abs(displacement)) ** 2
     peak = 1.0 / (energy_excited / 2.0 * _SQRT_TWO_PI)
     bound = 2.0 * (n_max + 1) * (1.0 + power) * (1.0 + moment_sq) * (1.0 + peak)
-    return (coupling > 0.0) & (bound * sys.float_info.min > sys.float_info.epsilon * total)
+    flushed = bound * sys.float_info.min > sys.float_info.epsilon * total
+    return (coupling > 0.0) & (flushed | (s00 < sys.float_info.min))
 
 
 def _chunks(rows, n_max):
@@ -188,12 +189,12 @@ def nonradiative_rate(config, mode_label, moment_reference=REFERENCE_INITIAL):
     ------
     CapabilityError
         If the phonon sum needs n > 512, or if W > 0 and the rate underflows: terms
-        flushed below 2.2e-308 could exceed eps of it (Huang-Rhys factors of hundreds).
+        flushed below 2.2e-308, or a subnormal S₀₀, could move it by more than eps.
     """
     mode = config.mode(mode_label)
     sigma = mode.energy_excited / 2.0
     n_max = int(math.ceil((config.zpl_energy + 10.0 * sigma) / mode.energy_ground))
-    moments = _moments(
+    moments, s00 = _moments(
         mode.energy_excited, mode.energy_ground, mode.displacement, n_max, moment_reference
     )
     columns = _rate_terms(
@@ -201,10 +202,11 @@ def nonradiative_rate(config, mode_label, moment_reference=REFERENCE_INITIAL):
     )
     moment_sq, weight, contribution = (column[:, 0].tolist() for column in columns)
     total = math.fsum(contribution[::-1])  # top down, as in _row_totals
-    if _uncertified(total, n_max, mode.coupling, mode.displacement, mode.energy_excited):
+    if _uncertified(total, n_max, mode.coupling, mode.displacement, mode.energy_excited,
+                    s00.item()):
         raise CapabilityError(
             f"the rate through mode {mode_label!r} underflows double precision: flushed "
-            f"terms could exceed eps of the total (got {total!r} s⁻¹ with W > 0)"
+            f"terms or a subnormal S₀₀ could move it by > eps (got {total!r} s⁻¹, W > 0)"
         )
     terms = tuple(map(RateTerm, range(n_max + 1), moment_sq, weight, contribution))
     return RateResult(total_rate=total, terms=terms, n_max_used=n_max, sigma=sigma)
@@ -295,7 +297,7 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
     shared = parameter in ("zpl_energy", "coupling")
     if shared and len(order):
         top = int(n_max[order[-1]])
-        pair_moments = _moments(
+        pair_moments, pair_s00 = _moments(
             mode.energy_excited, mode.energy_ground, mode.displacement, top, moment_reference
         )
     rates = {}
@@ -303,9 +305,9 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
         row = dict(fixed, **{parameter: values[chunk]})
         top = int(n_max[chunk[-1]])
         if shared:
-            moments = pair_moments[: top + 1]
+            moments, s00 = pair_moments[: top + 1], pair_s00
         else:
-            moments = _moments(
+            moments, s00 = _moments(
                 mode.energy_excited, row["energy_ground"], row["displacement"], top,
                 moment_reference,
             )
@@ -315,7 +317,7 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
         )
         totals = np.array(_row_totals(contribution, n_max[chunk]))
         kept = ~_uncertified(
-            totals, n_max[chunk], row["coupling"], row["displacement"], mode.energy_excited
+            totals, n_max[chunk], row["coupling"], row["displacement"], mode.energy_excited, s00
         )
         rates.update(zip(chunk[kept].tolist(), totals[kept].tolist()))
 

@@ -4,9 +4,12 @@ import sys
 import threading
 
 from multiphonon import (
+    OscillatorPair,
+    fc_overlap_matrix,
     fit_lifetime,
     nonradiative_rate,
     parse_defect_config,
+    quadrature_overlap_table,
     rate_sweep,
     read_histogram_csv,
     serialize_defect_config,
@@ -20,10 +23,13 @@ ROUNDS = 10
 
 
 def _work(config, document, seed, path):
-    """One seeded unit of work: rates, sweeps, config parsing, histogram I/O and fits."""
+    """One seeded unit of work: rates, sweeps, overlaps, config parsing, histogram I/O and fits."""
     histogram = simulate_transient(0.885 + 0.01 * seed, 1e4, 10.0, 500, 10.0, seed=seed)
     write_histogram_csv(histogram, path)
     back = read_histogram_csv(path)
+    mode = config.mode("accepting")
+    pair = OscillatorPair(mode.energy_excited, mode.energy_ground, mode.displacement + 0.01 * seed)
+    values, errors = quadrature_overlap_table(pair, 30, 30)
     return (
         path.read_bytes(),
         back.bin_edges.tolist(),
@@ -32,6 +38,9 @@ def _work(config, document, seed, path):
         nonradiative_rate(config, "ch-stretch"),
         rate_sweep(config, "ch-stretch", "zpl_energy", sweep_grid(500.0, 1200.0, 29)),
         rate_sweep(config, "accepting", "displacement", sweep_grid(0.5, 1.0, 9)),
+        values.tolist(),
+        errors.tolist(),
+        fc_overlap_matrix(pair, 30, 30).tolist(),
         parse_defect_config(document),
         fit_lifetime(histogram),
     )

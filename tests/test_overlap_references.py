@@ -4,7 +4,9 @@
 evaluates its wavefunctions once, on the fine grid, taking the coarse
 estimate from every other fine point.  Both must give the same IEEE
 results as the straightforward forms below, bit for bit: an entry-by-entry
-recurrence, and two independent grids (two passes in mpmath).
+recurrence, and two independent grids (two passes in mpmath).  The float64
+oracle sums only where both Gaussians are nonzero, as do its two-grid
+references; against the whole fine grid it agrees to its roundoff floor.
 """
 
 import math
@@ -22,10 +24,16 @@ from multiphonon import (
     quadrature_overlap_table,
     quadrature_overlap_with_error,
 )
+from multiphonon import quadrature
 from multiphonon.constants import HBAR_SQ_MEV_AMU_A2
 from multiphonon.errors import AccuracyError
 from multiphonon.oscillator import _recurrence_coefficients
-from multiphonon.quadrature import _grid_layout, _mpmath_overlap
+from multiphonon.quadrature import (
+    _grid_layout,
+    _hermite_rows,
+    _mpmath_overlap,
+    _trapezoid_weights,
+)
 
 MPMATH_GRID = GridSpec(dps=30, abs_tol=1e-12)
 
@@ -67,15 +75,18 @@ def _reference_factors(pair, m_max, n_max, lo, hi, count):
     x, step = np.linspace(lo, hi, count, retstep=True)
     a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
     a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
-    rows_i = a_i**0.25 * _reference_hermite_rows(np.sqrt(a_i) * x, m_max)
-    rows_f = a_f**0.25 * _reference_hermite_rows(np.sqrt(a_f) * (x - pair.displacement), n_max)
+    y_i, y_f = np.sqrt(a_i) * x, np.sqrt(a_f) * (x - pair.displacement)
+    # Where either Gaussian is 0.0 every product is ±0: crop the grid to the rest.
+    both = (np.exp(-0.5 * y_i * y_i) > 0.0) & (np.exp(-0.5 * y_f * y_f) > 0.0)
+    rows_i = a_i**0.25 * _reference_hermite_rows(y_i[both], m_max)
+    rows_f = a_f**0.25 * _reference_hermite_rows(y_f[both], n_max)
     weights = np.full(count, step)
     weights[0] = weights[-1] = 0.5 * step
-    return rows_i, rows_f * weights
+    return rows_i, rows_f * weights[both]
 
 
 def reference_quadrature_table(pair, m_max, n_max, grid=GridSpec()):
-    """The float64 oracle with the coarse and fine grids built separately."""
+    """The float64 oracle with the coarse and fine grids built separately, each cropped."""
     lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
     rows_i, weighted_f = _reference_factors(pair, m_max, n_max, lo, hi, count)
     coarse = rows_i @ weighted_f.T
@@ -175,6 +186,122 @@ def test_quadrature_table_equals_reference_on_other_grids():
         expected_values, expected_errors = reference_quadrature_table(pair, m_max, n_max, grid)
         assert np.array_equal(values, expected_values)
         assert np.array_equal(errors, expected_errors)
+
+
+def _full_grid_rows(pair, m_max, n_max, grid):
+    """Both oscillators' Hermite rows on the whole fine grid, and its step and size."""
+    lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
+    x, step = np.linspace(lo, hi, 2 * count - 1, retstep=True)
+    a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
+    a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
+    rows_i = _hermite_rows(np.sqrt(a_i) * x, m_max, a_i**0.25)
+    rows_f = _hermite_rows(np.sqrt(a_f) * (x - pair.displacement), n_max, a_f**0.25)
+    return rows_i, rows_f, step, count
+
+
+def reference_full_grid_table(pair, m_max, n_max, grid=GridSpec()):
+    """The float64 oracle summed over every fine point: (values, errors, roundoff floor)."""
+    rows_i, rows_f, step, count = _full_grid_rows(pair, m_max, n_max, grid)
+    coarse_f = rows_f[:, ::2] * _trapezoid_weights(count, 2.0 * step)
+    coarse = np.ascontiguousarray(rows_i[:, ::2]) @ coarse_f.T
+    rows_f *= _trapezoid_weights(2 * count - 1, step)
+    fine = rows_i @ rows_f.T
+    floor = 64.0 * np.finfo(float).eps * (np.abs(rows_i) @ np.abs(rows_f).T)
+    return fine, np.abs(fine - coarse) + floor, floor
+
+
+def _summed_span(monkeypatch, pair, m_max, n_max, grid=GridSpec()):
+    """(k0, k1, values, errors): the fine points the oracle summed over, seen by a spy."""
+    seen = []
+
+    def spy(y, order, scale):
+        seen.append(y.copy())
+        return _hermite_rows(y, order, scale)
+
+    monkeypatch.setattr(quadrature, "_hermite_rows", spy)
+    values, errors = quadrature_overlap_table(pair, m_max, n_max, grid)
+    monkeypatch.undo()
+    lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
+    x = np.linspace(lo, hi, 2 * count - 1)
+    y_i = np.sqrt(pair.energy_initial / HBAR_SQ_MEV_AMU_A2) * x
+    y_f = np.sqrt(pair.energy_final / HBAR_SQ_MEV_AMU_A2) * (x - pair.displacement)
+    k0 = int(np.searchsorted(y_i, seen[0][0])) if seen[0].size else 0
+    k1 = k0 + seen[0].size
+    assert len(seen) == 2 and np.array_equal(seen[0], y_i[k0:k1])
+    assert np.array_equal(seen[1], y_f[k0:k1])
+    return k0, k1, values, errors
+
+
+def test_skipped_points_have_a_zero_wavefunction(monkeypatch):
+    # Every Hermite row is row 0 times a polynomial, so at a skipped point
+    # one oscillator's whole column is zero and every product there is ±0.
+    rng = np.random.default_rng(18)
+    parities = set()
+    for _ in range(60):
+        energies = np.exp(rng.uniform(math.log(20.0), math.log(400.0), size=2))
+        pair = OscillatorPair(float(energies[0]), float(energies[1]), float(rng.uniform(-3, 3)))
+        grid = GridSpec(float(rng.uniform(12.0, 20.0)), float(rng.uniform(20.0, 45.0)))
+        m_max, n_max = (int(k) for k in rng.integers(0, 31, size=2))
+        k0, k1, _, _ = _summed_span(monkeypatch, pair, m_max, n_max, grid)
+        rows_i, rows_f, _, _ = _full_grid_rows(pair, m_max, n_max, grid)
+        skipped = np.r_[0:k0, k1:rows_i.shape[1]]
+        assert np.all(~rows_i[:, skipped].any(axis=0) | ~rows_f[:, skipped].any(axis=0))
+        parities.add(k0 % 2)
+    assert parities == {0, 1}  # coarse points start at the slice's first or second point
+
+
+@pytest.mark.parametrize("pair", _seeded_pairs(19, 12), ids=lambda p: f"{p.energy_initial:.1f}")
+@pytest.mark.parametrize("shape", [(1, 30), (30, 30), (0, 0), (5, 17)])
+def test_cropped_sums_match_the_full_grid_within_its_roundoff_floor(pair, shape):
+    values, errors = quadrature_overlap_table(pair, *shape)
+    full_values, full_errors, floor = reference_full_grid_table(pair, *shape)
+    assert np.all(np.abs(values - full_values) <= floor)
+    assert np.all(np.abs(errors - full_errors) <= floor)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 30), (30, 30)])
+def test_gaussians_that_never_overlap_give_zeros_with_zero_error(monkeypatch, shape):
+    pair = OscillatorPair(20.0, 400.0, 50.0)
+    k0, k1, values, errors = _summed_span(monkeypatch, pair, *shape)
+    assert k0 == k1 == 0
+    assert values.shape == errors.shape == (shape[0] + 1, shape[1] + 1)
+    assert not values.any() and not errors.any()
+    full_values, full_errors, _ = reference_full_grid_table(pair, *shape)
+    assert not full_values.any() and not full_errors.any()
+
+
+def test_odd_first_point_takes_the_odd_fine_points_as_coarse(monkeypatch):
+    pair = OscillatorPair(20.0, 400.0, 0.0)
+    k0, _, values, errors = _summed_span(monkeypatch, pair, 0, 0)
+    assert k0 % 2 == 1
+    expected_values, expected_errors = reference_quadrature_table(pair, 0, 0)
+    assert np.array_equal(values, expected_values) and np.array_equal(errors, expected_errors)
+    full_values, full_errors, floor = reference_full_grid_table(pair, 0, 0)
+    assert np.all(np.abs(values - full_values) <= floor)
+    assert np.all(np.abs(errors - full_errors) <= floor)
+
+
+def test_span_reaching_both_half_weight_ends_is_the_full_grid_sum(monkeypatch):
+    pair = OscillatorPair(33.0, 33.0, 0.0)
+    k0, k1, values, errors = _summed_span(monkeypatch, pair, 0, 0)
+    assert (k0, k1) == (0, _full_grid_rows(pair, 0, 0, GridSpec())[0].shape[1])
+    full_values, full_errors, _ = reference_full_grid_table(pair, 0, 0)
+    assert np.array_equal(values, full_values) and np.array_equal(errors, full_errors)
+
+
+@pytest.mark.parametrize("window", [(-0.2, 0.3, 9), (-0.45, 0.1, 33)])
+def test_cut_off_window_weighs_the_end_points(monkeypatch, window):
+    # On the oracle's own grids the end points carry ~e^-54 of the integrand;
+    # a window that cuts the wavefunctions off, as in the mpmath test above,
+    # shows that the summed span keeps the half weights where it reaches the ends.
+    monkeypatch.setattr(quadrature, "_grid_layout", lambda *args: window)
+    monkeypatch.setitem(globals(), "_grid_layout", lambda *args: window)
+    pair = OscillatorPair(47.0, 151.0, 0.42)
+    values, errors = quadrature_overlap_table(pair, 5, 7)
+    expected_values, expected_errors = reference_quadrature_table(pair, 5, 7)
+    assert np.array_equal(values, expected_values) and np.array_equal(errors, expected_errors)
+    full_values, full_errors, _ = reference_full_grid_table(pair, 5, 7)
+    assert np.array_equal(values, full_values) and np.array_equal(errors, full_errors)
 
 
 def test_scalar_float64_oracle_equals_reference():

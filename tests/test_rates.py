@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from multiphonon import (
     CapabilityError,
+    DefectConfiguration,
     DegeneracyError,
     DomainError,
     ModeLookupError,
@@ -22,6 +23,7 @@ from multiphonon import (
     rate_sweep,
     sweep_grid,
     transition_moments,
+    VibrationalMode,
 )
 from multiphonon import rates
 from multiphonon.constants import HBAR_MEV_S, HBAR_SQ_MEV_AMU_A2
@@ -374,10 +376,17 @@ def _high_precision_rate(config, mode_label, dps=40):
         return rate
 
 
+def _deep(displacement):
+    """ħΩ_e 400, ħΩ_g 26 meV and W 9.23 meV at E_ZPL 5000 meV: S₀₀ nears the subnormals."""
+    mode = VibrationalMode("m", 26.0, 400.0, displacement, 9.23)
+    return DefectConfiguration("deep", 5000.0, (mode,))
+
+
 class TestUnderflow:
     """A W > 0 rate is refused when terms flushed below the normal range could
-    move it by more than eps; the accepting mode crosses that edge between
-    ΔQ = 14 and 14.5 (the bound is 15 % of the total at 14.5)."""
+    move it by more than eps, or when its overlaps start from a subnormal S₀₀;
+    the accepting mode crosses the first edge between ΔQ = 14 and 14.5 (the
+    bound is 15 % of the total at 14.5)."""
 
     @pytest.mark.parametrize("displacement", [14.5, 14.8, 15.0, 20.0])
     def test_large_huang_rhys_factor_refused(self, natural, displacement):
@@ -398,7 +407,7 @@ class TestUnderflow:
         assert abs(nonradiative_rate(certified, "accepting").total_rate - exact) < 1e-12 * exact
         mode = _vary(natural, "accepting", "displacement", 14.8).mode("accepting")
         n_max = nonradiative_rate(certified, "accepting").n_max_used  # ΔQ does not change it
-        moments = rates._moments(mode.energy_excited, mode.energy_ground, mode.displacement,
+        moments, _ = rates._moments(mode.energy_excited, mode.energy_ground, mode.displacement,
                                  n_max, "initial")
         _, _, terms = rates._rate_terms(moments, mode.energy_excited, mode.energy_ground,
                                         mode.coupling, natural.zpl_energy)
@@ -416,6 +425,32 @@ class TestUnderflow:
             expected = _direct(natural, "accepting", "displacement", point.value, "initial")
             assert (point.rate, point.n_max, point.sigma, point.error) == expected
         assert points[6].rate == nonradiative_rate(natural, "accepting").total_rate
+
+    def test_subnormal_overlap_start_refused(self):
+        # S₀₀ turns subnormal between ΔQ = 15.5 (1.4e-305) and 15.6 (1.6e-309);
+        # the flush bound alone would accept both totals (it is ~1e-27 of them).
+        assert nonradiative_rate(_deep(15.5), "m").total_rate == 3.501453114025851e-249
+        for displacement in (15.6, 15.7):
+            with pytest.raises(CapabilityError, match="subnormal S₀₀"):
+                nonradiative_rate(_deep(displacement), "m")
+        points = rate_sweep(_deep(15.5), "m", "displacement", [15.5, 15.6, 15.7])
+        assert points[0].rate == 3.501453114025851e-249
+        assert [point.error is None for point in points] == [True, False, False]
+        for point in points:
+            expected = _direct(_deep(15.5), "m", "displacement", point.value, "initial")
+            assert (point.rate, point.n_max, point.sigma, point.error) == expected
+
+    def test_subnormal_overlap_start_refusal_guards_a_real_error(self):
+        # At ΔQ = 15.7 (S₀₀ = 1.75e-313) the kernel's own total is off by
+        # ~3e-11 relative, far beyond eps, though every term is normal.
+        mode = _deep(15.7).mode("m")
+        n_max = nonradiative_rate(_deep(15.5), "m").n_max_used  # ΔQ does not change it
+        moments, _ = rates._moments(mode.energy_excited, mode.energy_ground, mode.displacement,
+                                 n_max, "initial")
+        _, _, terms = rates._rate_terms(moments, mode.energy_excited, mode.energy_ground,
+                                        mode.coupling, 5000.0)
+        exact = _high_precision_rate(_deep(15.7), "m")
+        assert abs(math.fsum(terms[:, 0].tolist()) - exact) > 1e-11 * exact
 
     def test_zero_coupling_still_exactly_zero(self, natural):
         for displacement in (14.8, 15.0):
