@@ -11,6 +11,7 @@ and ``cyclicity`` load neither numpy nor ``dataclasses``; ``rate`` and
 """
 
 import argparse
+import os
 import sys
 
 from .errors import MultiphononError
@@ -204,15 +205,15 @@ def run_command(argv):
     out, err = sys.stdout, sys.stderr
     try:
         return args.handler(args, out, err)
-    except MultiphononError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except OSError as exc:
+    except (MultiphononError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 
 
 def main():
+    # No subcommand needs the thread pool numpy's OpenBLAS starts at import.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     sys.exit(run_command(sys.argv[1:]))
 
 

@@ -7,17 +7,21 @@ the recurrence used by the analytic path.  Accuracy is self-diagnosed by a
 halving-step convergence check plus a summation roundoff floor; when the
 requested absolute tolerance cannot be certified, the oracle raises
 instead of returning a number it cannot stand behind.  The wavefunctions
-are evaluated once, on the fine grid: halving a step is exact in binary,
-so the coarse grid is exactly every other fine point, and the coarse
-trapezoid sum reuses those points with the coarse weights.  Both sums skip
-the points where either Gaussian is exactly 0.0, where every product is ±0;
-they match the full-grid sums to within the roundoff floor.
+are evaluated once, on the fine grid; the coarse sum takes every other
+fine point at twice the weight (in float64 exactly the coarse grid, as
+halving a step is exact in binary).  The float64 sums skip the points
+where either Gaussian is exactly 0.0, where every product is ±0.
 
-Overlap magnitudes below roughly 1e-11 arise from cancellation of
-order-one integrand lobes and are unresolvable in float64 regardless of
-grid density; for those, pass ``GridSpec(dps=...)`` to run the identical
-construction in mpmath arbitrary precision (slow, intended for spot
-checks).
+Overlaps below roughly 1e-11 arise from cancellation of order-one
+integrand lobes and are unresolvable in float64 at any grid density; for
+those, ``GridSpec(dps=...)`` runs the same sums in stdlib ``decimal`` at
+*dps* digits, in a local context (intended for spot checks).  The Hermite
+recurrence's coefficients are at most sqrt(2)|y| and 1, so by induction
+|h_k(y)| <= (1 + sqrt(2)|y|)^k, and no term exceeds (1 + sqrt(2)|y_i|)^m *
+(1 + sqrt(2)|y_f|)^n * exp(-(y_i^2 + y_f^2)/2) * step * norm, where
+norm = (a_i a_f)^(1/4) / sqrt(pi).  Points whose bound is below
+cut = 10^-(dps+10) / (2 * points) are not summed, and 3 * skipped * cut
+joins the floor: a fine weight is at most the step, a coarse one twice it.
 """
 
 import math
@@ -52,8 +56,9 @@ class GridSpec:
         :class:`AccuracyError` if its self-estimated error exceeds this.
     dps : int or None
         ``None`` evaluates in float64 (vectorized).  An integer switches
-        to mpmath with that many decimal digits, lowering the roundoff
-        floor far enough to resolve deep-tail overlaps.
+        to ``decimal`` arithmetic with that many digits, lowering the
+        roundoff floor far enough to resolve deep-tail overlaps; points
+        whose terms are provably below 10^-(dps+10) are skipped.
     """
 
     turning_point_spans: float = 12.0
@@ -128,7 +133,7 @@ def quadrature_overlap_table(pair, m_max, n_max, grid=GridSpec()):
     m_max = _number(m_max, "m_max", integer=True, ge=0, le=MAX_ORACLE_N)
     n_max = _number(n_max, "n_max", integer=True, ge=0, le=MAX_ORACLE_N)
     if grid.dps is not None:
-        raise DomainError("bulk tables are float64 only; use the scalar oracle for mpmath")
+        raise DomainError("bulk tables are float64 only; use the scalar oracle for dps digits")
     lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
     # linspace(lo, hi, count) == linspace(lo, hi, 2 * count - 1)[::2] exactly.
     x, step = np.linspace(lo, hi, 2 * count - 1, retstep=True)
@@ -152,43 +157,62 @@ def quadrature_overlap_table(pair, m_max, n_max, grid=GridSpec()):
     return fine, np.abs(fine - coarse) + floor
 
 
-def _mpmath_overlap(pair, m, n, lo, hi, count, dps):
-    """(fine, coarse, floor): overlaps on 2 * count - 1 points and on every other one."""
-    import mpmath as mp
+def _kept_points(pair, m, n, lo, hi, points, dps):
+    """Indices of the fine points whose term bound, in float64 and log form, reaches the cut."""
+    a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
+    a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
+    x = np.linspace(lo, hi, points)
+    y_i, y_f = math.sqrt(a_i) * x, math.sqrt(a_f) * (x - pair.displacement)
+    log_term = math.log((hi - lo) / (points - 1) * (a_i * a_f) ** 0.25 / math.sqrt(math.pi))
+    log_term += m * np.log1p(math.sqrt(2.0) * np.abs(y_i)) + n * np.log1p(math.sqrt(2.0) * np.abs(y_f))
+    log_term -= 0.5 * (y_i * y_i + y_f * y_f)
+    # A margin of a factor e covers the float64 rounding of the log bound, ~1e-16 * y^2.
+    return np.flatnonzero(log_term + 1.0 >= -(dps + 10) * math.log(10.0) - math.log(2 * points)).tolist()
 
-    with mp.workdps(dps):
-        a_i = mp.mpf(pair.energy_initial) / mp.mpf(HBAR_SQ_MEV_AMU_A2)
-        a_f = mp.mpf(pair.energy_final) / mp.mpf(HBAR_SQ_MEV_AMU_A2)
-        sqrt_ai, sqrt_af = mp.sqrt(a_i), mp.sqrt(a_f)
-        norm = mp.power(a_i * a_f, mp.mpf(1) / 4) / mp.sqrt(mp.pi)
-        dq = mp.mpf(pair.displacement)
-        lo_mp, hi_mp = mp.mpf(lo), mp.mpf(hi)
-        step = (hi_mp - lo_mp) / (2 * count - 2)
-        # Precompute recurrence coefficients once.
-        coeff_y = [mp.sqrt(mp.mpf(2) / k) for k in range(1, max(m, n) + 1)]
-        coeff_p = [mp.sqrt(mp.mpf(k - 1) / k) for k in range(1, max(m, n) + 1)]
+
+def _decimal_overlap(pair, m, n, lo, hi, count, dps):
+    """(fine, coarse, floor) on 2 * count - 1 points and every other one; floor includes the skip."""
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+
+    points = 2 * count - 1
+    kept = _kept_points(pair, m, n, lo, hi, points, dps)
+    with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)) as ctx:
+        ctx.prec += 2  # pi by the recipe in the decimal docs, with two guard digits
+        lasts, t, s, p, dp, d, dd = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts, p, dp, d, dd = s, p + dp, dp + 8, d + dd, dd + 32
+            t = t * p / d
+            s += t
+        ctx.prec -= 2
+        a_i = Decimal(pair.energy_initial) / Decimal(HBAR_SQ_MEV_AMU_A2)
+        a_f = Decimal(pair.energy_final) / Decimal(HBAR_SQ_MEV_AMU_A2)
+        sqrt_ai, sqrt_af = a_i.sqrt(), a_f.sqrt()
+        norm = ((a_i * a_f).sqrt() / +s).sqrt()
+        dq, lo_d = Decimal(pair.displacement), Decimal(lo)
+        step = (Decimal(hi) - lo_d) / (points - 1)
+        # (sqrt(2/k), sqrt((k-1)/k)) for k >= 1; the second is 0 at k = 1, so h_1 = sqrt(2) y.
+        coeffs = [((Decimal(2) / k).sqrt(), (Decimal(k - 1) / k).sqrt())
+                  for k in range(1, max(m, n) + 1)]
 
         def hermite(order, y):
-            h_prev = mp.mpf(1)
-            if order == 0:
-                return h_prev
-            h = mp.sqrt(2) * y
-            for k in range(2, order + 1):
-                h, h_prev = coeff_y[k - 1] * y * h - coeff_p[k - 1] * h_prev, h
+            h_prev, h = 0, Decimal(1)
+            for c_y, c_p in coeffs[:order]:
+                h, h_prev = c_y * y * h - c_p * h_prev, h
             return h
 
-        total = coarse = l1 = mp.mpf(0)
-        for idx in range(2 * count - 1):
-            x = lo_mp + idx * step
+        total = coarse = l1 = Decimal(0)
+        for idx in kept:
+            x = lo_d + idx * step
             y_i = sqrt_ai * x
             y_f = sqrt_af * (x - dq)
-            value = hermite(m, y_i) * hermite(n, y_f) * mp.exp(-(y_i * y_i + y_f * y_f) / 2)
-            weight = step if 0 < idx < 2 * count - 2 else step / 2
+            value = hermite(m, y_i) * hermite(n, y_f) * (-(y_i * y_i + y_f * y_f) / 2).exp()
+            weight = step if 0 < idx < points - 1 else step / 2
             total += value * weight
             l1 += abs(value) * weight
             if idx % 2 == 0:
                 coarse += value * (2 * weight)
-        floor = 100 * mp.mpf(10) ** (-dps) * l1 * norm
+        floor = 100 * Decimal(10) ** -dps * l1 * norm
+        floor += Decimal(3 * (points - len(kept))) / (2 * points) * Decimal(10) ** -(dps + 10)
         return float(total * norm), float(coarse * norm), float(floor)
 
 
@@ -203,7 +227,7 @@ def quadrature_overlap_with_error(m, n, pair, grid=GridSpec()):
         values, errors = quadrature_overlap_table(pair, m, n, grid)
         return float(values[m, n]), float(errors[m, n])
     lo, hi, count = _grid_layout(pair, max(m, n, 1), grid)
-    fine, coarse, floor = _mpmath_overlap(pair, m, n, lo, hi, count, grid.dps)
+    fine, coarse, floor = _decimal_overlap(pair, m, n, lo, hi, count, grid.dps)
     # The float returned is itself rounded: half an ulp joins the error.
     return fine, abs(fine - coarse) + floor + math.ulp(fine) / 2
 

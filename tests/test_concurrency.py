@@ -1,15 +1,18 @@
 """The package is safe for concurrent use: threads reproduce the serial results."""
 
+import decimal
 import sys
 import threading
 
 from multiphonon import (
+    GridSpec,
     OscillatorPair,
     fc_overlap_matrix,
     fit_lifetime,
     nonradiative_rate,
     parse_defect_config,
     quadrature_overlap_table,
+    quadrature_overlap_with_error,
     rate_sweep,
     read_histogram_csv,
     serialize_defect_config,
@@ -23,7 +26,7 @@ ROUNDS = 10
 
 
 def _work(config, document, seed, path):
-    """One seeded unit of work: rates, sweeps, overlaps, config parsing, histogram I/O and fits."""
+    """One seeded unit of work: rates, sweeps, overlaps and both oracles, configs, histogram I/O, fits."""
     histogram = simulate_transient(0.885 + 0.01 * seed, 1e4, 10.0, 500, 10.0, seed=seed)
     write_histogram_csv(histogram, path)
     back = read_histogram_csv(path)
@@ -41,6 +44,7 @@ def _work(config, document, seed, path):
         values.tolist(),
         errors.tolist(),
         fc_overlap_matrix(pair, 30, 30).tolist(),
+        quadrature_overlap_with_error(seed % 2, seed // 2 % 2, pair, GridSpec(dps=30)),
         parse_defect_config(document),
         fit_lifetime(histogram),
     )
@@ -78,3 +82,25 @@ def test_threads_reproduce_the_serial_results(natural, deuterium, tmp_path):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert results == serial
+
+
+def _context_state(context):
+    return (context.prec, context.Emax, context.Emin, context.rounding,
+            dict(context.traps), dict(context.flags))
+
+
+def test_dps_oracle_leaves_the_callers_decimal_context_alone(natural):
+    mode = natural.mode("accepting")
+    pair = OscillatorPair(mode.energy_excited, mode.energy_ground, mode.displacement)
+    expected = quadrature_overlap_with_error(1, 1, pair, GridSpec(dps=30))
+    with decimal.localcontext() as caller:
+        # Five digits, and every signal trapped: any arithmetic of the
+        # oracle in this context would change its result or raise.
+        caller.prec = 5
+        for signal in caller.traps:
+            caller.traps[signal] = True
+        caller.clear_flags()
+        before = _context_state(caller)
+        assert quadrature_overlap_with_error(1, 1, pair, GridSpec(dps=30)) == expected
+        assert decimal.getcontext() is caller
+        assert _context_state(caller) == before

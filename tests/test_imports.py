@@ -4,6 +4,8 @@ Each check runs in a fresh interpreter, because the test session itself
 has long since imported every submodule and numpy.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import multiphonon
+from multiphonon.cli import run_command
 
 SRC = str(Path(multiphonon.__file__).resolve().parent.parent)
 
@@ -193,6 +196,79 @@ def test_concurrent_handlers_import_safely_and_match_a_serial_run(cli_files):
     assert out.split() == ["ok"]
     written = [(cli_files / run / "simulate.csv").read_bytes() for run in runs]
     assert written[0] == written[1]
+
+
+def test_package_and_dps_oracle_run_without_mpmath(cli_files):
+    # mpmath is a test dependency only: with every import of it failing,
+    # the 30-digit oracle and a numpy CLI call still give the usual results.
+    from multiphonon import GridSpec, OscillatorPair, load_reference_dataset
+    from multiphonon import quadrature_overlap_oracle
+
+    mode = load_reference_dataset()[1][0].mode("accepting")
+    pair = (mode.energy_excited, mode.energy_ground, mode.displacement)
+    grid = GridSpec(abs_tol=1e-19, dps=30)
+    expected = quadrature_overlap_oracle(1, 28, OscillatorPair(*pair), grid)
+    argv = session_argv("fit", cli_files)
+    out = run_fresh(f"""
+        import contextlib, io, sys
+        sys.modules["mpmath"] = None
+        import multiphonon
+        from multiphonon.cli import run_command
+        pair = multiphonon.OscillatorPair(*{pair!r})
+        grid = multiphonon.GridSpec(abs_tol=1e-19, dps=30)
+        print(repr(multiphonon.quadrature_overlap_oracle(1, 28, pair, grid)))
+        with contextlib.redirect_stdout(io.StringIO()) as fit:
+            code = run_command({argv!r})
+        print(code, sys.modules["mpmath"], fit.getvalue().splitlines()[0])
+    """)
+    with contextlib.redirect_stdout(io.StringIO()) as fit:
+        assert run_command(argv) == 0
+    assert out.splitlines() == [repr(expected), f"0 None {fit.getvalue().splitlines()[0]}"]
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_cli(argv, blas_threads=None):
+    """stdout of ``python -m multiphonon.cli``, with the BLAS variables unset or all set."""
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    if blas_threads is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, blas_threads))
+    result = subprocess.run([sys.executable, "-m", "multiphonon.cli", *argv],
+                            capture_output=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.parametrize("name", sorted(SESSION_ARGV))
+def test_stdout_does_not_depend_on_the_blas_thread_variables(name, cli_files):
+    # Unset, main caps BLAS at one thread; set, the caller's two threads win.
+    argv = session_argv(name, cli_files)
+    runs = []
+    for blas_threads in (None, "2"):
+        stdout = run_cli(argv, blas_threads)
+        written = (cli_files / f"{name}.csv").read_bytes() if name == "simulate" else b""
+        runs.append((stdout, written))
+    assert runs[0] == runs[1] and runs[0][0]
+
+
+def test_main_caps_only_the_blas_variables_the_caller_left_unset():
+    out = run_fresh(f"""
+        import contextlib, io, os, sys
+        for name in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.pop(name, None)
+        os.environ["OPENBLAS_NUM_THREADS"] = "3"
+        sys.argv = ["multiphonon", "cyclicity", "--eta0", "0.5", "--purcell", "10"]
+        from multiphonon import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                cli.main()
+            except SystemExit as exc:
+                code = exc.code
+        print(code, *(os.environ[name] for name in {BLAS_THREAD_VARS!r}))
+    """)
+    assert out.split() == ["0", "3", "1", "1"]
 
 
 def test_every_public_name_resolves_star_import_and_dir():

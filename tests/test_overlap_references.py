@@ -4,9 +4,12 @@
 evaluates its wavefunctions once, on the fine grid, taking the coarse
 estimate from every other fine point.  Both must give the same IEEE
 results as the straightforward forms below, bit for bit: an entry-by-entry
-recurrence, and two independent grids (two passes in mpmath).  The float64
-oracle sums only where both Gaussians are nonzero, as do its two-grid
-references; against the whole fine grid it agrees to its roundoff floor.
+recurrence, and two independent grids.  The float64 oracle sums only where
+both Gaussians are nonzero, as do its two-grid references; against the
+whole fine grid it agrees to its roundoff floor.  The dps oracle runs in
+``decimal`` and skips points whose terms are provably below its cut; its
+reference is two passes in mpmath over every point, which give the same
+float values, and the skipped terms are checked against the cut one by one.
 """
 
 import math
@@ -29,9 +32,10 @@ from multiphonon.constants import HBAR_SQ_MEV_AMU_A2
 from multiphonon.errors import AccuracyError
 from multiphonon.oscillator import _recurrence_coefficients
 from multiphonon.quadrature import (
+    _decimal_overlap,
     _grid_layout,
     _hermite_rows,
-    _mpmath_overlap,
+    _kept_points,
     _trapezoid_weights,
 )
 
@@ -317,19 +321,76 @@ def test_scalar_float64_oracle_equals_reference():
                 quadrature_overlap_oracle(m, n, pair)
 
 
+def _cut(points, dps):
+    """The dps oracle's skip threshold: no skipped point's term reaches it."""
+    with mpmath.workdps(dps + 20):
+        return mpmath.mpf(10) ** -(dps + 10) / (2 * points)
+
+
+def _reference_term(pair, m, n, lo, hi, points, idx, dps):
+    """|term| * step * norm at fine point *idx*, by the recurrence of the two-pass reference."""
+    with mpmath.workdps(dps):
+        a_i = mpmath.mpf(pair.energy_initial) / mpmath.mpf(HBAR_SQ_MEV_AMU_A2)
+        a_f = mpmath.mpf(pair.energy_final) / mpmath.mpf(HBAR_SQ_MEV_AMU_A2)
+        step = (mpmath.mpf(hi) - mpmath.mpf(lo)) / (points - 1)
+        x = mpmath.mpf(lo) + idx * step
+        y_i, y_f = mpmath.sqrt(a_i) * x, mpmath.sqrt(a_f) * (x - mpmath.mpf(pair.displacement))
+
+        def hermite(order, y):
+            h_prev, h = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(1, order + 1):
+                c_y, c_p = mpmath.sqrt(mpmath.mpf(2) / k), mpmath.sqrt(mpmath.mpf(k - 1) / k)
+                h, h_prev = c_y * y * h - c_p * h_prev, h
+            return h
+
+        norm = mpmath.power(a_i * a_f, mpmath.mpf(1) / 4) / mpmath.sqrt(mpmath.pi)
+        gauss = mpmath.exp(-(y_i * y_i + y_f * y_f) / 2)
+        return abs(hermite(m, y_i) * hermite(n, y_f)) * gauss * step * norm
+
+
+@pytest.mark.parametrize("dps", [15, 30, 50])
+def test_every_skipped_term_is_below_the_cut(dps):
+    # The skipped points nearest the summed ones carry the largest skipped
+    # terms; they and a random sample of the rest are evaluated at dps + 20 digits.
+    rng = np.random.default_rng(20 + dps)
+    kept_total = skipped_total = 0
+    for pair in _seeded_pairs(20 + dps, 10):
+        m, n = (int(k) for k in rng.integers(0, 31, size=2))
+        lo, hi, count = _grid_layout(pair, max(m, n, 1), GridSpec())
+        points = 2 * count - 1
+        kept = np.zeros(points, dtype=bool)
+        kept[_kept_points(pair, m, n, lo, hi, points, dps)] = True
+        skipped = np.flatnonzero(~kept)
+        edges = np.flatnonzero(np.diff(kept.astype(int)))  # last point before each change
+        near = {int(k) for edge in edges for k in range(edge - 2, edge + 4) if 0 <= k < points}
+        sample = near.union(rng.choice(skipped, size=min(24, skipped.size), replace=False).tolist())
+        cut = _cut(points, dps)
+        for idx in sorted(k for k in sample if not kept[k]):
+            assert _reference_term(pair, m, n, lo, hi, points, idx, dps + 20) < cut, (pair, m, n, idx)
+        kept_total += int(kept.sum())
+        skipped_total += skipped.size
+    assert kept_total > 0 and skipped_total > 0  # neither side is vacuous
+
+
 @pytest.mark.parametrize("pair, m, n", [
     (OscillatorPair(33.0, 33.0, 0.734), 1, 0),
     (_seeded_pairs(16, 2)[1], 0, 1),
+    *((pair, k % 4, (3 * k) % 5) for k, pair in enumerate(_seeded_pairs(21, 6))),
 ])
-def test_mpmath_oracle_equals_two_pass_reference(pair, m, n):
-    expected = reference_mpmath_with_error(m, n, pair, MPMATH_GRID)
-    assert quadrature_overlap_with_error(m, n, pair, MPMATH_GRID) == expected
-    assert quadrature_overlap_oracle(m, n, pair, MPMATH_GRID) == expected[0]
+def test_decimal_oracle_against_two_pass_reference(pair, m, n):
+    # The two-pass reference sums every point in mpmath.  The value is the
+    # same float; the error may only grow, by the skipped points' bound.
+    value, error = quadrature_overlap_with_error(m, n, pair, MPMATH_GRID)
+    expected, expected_error = reference_mpmath_with_error(m, n, pair, MPMATH_GRID)
+    assert value == expected
+    assert abs(value - expected) <= error
+    assert error >= expected_error
+    assert quadrature_overlap_oracle(m, n, pair, MPMATH_GRID) == expected
 
 
 @pytest.mark.parametrize("window", ["layout", "narrow"])
 @pytest.mark.parametrize("count", [2, 5, 9, 33])
-def test_mpmath_single_pass_on_unconverged_grids(count, window):
+def test_decimal_single_pass_on_unconverged_grids(count, window):
     # At the oracle's own grid sizes both sums converge past float64, so
     # only sparse grids show that the coarse sum takes the right points;
     # a window that cuts the wavefunctions off weighs the end points too.
@@ -339,13 +400,36 @@ def test_mpmath_single_pass_on_unconverged_grids(count, window):
         lo, hi = -0.2, 0.3
     fine, floor = _reference_mpmath_pass(pair, 5, 7, lo, hi, 2 * count - 1, 30)
     coarse, _ = _reference_mpmath_pass(pair, 5, 7, lo, hi, count, 30)
-    assert _mpmath_overlap(pair, 5, 7, lo, hi, count, 30) == (fine, coarse, floor)
+    skipped = 2 * count - 1 - len(_kept_points(pair, 5, 7, lo, hi, 2 * count - 1, 30))
+    result = _decimal_overlap(pair, 5, 7, lo, hi, count, 30)
+    if window == "narrow":  # every point is summed
+        assert skipped == 0 and result == (fine, coarse, floor)
+    else:  # the skipped ends carry only the cut, added to the floor
+        assert skipped > 0 and result[:2] == (fine, coarse)
+        skip = float(3 * skipped * _cut(2 * count - 1, 30))
+        assert abs(result[2] - (floor + skip)) <= 4 * np.finfo(float).eps * (floor + skip)
     assert count == 2 or fine != coarse
 
 
+@pytest.mark.parametrize("m, n", [(0, 0), (1, 1), (0, 28)])
+def test_pair_whose_points_are_all_skipped_gives_zero_with_the_skip_bound(m, n):
+    pair = OscillatorPair(20.0, 400.0, 50.0)
+    lo, hi, count = _grid_layout(pair, max(m, n, 1), GridSpec())
+    points = 2 * count - 1
+    assert _kept_points(pair, m, n, lo, hi, points, MPMATH_GRID.dps) == []
+    value, error = quadrature_overlap_with_error(m, n, pair, MPMATH_GRID)
+    with mpmath.workdps(MPMATH_GRID.dps + 20):
+        bound = float(3 * points * _cut(points, MPMATH_GRID.dps))
+    assert value == 0.0
+    assert error >= bound > 0.0
+    assert quadrature_overlap_oracle(m, n, pair, MPMATH_GRID) == 0.0
+
+
 def test_coarse_grid_is_every_other_fine_point():
-    # The fact both oracles rest on: halving the step is exact in binary,
-    # for numpy's linspace and for lo + idx * step in mpmath.
+    # The fact the float64 oracle and the two-grid references rest on:
+    # halving the step is exact in binary, for numpy's linspace and for
+    # lo + idx * step in mpmath.  (In decimal it is not; the dps oracle's
+    # coarse sum takes every other one of its own fine points.)
     rng = np.random.default_rng(17)
     for k, pair in enumerate(_seeded_pairs(17, 200)):
         grid = GridSpec(float(rng.uniform(12.0, 30.0)), float(rng.uniform(20.0, 60.0)))

@@ -102,8 +102,8 @@ def test_accuracy_error_when_tolerance_unreachable(accepting_pair):
         quadrature_overlap_oracle(1, 28, accepting_pair, GridSpec(abs_tol=1e-22))
 
 
-def test_mpmath_error_covers_the_rounding_of_the_returned_float(accepting_pair):
-    # At 30 digits the mpmath estimate is ~1e-29, but the value comes back
+def test_dps_error_covers_the_rounding_of_the_returned_float(accepting_pair):
+    # At 30 digits the decimal estimate is ~1e-29, but the value comes back
     # as a float64 near 0.5: half an ulp of it (5.55e-17) is the true floor.
     value, error = quadrature_overlap_with_error(1, 0, accepting_pair, GridSpec(dps=30))
     assert 0.5 < value < 0.51
