@@ -131,23 +131,16 @@ def fc_overlap_matrix(pair, m_max, n_max):
         Shape ``(m_max + 1, n_max + 1)``.
     """
     m_max, n_max = _check_quantum_numbers(m_max, n_max)
-    coefficients = _recurrence_coefficients(
-        pair.energy_initial, pair.energy_final, pair.displacement
-    )
-    a, b, c, d, e = map(float, coefficients)
-    row = [math.sqrt(e / 2.0) * math.exp(b * d / (2.0 * e))]
-    for n in range(1, n_max + 1):
-        row.append(d / math.sqrt(2.0 * n) * row[n - 1])
-        if n >= 2:
-            row[n] += c * math.sqrt((n - 1.0) / n) * row[n - 2]
+    args = (pair.energy_initial, pair.energy_final, pair.displacement)
     s = np.empty((m_max + 1, n_max + 1))
-    s[0] = row
+    s[:2] = np.hstack(_moment_rows(*args, n_max)).T[: m_max + 1]
+    a, b, _, _, e = map(float, _recurrence_coefficients(*args))
+    n = np.arange(1.0, n_max + 1.0)
     # Whole rows, each entry by the operations of the entry-wise recurrence, in order.
-    for m in range(1, m_max + 1):
+    for m in range(2, m_max + 1):
         np.multiply(b / math.sqrt(2.0 * m), s[m - 1], out=s[m])
-        if m >= 2:
-            s[m] += a * math.sqrt((m - 1.0) / m) * s[m - 2]
-        s[m, 1:] += 0.5 * e * np.sqrt(np.arange(1.0, n_max + 1.0) / m) * s[m - 1, :-1]
+        s[m] += a * math.sqrt((m - 1.0) / m) * s[m - 2]
+        s[m, 1:] += 0.5 * e * np.sqrt(n / m) * s[m - 1, :-1]
     return s
 
 
@@ -183,8 +176,9 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
 
     The arguments are floats or arrays that broadcast to G oscillator pairs (G = 1 for
     three floats).  Each entry comes from the same IEEE operations, in the same order,
-    as the scalar table, so column g equals ``fc_overlap_matrix(pair_g, 1, n_max)`` bit
-    for bit; for G = 1 the n-loop runs on Python floats, sparing numpy's per-call cost.
+    for any G, so column g equals ``fc_overlap_matrix(pair_g, 1, n_max)`` bit for bit
+    (the table takes these two rows from here); for G = 1 the n-loop runs on Python
+    floats, sparing numpy's per-call cost.
     The recurrence runs forward in n, so the first k + 1 rows do not depend on ``n_max``.
 
     Returns

@@ -9,19 +9,22 @@ requested absolute tolerance cannot be certified, the oracle raises
 instead of returning a number it cannot stand behind.  The wavefunctions
 are evaluated once, on the fine grid; the coarse sum takes every other
 fine point at twice the weight (in float64 exactly the coarse grid, as
-halving a step is exact in binary).  The float64 sums skip the points
-where either Gaussian is exactly 0.0, where every product is ±0.
+halving a step is exact in binary).
 
 Overlaps below roughly 1e-11 arise from cancellation of order-one
 integrand lobes and are unresolvable in float64 at any grid density; for
 those, ``GridSpec(dps=...)`` runs the same sums in stdlib ``decimal`` at
-*dps* digits, in a local context (intended for spot checks).  The Hermite
-recurrence's coefficients are at most sqrt(2)|y| and 1, so by induction
+*dps* digits, in a local context (intended for spot checks).
+
+Both backends skip grid points by one bound.  The Hermite recurrence's
+coefficients are at most sqrt(2)|y| and 1, so by induction
 |h_k(y)| <= (1 + sqrt(2)|y|)^k, and no term exceeds (1 + sqrt(2)|y_i|)^m *
 (1 + sqrt(2)|y_f|)^n * exp(-(y_i^2 + y_f^2)/2) * step * norm, where
 norm = (a_i a_f)^(1/4) / sqrt(pi).  Points whose bound is below
 cut = 10^-(dps+10) / (2 * points) are not summed, and 3 * skipped * cut
-joins the floor: a fine weight is at most the step, a coarse one twice it.
+joins the error: a fine weight is at most the step, a coarse one twice it.
+The float64 tables use the 30-digit cut and the bound at (m_max, n_max),
+which covers every entry, and sum from the first kept point to the last.
 """
 
 import math
@@ -37,6 +40,8 @@ MAX_ORACLE_N = 30
 
 _MIN_TURNING_POINT_SPANS = 12.0
 _MIN_POINTS_PER_WAVELENGTH = 20.0
+# The float64 tables skip by the cut of a 30-digit spot check, 10^-40 / (2 * points).
+_TABLE_SKIP_DPS = 30
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,8 @@ def quadrature_overlap_table(pair, m_max, n_max, grid=GridSpec()):
 
     Integrates every (m, n) pair on a shared grid sized for the largest
     quantum number, at the requested density and at double density, and
-    reports ``|fine - coarse|`` plus a summation roundoff floor as the
-    error estimate.
+    reports ``|fine - coarse|`` plus a summation roundoff floor and the
+    bound on the skipped points (at most 1.5e-40) as the error estimate.
 
     Returns
     -------
@@ -135,18 +140,17 @@ def quadrature_overlap_table(pair, m_max, n_max, grid=GridSpec()):
     if grid.dps is not None:
         raise DomainError("bulk tables are float64 only; use the scalar oracle for dps digits")
     lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
-    # linspace(lo, hi, count) == linspace(lo, hi, 2 * count - 1)[::2] exactly.
-    x, step = np.linspace(lo, hi, 2 * count - 1, retstep=True)
+    points = 2 * count - 1
+    # The bound at (m_max, n_max) covers every entry: sum from the first kept point to the last.
+    kept = _kept_points(pair, m_max, n_max, lo, hi, points, _TABLE_SKIP_DPS)
+    k0, k1 = (kept[0], kept[-1] + 1) if kept else (0, 0)
+    # linspace(lo, hi, count) == linspace(lo, hi, points)[::2] exactly.
+    x, step = np.linspace(lo, hi, points, retstep=True)
     a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
     a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
-    y_i, y_f = np.sqrt(a_i) * x, np.sqrt(a_f) * (x - pair.displacement)
-    # Each Hermite row is its Gaussian times a polynomial: where either Gaussian is
-    # 0.0 every product is ±0, so sum from the first point where both are nonzero to the last.
-    both = np.flatnonzero((np.exp(-0.5 * y_i * y_i) > 0) & (np.exp(-0.5 * y_f * y_f) > 0))
-    k0, k1 = (both[0], both[-1] + 1) if both.size else (0, 0)
-    rows_i = _hermite_rows(y_i[k0:k1], m_max, a_i**0.25)
-    rows_f = _hermite_rows(y_f[k0:k1], n_max, a_f**0.25)
-    weights = _trapezoid_weights(2 * count - 1, step)[k0:k1]
+    rows_i = _hermite_rows(np.sqrt(a_i) * x[k0:k1], m_max, a_i**0.25)
+    rows_f = _hermite_rows(np.sqrt(a_f) * (x[k0:k1] - pair.displacement), n_max, a_f**0.25)
+    weights = _trapezoid_weights(points, step)[k0:k1]
     even = slice(k0 % 2, None, 2)  # coarse points: even fine indices, twice the weight
     # Contiguous coarse operands keep the product on the BLAS path.
     coarse_f = rows_f[:, even] * (2.0 * weights[even])
@@ -154,7 +158,8 @@ def quadrature_overlap_table(pair, m_max, n_max, grid=GridSpec()):
     rows_f *= weights
     fine = rows_i @ rows_f.T
     floor = 64.0 * np.finfo(float).eps * (np.abs(rows_i, out=rows_i) @ np.abs(rows_f, out=rows_f).T)
-    return fine, np.abs(fine - coarse) + floor
+    skip = 3 * (points - (k1 - k0)) * (10.0 ** -(_TABLE_SKIP_DPS + 10) / (2 * points))
+    return fine, np.abs(fine - coarse) + floor + skip
 
 
 def _kept_points(pair, m, n, lo, hi, points, dps):

@@ -4,12 +4,13 @@
 evaluates its wavefunctions once, on the fine grid, taking the coarse
 estimate from every other fine point.  Both must give the same IEEE
 results as the straightforward forms below, bit for bit: an entry-by-entry
-recurrence, and two independent grids.  The float64 oracle sums only where
-both Gaussians are nonzero, as do its two-grid references; against the
-whole fine grid it agrees to its roundoff floor.  The dps oracle runs in
-``decimal`` and skips points whose terms are provably below its cut; its
-reference is two passes in mpmath over every point, which give the same
-float values, and the skipped terms are checked against the cut one by one.
+recurrence, and two independent grids.  Both oracle backends skip the
+points whose terms are provably below a 30-digit cut, and the skipped
+terms are checked against the cut one by one in mpmath.  The float64
+oracle sums over the span from the first kept point to the last, as do
+its two-grid references; against the whole fine grid it agrees to its
+roundoff floor.  The dps oracle runs in ``decimal``; its reference is two
+passes in mpmath over every point, which give the same float values.
 """
 
 import math
@@ -75,29 +76,42 @@ def _reference_hermite_rows(y, n_max):
     return rows
 
 
-def _reference_factors(pair, m_max, n_max, lo, hi, count):
+def _reference_factors(pair, m_max, n_max, lo, hi, count, inside):
     x, step = np.linspace(lo, hi, count, retstep=True)
     a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
     a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
     y_i, y_f = np.sqrt(a_i) * x, np.sqrt(a_f) * (x - pair.displacement)
-    # Where either Gaussian is 0.0 every product is ±0: crop the grid to the rest.
-    both = (np.exp(-0.5 * y_i * y_i) > 0.0) & (np.exp(-0.5 * y_f * y_f) > 0.0)
-    rows_i = a_i**0.25 * _reference_hermite_rows(y_i[both], m_max)
-    rows_f = a_f**0.25 * _reference_hermite_rows(y_f[both], n_max)
+    rows_i = a_i**0.25 * _reference_hermite_rows(y_i[inside], m_max)
+    rows_f = a_f**0.25 * _reference_hermite_rows(y_f[inside], n_max)
     weights = np.full(count, step)
     weights[0] = weights[-1] = 0.5 * step
-    return rows_i, rows_f * weights[both]
+    return rows_i, rows_f * weights[inside]
 
 
 def reference_quadrature_table(pair, m_max, n_max, grid=GridSpec()):
-    """The float64 oracle with the coarse and fine grids built separately, each cropped."""
+    """The float64 oracle with the coarse and fine grids built separately, each cropped.
+
+    Both grids keep the points inside the fine span from the first point the
+    30-digit skip rule keeps at (m_max, n_max) to the last; each skipped
+    fine point adds 3 * cut to the error.
+    """
     lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
-    rows_i, weighted_f = _reference_factors(pair, m_max, n_max, lo, hi, count)
+    points = 2 * count - 1
+    kept = _kept_points(pair, m_max, n_max, lo, hi, points, 30)
+    inside = np.zeros(points, dtype=bool)
+    if kept:
+        inside[kept[0]: kept[-1] + 1] = True
+    rows_i, weighted_f = _reference_factors(pair, m_max, n_max, lo, hi, count, inside[::2])
     coarse = rows_i @ weighted_f.T
-    rows_i, weighted_f = _reference_factors(pair, m_max, n_max, lo, hi, 2 * count - 1)
+    rows_i, weighted_f = _reference_factors(pair, m_max, n_max, lo, hi, points, inside)
     fine = rows_i @ weighted_f.T
     floor = 64.0 * np.finfo(float).eps * (np.abs(rows_i) @ np.abs(weighted_f).T)
-    return fine, np.abs(fine - coarse) + floor
+    return fine, np.abs(fine - coarse) + floor + _float_skip(points - inside.sum(), points)
+
+
+def _float_skip(skipped, points):
+    """3 * skipped * cut for the 30-digit cut, in the float64 operations of the table."""
+    return 3 * skipped * (10.0**-40 / (2 * points))
 
 
 def _reference_mpmath_pass(pair, m, n, lo, hi, count, dps):
@@ -222,9 +236,9 @@ def _summed_span(monkeypatch, pair, m_max, n_max, grid=GridSpec()):
         seen.append(y.copy())
         return _hermite_rows(y, order, scale)
 
-    monkeypatch.setattr(quadrature, "_hermite_rows", spy)
-    values, errors = quadrature_overlap_table(pair, m_max, n_max, grid)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_hermite_rows", spy)
+        values, errors = quadrature_overlap_table(pair, m_max, n_max, grid)
     lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
     x = np.linspace(lo, hi, 2 * count - 1)
     y_i = np.sqrt(pair.energy_initial / HBAR_SQ_MEV_AMU_A2) * x
@@ -236,22 +250,33 @@ def _summed_span(monkeypatch, pair, m_max, n_max, grid=GridSpec()):
     return k0, k1, values, errors
 
 
-def test_skipped_points_have_a_zero_wavefunction(monkeypatch):
-    # Every Hermite row is row 0 times a polynomial, so at a skipped point
-    # one oscillator's whole column is zero and every product there is ±0.
+def test_every_point_outside_the_summed_span_is_below_the_cut(monkeypatch):
+    # The points next to the span carry the largest skipped terms; they and a
+    # random sample of the rest are evaluated in mpmath at 50 digits, taking
+    # the largest term of every entry of the table, not only (m_max, n_max).
     rng = np.random.default_rng(18)
     parities = set()
+    summed_total = skipped_total = 0
     for _ in range(60):
         energies = np.exp(rng.uniform(math.log(20.0), math.log(400.0), size=2))
         pair = OscillatorPair(float(energies[0]), float(energies[1]), float(rng.uniform(-3, 3)))
         grid = GridSpec(float(rng.uniform(12.0, 20.0)), float(rng.uniform(20.0, 45.0)))
         m_max, n_max = (int(k) for k in rng.integers(0, 31, size=2))
         k0, k1, _, _ = _summed_span(monkeypatch, pair, m_max, n_max, grid)
-        rows_i, rows_f, _, _ = _full_grid_rows(pair, m_max, n_max, grid)
-        skipped = np.r_[0:k0, k1:rows_i.shape[1]]
-        assert np.all(~rows_i[:, skipped].any(axis=0) | ~rows_f[:, skipped].any(axis=0))
+        lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
+        points = 2 * count - 1
+        skipped = np.r_[0:k0, k1:points]
+        near = {k for edge in (k0, k1) for k in range(edge - 3, edge + 3)}
+        sample = near.union(rng.choice(skipped, size=min(6, skipped.size), replace=False).tolist())
+        cut = _cut(points, 30)
+        for idx in sorted(k for k in sample if 0 <= k < k0 or k1 <= k < points):
+            term = _reference_term(pair, m_max, n_max, lo, hi, points, idx, 50)
+            assert term < cut, (pair, m_max, n_max, idx)
         parities.add(k0 % 2)
+        summed_total += k1 - k0
+        skipped_total += skipped.size
     assert parities == {0, 1}  # coarse points start at the slice's first or second point
+    assert summed_total > 0 and skipped_total > 0  # neither side is vacuous
 
 
 @pytest.mark.parametrize("pair", _seeded_pairs(19, 12), ids=lambda p: f"{p.energy_initial:.1f}")
@@ -264,12 +289,15 @@ def test_cropped_sums_match_the_full_grid_within_its_roundoff_floor(pair, shape)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (1, 30), (30, 30)])
-def test_gaussians_that_never_overlap_give_zeros_with_zero_error(monkeypatch, shape):
+def test_gaussians_that_never_overlap_give_zeros_with_the_skip_bound(monkeypatch, shape):
     pair = OscillatorPair(20.0, 400.0, 50.0)
     k0, k1, values, errors = _summed_span(monkeypatch, pair, *shape)
     assert k0 == k1 == 0
     assert values.shape == errors.shape == (shape[0] + 1, shape[1] + 1)
-    assert not values.any() and not errors.any()
+    points = 2 * _grid_layout(pair, max(*shape, 1), GridSpec())[2] - 1
+    assert not values.any() and np.all(errors == _float_skip(points, points))
+    with mpmath.workdps(50):  # every point skipped: the error is 3 * points * cut, 1.5e-40
+        assert abs(errors[0, 0] - float(3 * points * _cut(points, 30))) <= 4e-16 * errors[0, 0]
     full_values, full_errors, _ = reference_full_grid_table(pair, *shape)
     assert not full_values.any() and not full_errors.any()
 
@@ -286,9 +314,14 @@ def test_odd_first_point_takes_the_odd_fine_points_as_coarse(monkeypatch):
 
 
 def test_span_reaching_both_half_weight_ends_is_the_full_grid_sum(monkeypatch):
+    # On the oracle's own grids the end points are always skipped (their terms
+    # are below e^-108), so a window at the same density cuts the Gaussians at ~e^-49.
+    window = (-2.5, 2.5, 116)
+    monkeypatch.setattr(quadrature, "_grid_layout", lambda *args: window)
+    monkeypatch.setitem(globals(), "_grid_layout", lambda *args: window)
     pair = OscillatorPair(33.0, 33.0, 0.0)
     k0, k1, values, errors = _summed_span(monkeypatch, pair, 0, 0)
-    assert (k0, k1) == (0, _full_grid_rows(pair, 0, 0, GridSpec())[0].shape[1])
+    assert (k0, k1) == (0, 2 * window[2] - 1)
     full_values, full_errors, _ = reference_full_grid_table(pair, 0, 0)
     assert np.array_equal(values, full_values) and np.array_equal(errors, full_errors)
 
@@ -328,7 +361,7 @@ def _cut(points, dps):
 
 
 def _reference_term(pair, m, n, lo, hi, points, idx, dps):
-    """|term| * step * norm at fine point *idx*, by the recurrence of the two-pass reference."""
+    """The largest |term| * step * norm over orders <= (m, n) at fine point *idx*, in mpmath."""
     with mpmath.workdps(dps):
         a_i = mpmath.mpf(pair.energy_initial) / mpmath.mpf(HBAR_SQ_MEV_AMU_A2)
         a_f = mpmath.mpf(pair.energy_final) / mpmath.mpf(HBAR_SQ_MEV_AMU_A2)
@@ -336,16 +369,18 @@ def _reference_term(pair, m, n, lo, hi, points, idx, dps):
         x = mpmath.mpf(lo) + idx * step
         y_i, y_f = mpmath.sqrt(a_i) * x, mpmath.sqrt(a_f) * (x - mpmath.mpf(pair.displacement))
 
-        def hermite(order, y):
+        def largest_hermite(order, y):
             h_prev, h = mpmath.mpf(0), mpmath.mpf(1)
+            largest = h
             for k in range(1, order + 1):
                 c_y, c_p = mpmath.sqrt(mpmath.mpf(2) / k), mpmath.sqrt(mpmath.mpf(k - 1) / k)
                 h, h_prev = c_y * y * h - c_p * h_prev, h
-            return h
+                largest = max(largest, abs(h))
+            return largest
 
         norm = mpmath.power(a_i * a_f, mpmath.mpf(1) / 4) / mpmath.sqrt(mpmath.pi)
         gauss = mpmath.exp(-(y_i * y_i + y_f * y_f) / 2)
-        return abs(hermite(m, y_i) * hermite(n, y_f)) * gauss * step * norm
+        return largest_hermite(m, y_i) * largest_hermite(n, y_f) * gauss * step * norm
 
 
 @pytest.mark.parametrize("dps", [15, 30, 50])
