@@ -13,7 +13,8 @@ frequency and in equilibrium position; the overlap integrals
 (no factorials, no binomial sums).  Its m <= 1 rows are certified to
 n = 512 against an independent dense-grid quadrature oracle (see
 ``quadrature``, n <= 30), the position-operator sum rule and completeness;
-rows m > 1 only where that oracle agrees with them.
+rows m > 1 only where that oracle agrees with them.  A table or moment row
+that is not finite (inf or NaN) is refused with ``CapabilityError``.
 """
 
 import math
@@ -116,6 +117,13 @@ def _check_quantum_numbers(m, n):
     return m, n
 
 
+def _finite(overlaps, pair):
+    """*overlaps*, or :class:`CapabilityError` if an entry is inf or NaN."""
+    if not np.isfinite(overlaps).all():
+        raise CapabilityError(f"the overlaps of {pair} are not finite in double precision")
+    return overlaps
+
+
 def fc_overlap_matrix(pair, m_max, n_max):
     """Overlap table S[m, n] = <chi_initial_m | chi_final_n>.
 
@@ -133,7 +141,8 @@ def fc_overlap_matrix(pair, m_max, n_max):
     m_max, n_max = _check_quantum_numbers(m_max, n_max)
     args = (pair.energy_initial, pair.energy_final, pair.displacement)
     s = np.empty((m_max + 1, n_max + 1))
-    s[:2] = np.hstack(_moment_rows(*args, n_max)).T[: m_max + 1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
+        s[:2] = _finite(np.hstack(_moment_rows(*args, n_max)).T[: m_max + 1], pair)
     a, b, _, _, e = map(float, _recurrence_coefficients(*args))
     n = np.arange(1.0, n_max + 1.0)
     # Whole rows, each entry by the operations of the entry-wise recurrence, in order.
@@ -165,7 +174,7 @@ def fc_overlap(m, n, pair):
     DomainError
         If ``m`` is not 0 or 1, or ``n`` is not a non-negative integer.
     CapabilityError
-        If ``n`` exceeds the certified recursion range.
+        If ``n`` exceeds the certified recursion range, or the overlap is not finite.
     """
     m, n = _check_quantum_numbers(_number(m, "m", integer=True, le=1), n)
     return float(fc_overlap_matrix(pair, m, n)[m, n])
@@ -192,7 +201,7 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
     n = np.arange(1.0, n_max + 1.0)[:, None]
     step = d / np.sqrt(2.0 * n)
     back = c * np.sqrt((n - 1.0) / n)
-    # S[0, 0] through math.exp, as in the scalar table (np.exp may differ by 1 ulp).
+    # S[0, 0] through math.exp: np.exp may differ by 1 ulp, and S₀₀ must stay bit-identical.
     exponent = (b * d / (2.0 * e)).tolist()
     rows = [np.sqrt(e / 2.0) * np.array([math.exp(x) for x in exponent])]
     if len(exponent) == 1:  # one pair: the same operations on Python floats
@@ -250,9 +259,10 @@ def transition_moments(pair, n_max, reference=REFERENCE_INITIAL):
     numpy.ndarray
         M_0 .. M_n_max in amu^(1/2)·Å.
     """
-    return _moments(
-        pair.energy_initial, pair.energy_final, pair.displacement, n_max, reference
-    )[0][:, 0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
+        return _finite(_moments(
+            pair.energy_initial, pair.energy_final, pair.displacement, n_max, reference
+        )[0][:, 0], pair)
 
 
 def transition_moment(n, pair, reference=REFERENCE_INITIAL):

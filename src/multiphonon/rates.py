@@ -20,12 +20,14 @@ Sweep rows are grouped by phonon cut-off into chunks of at most
 """
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from ._tables import _BOUNDS, SWEEP_CSV_HEADER, SWEEP_PARAMETERS  # noqa: F401  (re-exported)
 from .constants import HBAR_MEV_S
 from .errors import (
     _REAL_TYPES,
@@ -35,7 +37,6 @@ from .errors import (
     MultiphononError,
     _number,
 )
-from .modes import SWEEP_CSV_HEADER, SWEEP_PARAMETERS  # noqa: F401  (re-exported)
 from .oscillator import MAX_CERTIFIED_N, REFERENCE_FINAL, REFERENCE_INITIAL
 from .oscillator import _moments, ho_length_scale
 
@@ -143,14 +144,20 @@ def _uncertified(total, n_max, coupling, displacement, energy_excited, s00):
     doubled for rounding, 2(n_max + 1)·tiny·(1 + P)(1 + M²)(1 + G_max) bounds all
     flushed terms together.  A subnormal *s00*, the overlap recurrence's start, would
     carry its rounding error into every M_n: it is refused too.  W = 0 gives exact
-    zeros and is never refused.  Floats or arrays.
+    zeros and is never refused; a total that is not finite (inf or NaN) always is.
+    Floats or arrays, under the caller's ``np.errstate``.
     """
     power = _TWO_PI_OVER_HBAR * (coupling * coupling)
-    moment_sq = (ho_length_scale(energy_excited) + abs(displacement)) ** 2
-    peak = 1.0 / (energy_excited / 2.0 * _SQRT_TWO_PI)
-    bound = 2.0 * (n_max + 1) * (1.0 + power) * (1.0 + moment_sq) * (1.0 + peak)
+    length = ho_length_scale(energy_excited) + abs(displacement)
+    peak = 1.0 / (np.float64(energy_excited) / 2.0 * _SQRT_TWO_PI)  # σ = 0: inf, not raised
+    bound = 2.0 * (n_max + 1) * (1.0 + power) * (1.0 + length * length) * (1.0 + peak)
     flushed = bound * sys.float_info.min > sys.float_info.epsilon * total
-    return (coupling > 0.0) & (flushed | (s00 < sys.float_info.min))
+    return ~np.isfinite(total) | (coupling > 0.0) & (flushed | (s00 < sys.float_info.min))
+
+
+def _cut_off(zpl_energy, energy_excited, energy_ground):
+    """⌈(E_ZPL + 10σ)/ħΩ_g⌉, σ = ħΩ_e/2: the last phonon number summed; inf on overflow."""
+    return np.ceil((zpl_energy + 10.0 * (energy_excited / 2.0)) / energy_ground)
 
 
 def _chunks(rows, n_max):
@@ -188,26 +195,33 @@ def nonradiative_rate(config, mode_label, moment_reference=REFERENCE_INITIAL):
     Raises
     ------
     CapabilityError
-        If the phonon sum needs n > 512, or if W > 0 and the rate underflows: terms
-        flushed below 2.2e-308, or a subnormal S₀₀, could move it by more than eps.
+        If the phonon sum needs n > 512 or the total is not finite, or if W > 0 and
+        terms flushed below 2.2e-308, or a subnormal S₀₀, could move it by > eps.
     """
     mode = config.mode(mode_label)
     sigma = mode.energy_excited / 2.0
-    n_max = int(math.ceil((config.zpl_energy + 10.0 * sigma) / mode.energy_ground))
-    moments, s00 = _moments(
-        mode.energy_excited, mode.energy_ground, mode.displacement, n_max, moment_reference
-    )
-    columns = _rate_terms(
-        moments, mode.energy_excited, mode.energy_ground, mode.coupling, config.zpl_energy
-    )
-    moment_sq, weight, contribution = (column[:, 0].tolist() for column in columns)
-    total = math.fsum(contribution[::-1])  # top down, as in _row_totals
-    if _uncertified(total, n_max, mode.coupling, mode.displacement, mode.energy_excited,
-                    s00.item()):
-        raise CapabilityError(
-            f"the rate through mode {mode_label!r} underflows double precision: flushed "
-            f"terms or a subnormal S₀₀ could move it by > eps (got {total!r} s⁻¹, W > 0)"
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
+        n_max = _cut_off(config.zpl_energy, mode.energy_excited, mode.energy_ground)
+        if not n_max <= MAX_CERTIFIED_N:  # an infinite cut-off too
+            raise CapabilityError(f"quantum number {n_max:.0f} exceeds the certified "
+                                  f"recursion range (n <= {MAX_CERTIFIED_N})")
+        n_max = int(n_max)
+        moments, s00 = _moments(
+            mode.energy_excited, mode.energy_ground, mode.displacement, n_max, moment_reference
         )
+        columns = _rate_terms(
+            moments, mode.energy_excited, mode.energy_ground, mode.coupling, config.zpl_energy
+        )
+        moment_sq, weight, contribution = (column[:, 0].tolist() for column in columns)
+        total = math.fsum(contribution[::-1])  # top down, as in _row_totals
+        if _uncertified(total, n_max, mode.coupling, mode.displacement, mode.energy_excited,
+                        s00.item()):
+            raise CapabilityError(
+                f"the rate through mode {mode_label!r} underflows double precision: flushed "
+                f"terms or a subnormal S₀₀ could move it by > eps (got {total!r} s⁻¹, W > 0)"
+                if math.isfinite(total) else f"the rate through mode {mode_label!r} is not "
+                f"finite in double precision (got {total!r} s⁻¹)"
+            )
     terms = tuple(map(RateTerm, range(n_max + 1), moment_sq, weight, contribution))
     return RateResult(total_rate=total, terms=terms, n_max_used=n_max, sigma=sigma)
 
@@ -222,13 +236,6 @@ def isotope_rate_ratio(config_a, config_b, mode_label, moment_reference=REFERENC
             "the isotope ratio is undefined"
         )
     return rate_a.total_rate / rate_b.total_rate
-
-
-def _apply_parameter(config, mode_label, parameter, value):
-    if parameter == "zpl_energy":
-        return replace(config, zpl_energy=value)
-    # The other sweep parameters name fields of the mode.
-    return config.with_mode(replace(config.mode(mode_label), **{parameter: value}))
 
 
 def _sweep_value(value):
@@ -254,11 +261,8 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
     numbers (not ``bool``); any other entry fails its row and is reported
     as given.
 
-    The valid rows run through the same kernel as
-    :func:`nonradiative_rate` in one batched pass, so every row equals
-    the rate of its own configuration exactly.  Rows are grouped by
-    phonon cut-off into chunks of bounded size, which caps memory.  The
-    failing rows are rebuilt one by one to report their errors.
+    The valid rows run through the batched kernel (see the module docstring);
+    the failing rows are rebuilt one by one to report their errors.
 
     Returns
     -------
@@ -272,54 +276,48 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
     grid = list(grid)
     entries = [_sweep_value(value) for value in grid]
     values = np.array(entries, dtype=float)  # None, a non-real entry, becomes NaN
-    fixed = {
-        "zpl_energy": config.zpl_energy,
-        "displacement": mode.displacement,
-        "coupling": mode.coupling,
-        "energy_ground": mode.energy_ground,
-    }
+    # E_ZPL belongs to the configuration; the other sweep parameters name fields of the mode.
+    fixed = {p: config.zpl_energy if p == "zpl_energy" else getattr(mode, p)
+             for p in SWEEP_PARAMETERS}
     swept = dict(fixed, **{parameter: values})
     sigma = mode.energy_excited / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n_max = np.ceil((swept["zpl_energy"] + 10.0 * sigma) / swept["energy_ground"])
-        valid = np.isfinite(values) & (n_max <= MAX_CERTIFIED_N)
-        if parameter == "coupling":
-            valid &= values >= 0.0
-        elif parameter != "displacement":
-            valid &= values > 0.0
-    valid &= moment_reference in (REFERENCE_INITIAL, REFERENCE_FINAL)
-    n_max = np.where(valid, n_max, 0).astype(int)
-
-    order = np.flatnonzero(valid)
-    order = order[np.argsort(n_max[order], kind="stable")]
-    # The oscillator pair does not depend on E_ZPL or W: one moment table
-    # at the largest cut-off serves every row, by the prefix property.
-    shared = parameter in ("zpl_energy", "coupling")
-    if shared and len(order):
-        top = int(n_max[order[-1]])
-        pair_moments, pair_s00 = _moments(
-            mode.energy_excited, mode.energy_ground, mode.displacement, top, moment_reference
-        )
     rates = {}
-    for chunk in _chunks(order, n_max):
-        row = dict(fixed, **{parameter: values[chunk]})
-        top = int(n_max[chunk[-1]])
-        if shared:
-            moments, s00 = pair_moments[: top + 1], pair_s00
-        else:
-            moments, s00 = _moments(
-                mode.energy_excited, row["energy_ground"], row["displacement"], top,
-                moment_reference,
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
+        n_max = _cut_off(swept["zpl_energy"], mode.energy_excited, swept["energy_ground"])
+        valid = np.isfinite(values) & (n_max <= MAX_CERTIFIED_N)
+        for key, bound in _BOUNDS[parameter].items():  # "gt", "ge" or "le", as in _number
+            valid &= getattr(operator, key)(values, bound)
+        valid &= moment_reference in (REFERENCE_INITIAL, REFERENCE_FINAL)
+        n_max = np.where(valid, n_max, 0).astype(int)
+
+        order = np.flatnonzero(valid)
+        order = order[np.argsort(n_max[order], kind="stable")]
+        # The oscillator pair does not depend on E_ZPL or W: one moment table
+        # at the largest cut-off serves every row, by the prefix property.
+        shared = parameter in ("zpl_energy", "coupling")
+        if shared and len(order):
+            top = int(n_max[order[-1]])
+            pair_moments, pair_s00 = _moments(
+                mode.energy_excited, mode.energy_ground, mode.displacement, top, moment_reference
             )
-        _, _, contribution = _rate_terms(
-            moments, mode.energy_excited, row["energy_ground"], row["coupling"],
-            row["zpl_energy"],
-        )
-        totals = np.array(_row_totals(contribution, n_max[chunk]))
-        kept = ~_uncertified(
-            totals, n_max[chunk], row["coupling"], row["displacement"], mode.energy_excited, s00
-        )
-        rates.update(zip(chunk[kept].tolist(), totals[kept].tolist()))
+        for chunk in _chunks(order, n_max):
+            row = dict(fixed, **{parameter: values[chunk]})
+            top = int(n_max[chunk[-1]])
+            if shared:
+                moments, s00 = pair_moments[: top + 1], pair_s00
+            else:
+                moments, s00 = _moments(
+                    mode.energy_excited, row["energy_ground"], row["displacement"], top,
+                    moment_reference,
+                )
+            _, _, contribution = _rate_terms(
+                moments, mode.energy_excited, row["energy_ground"], row["coupling"],
+                row["zpl_energy"],
+            )
+            totals = np.array(_row_totals(contribution, n_max[chunk]))
+            kept = ~_uncertified(totals, n_max[chunk], row["coupling"], row["displacement"],
+                                 mode.energy_excited, s00)
+            rates.update(zip(chunk[kept].tolist(), totals[kept].tolist()))
 
     points = []
     for index, (value, cut_off) in enumerate(zip(entries, n_max.tolist())):
@@ -329,7 +327,8 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
         if value is None:  # the constructors report the entry's type
             value = grid[index]
         try:
-            varied = _apply_parameter(config, mode_label, parameter, value)
+            varied = (replace(config, zpl_energy=value) if parameter == "zpl_energy"
+                      else config.with_mode(replace(mode, **{parameter: value})))
             result = nonradiative_rate(varied, mode_label, moment_reference=moment_reference)
             points.append(
                 SweepPoint(parameter, value, result.total_rate, result.n_max_used, result.sigma)

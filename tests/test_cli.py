@@ -51,6 +51,21 @@ class TestDataset:
 
 
 class TestRate:
+    @pytest.mark.parametrize("field, value, reason", [
+        ("hbar_omega_g_mev", 5e-324, "quantum number inf exceeds"),
+        ("hbar_omega_e_mev", 1e-310, "is not finite"),
+        ("hbar_omega_e_mev", 5e-324, "is not finite"),
+    ], ids=["ground-5e-324", "excited-1e-310", "excited-5e-324"])
+    def test_extreme_energy_exits_1_with_one_error_line(self, capsys, tmp_path, field, value,
+                                                        reason):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({"variant_label": "natural", "zpl_energy_mev": 935, "modes": [
+            dict({"label": "accepting", "hbar_omega_g_mev": 33.0, "hbar_omega_e_mev": 33.0,
+                  "delta_q": 0.734, "w_eg": 9.23}, **{field: value})]}))
+        code, out, err = run(capsys, "rate", "--config", str(path), "--mode", "accepting")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+
     def test_reports_total_at_full_precision(self, capsys, natural_config_path, natural):
         code, out, err = run(capsys, "rate", "--config", natural_config_path,
                              "--mode", "ch-stretch")

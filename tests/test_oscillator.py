@@ -136,6 +136,18 @@ class TestFcOverlap:
         with pytest.raises(DomainError):
             fc_overlap(0, -1, accepting_pair)
 
+    @pytest.mark.parametrize("pair", [
+        OscillatorPair(5e-324, 33.0, 0.7),  # A_i = E/ħ² underflows to 0: S₀₀ is 0/0
+        OscillatorPair(33.0, 5e-324, 0.7),
+        OscillatorPair(33.0, 33.0, 1e308),  # 2ΔQ overflows
+    ])
+    def test_non_finite_overlaps_refused(self, pair):
+        for call in (lambda: fc_overlap(0, 3, pair), lambda: fc_overlap(1, 3, pair),
+                     lambda: fc_overlap_matrix(pair, 2, 3), lambda: transition_moments(pair, 3),
+                     lambda: transition_moment(3, pair)):
+            with pytest.raises(CapabilityError, match="not finite in double precision"):
+                call()
+
 
 class TestTransitionMoment:
     def test_selection_rule_for_identical_oscillators(self):

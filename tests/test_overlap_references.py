@@ -4,13 +4,15 @@
 evaluates its wavefunctions once, on the fine grid, taking the coarse
 estimate from every other fine point.  Both must give the same IEEE
 results as the straightforward forms below, bit for bit: an entry-by-entry
-recurrence, and two independent grids.  Both oracle backends skip the
-points whose terms are provably below a 30-digit cut, and the skipped
-terms are checked against the cut one by one in mpmath.  The float64
-oracle sums over the span from the first kept point to the last, as do
-its two-grid references; against the whole fine grid it agrees to its
+recurrence, and two independent grids.  Both oracle backends sum the span
+from the first point whose term can reach the dps-digit cut to the last;
+every point outside it is checked against the cut, in float64 with a
+margin and, near the cut, in mpmath.  The float64 oracle's two-grid
+references sum the same span; against the whole fine grid it agrees to its
 roundoff floor.  The dps oracle runs in ``decimal``; its reference is two
 passes in mpmath over every point, which give the same float values.
+Other grids than the oracle's fixed one come from patching its two grid
+constants.
 """
 
 import math
@@ -88,19 +90,24 @@ def _reference_factors(pair, m_max, n_max, lo, hi, count, inside):
     return rows_i, rows_f * weights[inside]
 
 
-def reference_quadrature_table(pair, m_max, n_max, grid=GridSpec()):
+def _use_grid(monkeypatch, turning_point_spans, points_per_wavelength):
+    """Run the oracle, and the references through its ``_grid_layout``, on another grid."""
+    monkeypatch.setattr(quadrature, "_TURNING_POINT_SPANS", turning_point_spans)
+    monkeypatch.setattr(quadrature, "_POINTS_PER_WAVELENGTH", points_per_wavelength)
+
+
+def reference_quadrature_table(pair, m_max, n_max):
     """The float64 oracle with the coarse and fine grids built separately, each cropped.
 
     Both grids keep the points inside the fine span from the first point the
     30-digit skip rule keeps at (m_max, n_max) to the last; each skipped
     fine point adds 3 * cut to the error.
     """
-    lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
+    lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1))
     points = 2 * count - 1
-    kept = _kept_points(pair, m_max, n_max, lo, hi, points, 30)
+    span = _kept_points(pair, m_max, n_max, lo, hi, points, 30)
     inside = np.zeros(points, dtype=bool)
-    if kept:
-        inside[kept[0]: kept[-1] + 1] = True
+    inside[span.start:span.stop] = True
     rows_i, weighted_f = _reference_factors(pair, m_max, n_max, lo, hi, count, inside[::2])
     coarse = rows_i @ weighted_f.T
     rows_i, weighted_f = _reference_factors(pair, m_max, n_max, lo, hi, points, inside)
@@ -155,7 +162,7 @@ def reference_mpmath_with_error(m, n, pair, grid):
     The error includes half an ulp of the returned float, which rounding
     to float64 costs on top of the mpmath estimate.
     """
-    lo, hi, count = _grid_layout(pair, max(m, n, 1), grid)
+    lo, hi, count = _grid_layout(pair, max(m, n, 1))
     coarse, _ = _reference_mpmath_pass(pair, m, n, lo, hi, count, grid.dps)
     fine, floor = _reference_mpmath_pass(pair, m, n, lo, hi, 2 * count - 1, grid.dps)
     return fine, abs(fine - coarse) + floor + math.ulp(fine) / 2
@@ -195,20 +202,20 @@ def test_quadrature_table_equals_two_grid_reference(pair, shape):
     assert np.array_equal(errors, expected_errors)
 
 
-def test_quadrature_table_equals_reference_on_other_grids():
+def test_quadrature_table_equals_reference_on_other_grids(monkeypatch):
     rng = np.random.default_rng(14)
     for pair in _seeded_pairs(14, 12):
-        grid = GridSpec(float(rng.uniform(12.0, 20.0)), float(rng.uniform(20.0, 45.0)))
+        _use_grid(monkeypatch, float(rng.uniform(12.0, 20.0)), float(rng.uniform(20.0, 45.0)))
         m_max, n_max = (int(k) for k in rng.integers(0, 31, size=2))
-        values, errors = quadrature_overlap_table(pair, m_max, n_max, grid)
-        expected_values, expected_errors = reference_quadrature_table(pair, m_max, n_max, grid)
+        values, errors = quadrature_overlap_table(pair, m_max, n_max)
+        expected_values, expected_errors = reference_quadrature_table(pair, m_max, n_max)
         assert np.array_equal(values, expected_values)
         assert np.array_equal(errors, expected_errors)
 
 
-def _full_grid_rows(pair, m_max, n_max, grid):
+def _full_grid_rows(pair, m_max, n_max):
     """Both oscillators' Hermite rows on the whole fine grid, and its step and size."""
-    lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
+    lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1))
     x, step = np.linspace(lo, hi, 2 * count - 1, retstep=True)
     a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
     a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
@@ -217,9 +224,9 @@ def _full_grid_rows(pair, m_max, n_max, grid):
     return rows_i, rows_f, step, count
 
 
-def reference_full_grid_table(pair, m_max, n_max, grid=GridSpec()):
+def reference_full_grid_table(pair, m_max, n_max):
     """The float64 oracle summed over every fine point: (values, errors, roundoff floor)."""
-    rows_i, rows_f, step, count = _full_grid_rows(pair, m_max, n_max, grid)
+    rows_i, rows_f, step, count = _full_grid_rows(pair, m_max, n_max)
     coarse_f = rows_f[:, ::2] * _trapezoid_weights(count, 2.0 * step)
     coarse = np.ascontiguousarray(rows_i[:, ::2]) @ coarse_f.T
     rows_f *= _trapezoid_weights(2 * count - 1, step)
@@ -228,7 +235,7 @@ def reference_full_grid_table(pair, m_max, n_max, grid=GridSpec()):
     return fine, np.abs(fine - coarse) + floor, floor
 
 
-def _summed_span(monkeypatch, pair, m_max, n_max, grid=GridSpec()):
+def _summed_span(monkeypatch, pair, m_max, n_max):
     """(k0, k1, values, errors): the fine points the oracle summed over, seen by a spy."""
     seen = []
 
@@ -238,8 +245,8 @@ def _summed_span(monkeypatch, pair, m_max, n_max, grid=GridSpec()):
 
     with monkeypatch.context() as patch:
         patch.setattr(quadrature, "_hermite_rows", spy)
-        values, errors = quadrature_overlap_table(pair, m_max, n_max, grid)
-    lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
+        values, errors = quadrature_overlap_table(pair, m_max, n_max)
+    lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1))
     x = np.linspace(lo, hi, 2 * count - 1)
     y_i = np.sqrt(pair.energy_initial / HBAR_SQ_MEV_AMU_A2) * x
     y_f = np.sqrt(pair.energy_final / HBAR_SQ_MEV_AMU_A2) * (x - pair.displacement)
@@ -251,27 +258,20 @@ def _summed_span(monkeypatch, pair, m_max, n_max, grid=GridSpec()):
 
 
 def test_every_point_outside_the_summed_span_is_below_the_cut(monkeypatch):
-    # The points next to the span carry the largest skipped terms; they and a
-    # random sample of the rest are evaluated in mpmath at 50 digits, taking
-    # the largest term of every entry of the table, not only (m_max, n_max).
+    # The largest term of every entry of the table counts, not only (m_max, n_max).
     rng = np.random.default_rng(18)
     parities = set()
     summed_total = skipped_total = 0
     for _ in range(60):
         energies = np.exp(rng.uniform(math.log(20.0), math.log(400.0), size=2))
         pair = OscillatorPair(float(energies[0]), float(energies[1]), float(rng.uniform(-3, 3)))
-        grid = GridSpec(float(rng.uniform(12.0, 20.0)), float(rng.uniform(20.0, 45.0)))
+        _use_grid(monkeypatch, float(rng.uniform(12.0, 20.0)), float(rng.uniform(20.0, 45.0)))
         m_max, n_max = (int(k) for k in rng.integers(0, 31, size=2))
-        k0, k1, _, _ = _summed_span(monkeypatch, pair, m_max, n_max, grid)
-        lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1), grid)
+        k0, k1, _, _ = _summed_span(monkeypatch, pair, m_max, n_max)
+        lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1))
         points = 2 * count - 1
         skipped = np.r_[0:k0, k1:points]
-        near = {k for edge in (k0, k1) for k in range(edge - 3, edge + 3)}
-        sample = near.union(rng.choice(skipped, size=min(6, skipped.size), replace=False).tolist())
-        cut = _cut(points, 30)
-        for idx in sorted(k for k in sample if 0 <= k < k0 or k1 <= k < points):
-            term = _reference_term(pair, m_max, n_max, lo, hi, points, idx, 50)
-            assert term < cut, (pair, m_max, n_max, idx)
+        _assert_below_the_cut(pair, m_max, n_max, lo, hi, points, range(k0, k1), 30, rng, 6)
         parities.add(k0 % 2)
         summed_total += k1 - k0
         skipped_total += skipped.size
@@ -294,7 +294,7 @@ def test_gaussians_that_never_overlap_give_zeros_with_the_skip_bound(monkeypatch
     k0, k1, values, errors = _summed_span(monkeypatch, pair, *shape)
     assert k0 == k1 == 0
     assert values.shape == errors.shape == (shape[0] + 1, shape[1] + 1)
-    points = 2 * _grid_layout(pair, max(*shape, 1), GridSpec())[2] - 1
+    points = 2 * _grid_layout(pair, max(*shape, 1))[2] - 1
     assert not values.any() and np.all(errors == _float_skip(points, points))
     with mpmath.workdps(50):  # every point skipped: the error is 3 * points * cut, 1.5e-40
         assert abs(errors[0, 0] - float(3 * points * _cut(points, 30))) <= 4e-16 * errors[0, 0]
@@ -383,27 +383,61 @@ def _reference_term(pair, m, n, lo, hi, points, idx, dps):
         return largest_hermite(m, y_i) * largest_hermite(n, y_f) * gauss * step * norm
 
 
+def _log_largest_terms(pair, m, n, lo, hi, points):
+    """log of the largest |term| * step * norm over orders <= (m, n) at every fine point.
+
+    In float64 from the Hermite values themselves, not from the oracle's bound on them;
+    |h_0| = 1 keeps each maximum far from the recurrence's rounding.
+    """
+    a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
+    a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
+    x = np.linspace(lo, hi, points)
+    y_i, y_f = math.sqrt(a_i) * x, math.sqrt(a_f) * (x - pair.displacement)
+
+    def log_largest_hermite(order, y):
+        h_prev, h = np.zeros_like(y), np.ones_like(y)
+        largest = h
+        for k in range(1, order + 1):
+            h, h_prev = math.sqrt(2.0 / k) * y * h - math.sqrt((k - 1.0) / k) * h_prev, h
+            largest = np.maximum(largest, np.abs(h))
+        return np.log(largest)
+
+    log_norm = math.log((hi - lo) / (points - 1) * (a_i * a_f) ** 0.25 / math.sqrt(math.pi))
+    return log_largest_hermite(m, y_i) + log_largest_hermite(n, y_f) - 0.5 * (
+        y_i * y_i + y_f * y_f) + log_norm
+
+
+def _assert_below_the_cut(pair, m, n, lo, hi, points, span, dps, rng, samples):
+    """Every fine point outside *span* carries terms below the dps-digit cut.
+
+    Each is checked in float64 with a margin of a factor e.  Those within it,
+    the three points on either side of each end of the span (which carry the
+    largest skipped terms) and *samples* random ones are evaluated again in
+    mpmath at dps + 20 digits.
+    """
+    outside = np.r_[0:span.start, span.stop:points]
+    log_cut = -(dps + 10) * math.log(10.0) - math.log(2 * points)
+    close = outside[_log_largest_terms(pair, m, n, lo, hi, points)[outside] >= log_cut - 1.0]
+    near = {k for edge in (span.start, span.stop) for k in range(edge - 3, edge + 3)}
+    sample = near.union(close.tolist(), rng.choice(outside, size=min(samples, outside.size),
+                                                   replace=False).tolist())
+    cut = _cut(points, dps)
+    for idx in sorted(k for k in sample if 0 <= k < points and k not in span):
+        assert _reference_term(pair, m, n, lo, hi, points, idx, dps + 20) < cut, (pair, m, n, idx)
+
+
 @pytest.mark.parametrize("dps", [15, 30, 50])
 def test_every_skipped_term_is_below_the_cut(dps):
-    # The skipped points nearest the summed ones carry the largest skipped
-    # terms; they and a random sample of the rest are evaluated at dps + 20 digits.
     rng = np.random.default_rng(20 + dps)
     kept_total = skipped_total = 0
     for pair in _seeded_pairs(20 + dps, 10):
         m, n = (int(k) for k in rng.integers(0, 31, size=2))
-        lo, hi, count = _grid_layout(pair, max(m, n, 1), GridSpec())
+        lo, hi, count = _grid_layout(pair, max(m, n, 1))
         points = 2 * count - 1
-        kept = np.zeros(points, dtype=bool)
-        kept[_kept_points(pair, m, n, lo, hi, points, dps)] = True
-        skipped = np.flatnonzero(~kept)
-        edges = np.flatnonzero(np.diff(kept.astype(int)))  # last point before each change
-        near = {int(k) for edge in edges for k in range(edge - 2, edge + 4) if 0 <= k < points}
-        sample = near.union(rng.choice(skipped, size=min(24, skipped.size), replace=False).tolist())
-        cut = _cut(points, dps)
-        for idx in sorted(k for k in sample if not kept[k]):
-            assert _reference_term(pair, m, n, lo, hi, points, idx, dps + 20) < cut, (pair, m, n, idx)
-        kept_total += int(kept.sum())
-        skipped_total += skipped.size
+        span = _kept_points(pair, m, n, lo, hi, points, dps)
+        _assert_below_the_cut(pair, m, n, lo, hi, points, span, dps, rng, 24)
+        kept_total += len(span)
+        skipped_total += points - len(span)
     assert kept_total > 0 and skipped_total > 0  # neither side is vacuous
 
 
@@ -430,7 +464,7 @@ def test_decimal_single_pass_on_unconverged_grids(count, window):
     # only sparse grids show that the coarse sum takes the right points;
     # a window that cuts the wavefunctions off weighs the end points too.
     pair = OscillatorPair(47.0, 151.0, 0.42)
-    lo, hi, _ = _grid_layout(pair, 7, GridSpec())
+    lo, hi, _ = _grid_layout(pair, 7)
     if window == "narrow":
         lo, hi = -0.2, 0.3
     fine, floor = _reference_mpmath_pass(pair, 5, 7, lo, hi, 2 * count - 1, 30)
@@ -449,9 +483,9 @@ def test_decimal_single_pass_on_unconverged_grids(count, window):
 @pytest.mark.parametrize("m, n", [(0, 0), (1, 1), (0, 28)])
 def test_pair_whose_points_are_all_skipped_gives_zero_with_the_skip_bound(m, n):
     pair = OscillatorPair(20.0, 400.0, 50.0)
-    lo, hi, count = _grid_layout(pair, max(m, n, 1), GridSpec())
+    lo, hi, count = _grid_layout(pair, max(m, n, 1))
     points = 2 * count - 1
-    assert _kept_points(pair, m, n, lo, hi, points, MPMATH_GRID.dps) == []
+    assert _kept_points(pair, m, n, lo, hi, points, MPMATH_GRID.dps) == range(0)
     value, error = quadrature_overlap_with_error(m, n, pair, MPMATH_GRID)
     with mpmath.workdps(MPMATH_GRID.dps + 20):
         bound = float(3 * points * _cut(points, MPMATH_GRID.dps))
@@ -460,15 +494,15 @@ def test_pair_whose_points_are_all_skipped_gives_zero_with_the_skip_bound(m, n):
     assert quadrature_overlap_oracle(m, n, pair, MPMATH_GRID) == 0.0
 
 
-def test_coarse_grid_is_every_other_fine_point():
+def test_coarse_grid_is_every_other_fine_point(monkeypatch):
     # The fact the float64 oracle and the two-grid references rest on:
     # halving the step is exact in binary, for numpy's linspace and for
     # lo + idx * step in mpmath.  (In decimal it is not; the dps oracle's
     # coarse sum takes every other one of its own fine points.)
     rng = np.random.default_rng(17)
     for k, pair in enumerate(_seeded_pairs(17, 200)):
-        grid = GridSpec(float(rng.uniform(12.0, 30.0)), float(rng.uniform(20.0, 60.0)))
-        lo, hi, count = _grid_layout(pair, int(rng.integers(1, 31)), grid)
+        _use_grid(monkeypatch, float(rng.uniform(12.0, 30.0)), float(rng.uniform(20.0, 60.0)))
+        lo, hi, count = _grid_layout(pair, int(rng.integers(1, 31)))
         coarse, coarse_step = np.linspace(lo, hi, count, retstep=True)
         fine, step = np.linspace(lo, hi, 2 * count - 1, retstep=True)
         assert np.array_equal(fine[::2], coarse) and 2.0 * step == coarse_step

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from multiphonon import (
     quadrature_overlap_table,
     quadrature_overlap_with_error,
 )
+from multiphonon import quadrature
 
 # Where float64 quadrature certifies a 1e-8 relative comparison; smaller
 # overlaps are cross-checked in extended precision (see the deep-tail test).
@@ -77,11 +79,12 @@ def test_deep_tail_spot_check_in_extended_precision(accepting_pair):
     assert abs(value - analytic) <= 1e-8 * abs(analytic)
 
 
-def test_halving_step_is_converged():
+def test_halving_step_is_converged(monkeypatch):
     pair = OscillatorPair(33.0, 359.0, 0.5)
     value, error = quadrature_overlap_with_error(1, 7, pair)
     assert error < 1e-12
-    denser = quadrature_overlap_oracle(1, 7, pair, GridSpec(points_per_wavelength=40.0))
+    monkeypatch.setattr(quadrature, "_POINTS_PER_WAVELENGTH", 40.0)
+    denser = quadrature_overlap_oracle(1, 7, pair)
     assert denser == pytest.approx(value, abs=10 * max(error, 1e-15))
 
 
@@ -114,20 +117,29 @@ def test_dps_error_covers_the_rounding_of_the_returned_float(accepting_pair):
 
 def test_grid_spec_minimums_enforced():
     with pytest.raises(DomainError):
-        GridSpec(points_per_wavelength=10.0)
-    with pytest.raises(DomainError):
-        GridSpec(turning_point_spans=6.0)
-    with pytest.raises(DomainError):
         GridSpec(abs_tol=0.0)
+
+
+def test_grid_spec_is_keyword_only_with_two_fields(accepting_pair):
+    assert [field.name for field in dataclasses.fields(GridSpec)] == ["abs_tol", "dps"]
+    assert GridSpec(abs_tol=14.0, dps=24) == GridSpec(dps=24, abs_tol=14.0)
+    with pytest.raises(TypeError):
+        GridSpec(14.0, 24.0)  # once turning_point_spans and points_per_wavelength
+    with pytest.raises(TypeError):
+        GridSpec(1e-10)
+    for removed in ("turning_point_spans", "points_per_wavelength"):
+        with pytest.raises(TypeError):
+            GridSpec(**{removed: 30.0})
+    # The bulk table is float64 on the fixed grid: it takes no GridSpec.
+    with pytest.raises(TypeError):
+        quadrature_overlap_table(accepting_pair, 1, 3, GridSpec())
+    with pytest.raises(TypeError):
+        quadrature_overlap_table(accepting_pair, 1, 3, grid=GridSpec())
 
 
 @pytest.mark.parametrize(
     "field,bad",
     [
-        ("turning_point_spans", math.nan),
-        ("turning_point_spans", math.inf),
-        ("points_per_wavelength", math.nan),
-        ("points_per_wavelength", math.inf),
         ("abs_tol", math.nan),
         ("abs_tol", math.inf),
         ("dps", 14),

@@ -190,6 +190,13 @@ def _vary(config, mode_label, parameter, value):
     return config.with_mode(replace(config.mode(mode_label), **{parameter: value}))
 
 
+def _current(config, mode_label, parameter):
+    """The value of a sweep parameter in *config*."""
+    if parameter == "zpl_energy":
+        return config.zpl_energy
+    return getattr(config.mode(mode_label), parameter)
+
+
 def _direct(config, mode_label, parameter, value, reference):
     """(rate, n_max, sigma, error) of one grid value through nonradiative_rate."""
     try:
@@ -317,6 +324,56 @@ class TestSweepExactness:
         points = rate_sweep(natural, "ch-stretch", "coupling", [0.58, entry, 1.16])
         assert points[0].error is None and points[2].error is None
         assert points[1].rate is None and "coupling must be finite" in points[1].error
+
+
+    @pytest.mark.parametrize("mode_label", ["accepting", "ch-stretch"])
+    @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+    def test_rows_at_the_bound_edges_equal_direct_rates(self, natural, parameter, mode_label):
+        # The bounds of _tables._BOUNDS, as the constructors apply them: each
+        # row at 0.0, -0.0 and the next float on either side of 0 equals
+        # nonradiative_rate of its own configuration, error text included.
+        tiny = math.nextafter(0.0, 1.0)
+        grid = [0.0, -0.0, tiny, -tiny, _current(natural, mode_label, parameter)]
+        points = rate_sweep(natural, mode_label, parameter, grid)
+        assert [p.value for p in points] == grid
+        for point in points:
+            expected = _direct(natural, mode_label, parameter, point.value, "initial")
+            assert (point.rate, point.n_max, point.sigma, point.error) == expected
+        assert points[-1].error is None
+
+
+class TestExtremeEnergies:
+    """Energies near the float minimum and overflowing inputs are refused, never
+    returned as NaN or raised as a bare arithmetic error."""
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("energy_ground", 5e-324, r"quantum number inf exceeds the certified recursion range"),
+        ("energy_excited", 1e-310, "is not finite in double precision"),
+        ("energy_excited", 5e-324, "is not finite in double precision"),
+    ], ids=["ground-5e-324", "excited-1e-310", "excited-5e-324"])
+    def test_refused_by_the_rate_and_by_every_sweep_row(self, natural, field, value, match):
+        config = _vary(natural, "accepting", field, value)
+        with pytest.raises(CapabilityError, match=match):
+            nonradiative_rate(config, "accepting")
+        for parameter in SWEEP_PARAMETERS:
+            grid = [_current(config, "accepting", parameter), 1.5]
+            for point in rate_sweep(config, "accepting", parameter, grid):
+                expected = _direct(config, "accepting", parameter, point.value, "initial")
+                assert (point.rate, point.n_max, point.sigma, point.error) == expected
+                assert point.rate is None
+
+    @pytest.mark.parametrize("parameter, value", [
+        ("energy_ground", 5e-324), ("displacement", 1e308), ("coupling", 1e200),
+    ])
+    def test_a_refused_row_leaves_its_chunk(self, natural, parameter, value):
+        # The other rows share the batched pass with the refused one.
+        current = _current(natural, "accepting", parameter)
+        grid = [current, value, 0.5 * current]
+        points = rate_sweep(natural, "accepting", parameter, grid)
+        assert [point.error is None for point in points] == [True, False, True]
+        for point in points:
+            expected = _direct(natural, "accepting", parameter, point.value, "initial")
+            assert (point.rate, point.n_max, point.sigma, point.error) == expected
 
 
 class TestRateKernelOracle:

@@ -87,9 +87,6 @@ REALS = [
      5.0, _histogram_view),
     ("sweep_grid.start", lambda v: sweep_grid(v, 2.0, 5), 1.0, None),
     ("sweep_grid.stop", lambda v: sweep_grid(1.0, v, 5), 2.0, None),
-    ("grid_spec.turning_point_spans", lambda v: GridSpec(turning_point_spans=v), 14.0, None),
-    ("grid_spec.points_per_wavelength", lambda v: GridSpec(points_per_wavelength=v), 24.0,
-     None),
     ("grid_spec.abs_tol", lambda v: GridSpec(abs_tol=v), 0.125, None),
     ("fit_lifetime.fit_window", lambda v: fit_lifetime(HISTOGRAM, fit_window=(v, 9.5)), 0.25,
      None),
@@ -146,9 +143,7 @@ def test_bool_and_non_numbers_are_domain_errors(call, value, view, numpy_type, p
          ("energy_ground", "energy_excited", "displacement", "coupling")),
         (lambda v: DefectConfiguration("x", v, (_mode(),)), ("zpl_energy",)),
         (lambda v: OscillatorPair(v, v, v), ("energy_initial", "energy_final", "displacement")),
-        (lambda v: GridSpec(turning_point_spans=v + 12, points_per_wavelength=v + 20,
-                            abs_tol=v), ("turning_point_spans", "points_per_wavelength",
-                                         "abs_tol")),
+        (lambda v: GridSpec(abs_tol=v), ("abs_tol",)),
     ],
 )
 @pytest.mark.parametrize("value", [np.float32(33.0), np.int64(33), 33])
