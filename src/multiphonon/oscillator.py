@@ -14,25 +14,23 @@ frequency and in equilibrium position; the overlap integrals
 n = 512 against an independent dense-grid quadrature oracle (see
 ``quadrature``, n <= 30), the position-operator sum rule and completeness;
 rows m > 1 only where that oracle agrees with them.  A table or moment row
-that is not finite (inf or NaN) is refused with ``CapabilityError``.
+is refused with ``CapabilityError`` if it is not finite (inf or NaN), or if
+S₀₀ or A_i·A_f is below the normal range, where either one loses digits.
+Transition moments measure positions from the initial-state equilibrium.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR_SQ_MEV_AMU_A2
-from .errors import CapabilityError, DomainError, _number
+from .errors import CapabilityError, _number
 
 # Rows m <= 1 certified against the quadrature oracle (n <= 30), the sum
 # rule and completeness (n <= 512); refuse beyond 512 rather than risk error.
 MAX_CERTIFIED_N = 512
-
-# Distinguishes the two conventions for the reference position subtracted
-# from the position operator in transition moments.
-REFERENCE_INITIAL = "initial"
-REFERENCE_FINAL = "final"
 
 
 @dataclass(frozen=True)
@@ -117,11 +115,21 @@ def _check_quantum_numbers(m, n):
     return m, n
 
 
-def _finite(overlaps, pair):
-    """*overlaps*, or :class:`CapabilityError` if an entry is inf or NaN."""
-    if not np.isfinite(overlaps).all():
+def _finite(values, pair, s00):
+    """*values*, or :class:`CapabilityError` if one is inf or NaN or they lost digits.
+
+    Below the normal range, *s00*, the recurrence's start, and A_i·A_f, inside e,
+    would pass their rounding error into every entry (or flush them to zero).
+    """
+    if not np.isfinite(values).all():
         raise CapabilityError(f"the overlaps of {pair} are not finite in double precision")
-    return overlaps
+    product = pair.energy_initial / HBAR_SQ_MEV_AMU_A2 * (pair.energy_final / HBAR_SQ_MEV_AMU_A2)
+    if not (s00 >= sys.float_info.min and product >= sys.float_info.min):
+        raise CapabilityError(
+            f"the overlaps of {pair} underflow double precision: S₀₀ = {float(s00)!r} and "
+            f"A_i·A_f = {product!r} must both reach {sys.float_info.min!r}"
+        )
+    return values
 
 
 def fc_overlap_matrix(pair, m_max, n_max):
@@ -137,12 +145,19 @@ def fc_overlap_matrix(pair, m_max, n_max):
     -------
     numpy.ndarray
         Shape ``(m_max + 1, n_max + 1)``.
+
+    Raises
+    ------
+    CapabilityError
+        If ``m_max`` or ``n_max`` exceeds 512, rows m <= 1 are not finite,
+        or S₀₀ or A_i·A_f is below the normal range (2.2e-308).
     """
     m_max, n_max = _check_quantum_numbers(m_max, n_max)
     args = (pair.energy_initial, pair.energy_final, pair.displacement)
     s = np.empty((m_max + 1, n_max + 1))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
-        s[:2] = _finite(np.hstack(_moment_rows(*args, n_max)).T[: m_max + 1], pair)
+        rows = np.hstack(_moment_rows(*args, n_max)).T
+        s[:2] = _finite(rows[: m_max + 1], pair, rows[0, 0])
     a, b, _, _, e = map(float, _recurrence_coefficients(*args))
     n = np.arange(1.0, n_max + 1.0)
     # Whole rows, each entry by the operations of the entry-wise recurrence, in order.
@@ -174,7 +189,8 @@ def fc_overlap(m, n, pair):
     DomainError
         If ``m`` is not 0 or 1, or ``n`` is not a non-negative integer.
     CapabilityError
-        If ``n`` exceeds the certified recursion range, or the overlap is not finite.
+        If ``n`` exceeds the certified recursion range, the overlap is not
+        finite, or S₀₀ or A_i·A_f is below the normal range.
     """
     m, n = _check_quantum_numbers(_number(m, "m", integer=True, le=1), n)
     return float(fc_overlap_matrix(pair, m, n)[m, n])
@@ -216,59 +232,46 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
     return s0, s1
 
 
-def _moments(energy_initial, energy_final, displacement, n_max, reference):
+def _moments(energy_initial, energy_final, displacement, n_max):
     """Transition moments of G pairs at once, shape ``(n_max + 1, G)``, and their S₀₀.
 
     Arguments as for :func:`_moment_rows`, except that ``energy_initial``
     is a float; see :func:`transition_moments`.  S₀₀, shape ``(G,)``, is the
     value the overlap recurrence started from.
     """
-    if reference not in (REFERENCE_INITIAL, REFERENCE_FINAL):
-        raise DomainError(f"reference must be 'initial' or 'final', got {reference!r}")
     s0, s1 = _moment_rows(energy_initial, energy_final, displacement, n_max)
-    moments = ho_length_scale(energy_initial) * s1
-    if reference == REFERENCE_FINAL:
-        moments -= displacement * s0
-    return moments, s0[0]
+    return ho_length_scale(energy_initial) * s1, s0[0]
 
 
-def transition_moments(pair, n_max, reference=REFERENCE_INITIAL):
-    """All transition moments M_n = <chi_initial_0 | Q - Q_ref | chi_final_n>.
+def transition_moments(pair, n_max):
+    """All transition moments M_n = <chi_initial_0 | Q - Q_initial | chi_final_n>.
 
-    With the reference position fixed at the initial-state equilibrium
-    (the default), the position operator acting on the initial ground state
-    is a single ladder step, so
+    Positions are measured from the initial-state equilibrium, so the
+    position operator acting on the initial ground state is a single
+    ladder step:
 
         M_n = sqrt(ħ/(2 Ω_initial)) * <chi_initial_1 | chi_final_n>.
-
-    The alternative ``reference="final"`` measures positions from the
-    final-state equilibrium instead:
-
-        M_n = sqrt(ħ/(2 Ω_initial)) * <1_i | n_f> - ΔQ * <0_i | n_f>.
 
     Parameters
     ----------
     pair : OscillatorPair
     n_max : int
         Highest final quantum number (inclusive).
-    reference : str
-        ``"initial"`` or ``"final"``.
 
     Returns
     -------
     numpy.ndarray
-        M_0 .. M_n_max in amu^(1/2)·Å.
+        M_0 .. M_n_max in amu^(1/2)·Å; refused as :func:`fc_overlap_matrix` refuses.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
-        return _finite(_moments(
-            pair.energy_initial, pair.energy_final, pair.displacement, n_max, reference
-        )[0][:, 0], pair)
+        moments, s00 = _moments(pair.energy_initial, pair.energy_final, pair.displacement, n_max)
+        return _finite(moments[:, 0], pair, s00.item())
 
 
-def transition_moment(n, pair, reference=REFERENCE_INITIAL):
+def transition_moment(n, pair):
     """Single transition moment M_n; see :func:`transition_moments`."""
     _, n = _check_quantum_numbers(0, n)
-    return float(transition_moments(pair, n, reference=reference)[n])
+    return float(transition_moments(pair, n)[n])
 
 
 def huang_rhys_factor(pair):

@@ -1,7 +1,9 @@
 """T = 0 multiphonon nonradiative decay rate in the single-mode model.
 
 The rate for a transition with electron-phonon coupling W, final-state
-phonon ladder n·ħΩ_g, and transition moments M_n is
+phonon ladder n·ħΩ_g, and transition moments M_n = <χ_e0|Q − Q_e|χ_gn>
+(positions from the initial-state equilibrium; see
+``oscillator.transition_moments``) is
 
     Γ_NR = (2π/ħ) W² Σ_n M_n² G(E_ZPL - n ħΩ_g; σ),
 
@@ -37,8 +39,7 @@ from .errors import (
     MultiphononError,
     _number,
 )
-from .oscillator import MAX_CERTIFIED_N, REFERENCE_FINAL, REFERENCE_INITIAL
-from .oscillator import _moments, ho_length_scale
+from .oscillator import MAX_CERTIFIED_N, _moments, ho_length_scale
 
 # Phonon terms × rows evaluated per batched pass of ``rate_sweep``; bounds
 # the kernel's temporary arrays to about 64 kB each.
@@ -174,7 +175,7 @@ def _chunks(rows, n_max):
         start = stop
 
 
-def nonradiative_rate(config, mode_label, moment_reference=REFERENCE_INITIAL):
+def nonradiative_rate(config, mode_label):
     """T = 0 nonradiative decay rate through one vibrational mode.
 
     Parameters
@@ -182,10 +183,6 @@ def nonradiative_rate(config, mode_label, moment_reference=REFERENCE_INITIAL):
     config : DefectConfiguration
     mode_label : str
         Which of the configuration's modes carries the decay.
-    moment_reference : str
-        Reference position for the transition moments; the default
-        ("initial") measures the phonon position operator from the
-        initial-state equilibrium.
 
     Returns
     -------
@@ -206,9 +203,7 @@ def nonradiative_rate(config, mode_label, moment_reference=REFERENCE_INITIAL):
             raise CapabilityError(f"quantum number {n_max:.0f} exceeds the certified "
                                   f"recursion range (n <= {MAX_CERTIFIED_N})")
         n_max = int(n_max)
-        moments, s00 = _moments(
-            mode.energy_excited, mode.energy_ground, mode.displacement, n_max, moment_reference
-        )
+        moments, s00 = _moments(mode.energy_excited, mode.energy_ground, mode.displacement, n_max)
         columns = _rate_terms(
             moments, mode.energy_excited, mode.energy_ground, mode.coupling, config.zpl_energy
         )
@@ -226,10 +221,10 @@ def nonradiative_rate(config, mode_label, moment_reference=REFERENCE_INITIAL):
     return RateResult(total_rate=total, terms=terms, n_max_used=n_max, sigma=sigma)
 
 
-def isotope_rate_ratio(config_a, config_b, mode_label, moment_reference=REFERENCE_INITIAL):
+def isotope_rate_ratio(config_a, config_b, mode_label):
     """Ratio Γ_NR(config_a) / Γ_NR(config_b) for the same mode label."""
-    rate_a = nonradiative_rate(config_a, mode_label, moment_reference=moment_reference)
-    rate_b = nonradiative_rate(config_b, mode_label, moment_reference=moment_reference)
+    rate_a = nonradiative_rate(config_a, mode_label)
+    rate_b = nonradiative_rate(config_b, mode_label)
     if rate_b.total_rate == 0.0:
         raise DegeneracyError(
             f"nonradiative rate of {config_b.variant_label!r} is exactly zero; "
@@ -252,7 +247,7 @@ def _sweep_value(value):
         return math.inf if value > 0 else -math.inf
 
 
-def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_INITIAL):
+def rate_sweep(config, mode_label, parameter, grid):
     """Nonradiative rate across a grid of one model parameter.
 
     Each grid point is evaluated independently; a failing point is
@@ -287,7 +282,6 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
         valid = np.isfinite(values) & (n_max <= MAX_CERTIFIED_N)
         for key, bound in _BOUNDS[parameter].items():  # "gt", "ge" or "le", as in _number
             valid &= getattr(operator, key)(values, bound)
-        valid &= moment_reference in (REFERENCE_INITIAL, REFERENCE_FINAL)
         n_max = np.where(valid, n_max, 0).astype(int)
 
         order = np.flatnonzero(valid)
@@ -297,19 +291,16 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
         shared = parameter in ("zpl_energy", "coupling")
         if shared and len(order):
             top = int(n_max[order[-1]])
-            pair_moments, pair_s00 = _moments(
-                mode.energy_excited, mode.energy_ground, mode.displacement, top, moment_reference
-            )
+            pair_moments, pair_s00 = _moments(mode.energy_excited, mode.energy_ground,
+                                              mode.displacement, top)
         for chunk in _chunks(order, n_max):
             row = dict(fixed, **{parameter: values[chunk]})
             top = int(n_max[chunk[-1]])
             if shared:
                 moments, s00 = pair_moments[: top + 1], pair_s00
             else:
-                moments, s00 = _moments(
-                    mode.energy_excited, row["energy_ground"], row["displacement"], top,
-                    moment_reference,
-                )
+                moments, s00 = _moments(mode.energy_excited, row["energy_ground"],
+                                        row["displacement"], top)
             _, _, contribution = _rate_terms(
                 moments, mode.energy_excited, row["energy_ground"], row["coupling"],
                 row["zpl_energy"],
@@ -329,7 +320,7 @@ def rate_sweep(config, mode_label, parameter, grid, moment_reference=REFERENCE_I
         try:
             varied = (replace(config, zpl_energy=value) if parameter == "zpl_energy"
                       else config.with_mode(replace(mode, **{parameter: value})))
-            result = nonradiative_rate(varied, mode_label, moment_reference=moment_reference)
+            result = nonradiative_rate(varied, mode_label)
             points.append(
                 SweepPoint(parameter, value, result.total_rate, result.n_max_used, result.sigma)
             )

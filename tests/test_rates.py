@@ -22,6 +22,7 @@ from multiphonon import (
     nonradiative_rate,
     rate_sweep,
     sweep_grid,
+    transition_moment,
     transition_moments,
     VibrationalMode,
 )
@@ -197,11 +198,11 @@ def _current(config, mode_label, parameter):
     return getattr(config.mode(mode_label), parameter)
 
 
-def _direct(config, mode_label, parameter, value, reference):
+def _direct(config, mode_label, parameter, value):
     """(rate, n_max, sigma, error) of one grid value through nonradiative_rate."""
     try:
         varied = _vary(config, mode_label, parameter, value)
-        result = nonradiative_rate(varied, mode_label, moment_reference=reference)
+        result = nonradiative_rate(varied, mode_label)
     except MultiphononError as exc:
         return None, None, None, str(exc)
     return result.total_rate, result.n_max_used, result.sigma, None
@@ -223,7 +224,7 @@ def _sweep_grid(mode_label, parameter):
     return [float(v) for v in np.random.default_rng(len(grid)).permutation(grid)]
 
 
-def _seed_rate(config, mode_label, reference="initial"):
+def _seed_rate(config, mode_label):
     """The rate by the scalar formula: table moments and a gaussian_delta loop."""
     mode = config.mode(mode_label)
     pair = OscillatorPair(mode.energy_excited, mode.energy_ground, mode.displacement)
@@ -231,8 +232,6 @@ def _seed_rate(config, mode_label, reference="initial"):
     n_max = int(math.ceil((config.zpl_energy + 10.0 * sigma) / mode.energy_ground))
     rows = fc_overlap_matrix(pair, 1, n_max)
     moments = ho_length_scale(mode.energy_excited) * rows[1]
-    if reference == "final":
-        moments = moments - mode.displacement * rows[0]
     prefactor = 2.0 * math.pi / HBAR_MEV_S * mode.coupling**2
     return math.fsum(
         prefactor
@@ -245,20 +244,17 @@ def _seed_rate(config, mode_label, reference="initial"):
 class TestSweepExactness:
     """Every sweep row equals nonradiative_rate of its own configuration."""
 
-    @pytest.mark.parametrize("reference", ["initial", "final"])
     @pytest.mark.parametrize("mode_label", ["accepting", "ch-stretch"])
     @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
-    def test_rows_equal_direct_rate_across_chunks(
-        self, natural, monkeypatch, parameter, mode_label, reference
-    ):
+    def test_rows_equal_direct_rate_across_chunks(self, natural, monkeypatch, parameter, mode_label):
         # A small cell budget splits every grid into many chunks.
         monkeypatch.setattr(rates, "_SWEEP_CHUNK_CELLS", 97)
         grid = _sweep_grid(mode_label, parameter)
-        points = rate_sweep(natural, mode_label, parameter, grid, moment_reference=reference)
+        points = rate_sweep(natural, mode_label, parameter, grid)
         assert np.array_equal([p.value for p in points], grid, equal_nan=True)
         resolved = 0
         for point in points:
-            expected = _direct(natural, mode_label, parameter, point.value, reference)
+            expected = _direct(natural, mode_label, parameter, point.value)
             assert (point.rate, point.n_max, point.sigma, point.error) == expected
             resolved += point.error is None
         assert resolved >= 40
@@ -274,7 +270,7 @@ class TestSweepExactness:
         n_max = {p.n_max for p in points if p.error is None}
         assert min(n_max) == 8 and max(n_max) == 500
         for point in points:
-            expected = _direct(natural, "accepting", "energy_ground", point.value, "initial")
+            expected = _direct(natural, "accepting", "energy_ground", point.value)
             assert (point.rate, point.n_max, point.sigma, point.error) == expected
             if point.value < 2.148:
                 assert "exceeds the certified recursion range" in point.error
@@ -287,16 +283,12 @@ class TestSweepExactness:
         assert sum(p.n_max + 1 for p in points) > 3 * rates._SWEEP_CHUNK_CELLS
         for point in points[::97] + points[-1:]:
             assert (point.rate, point.n_max, point.sigma, None) == _direct(
-                natural, "accepting", "zpl_energy", point.value, "initial"
+                natural, "accepting", "zpl_energy", point.value
             )
 
     def test_empty_grid(self, natural):
         for parameter in SWEEP_PARAMETERS:
             assert rate_sweep(natural, "accepting", parameter, []) == []
-
-    def test_unknown_reference_fails_every_row(self, natural):
-        points = rate_sweep(natural, "ch-stretch", "coupling", [0.58, 1.0], moment_reference="mid")
-        assert all(p.rate is None and "reference" in p.error for p in points)
 
     @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
     def test_non_real_entries_fail_their_own_rows(self, natural, parameter):
@@ -313,7 +305,7 @@ class TestSweepExactness:
         for point, entry in zip(points, grid):
             if point.error is None:
                 assert type(point.value) is float and point.value == float(entry)
-                expected = _direct(natural, "ch-stretch", parameter, float(entry), "initial")
+                expected = _direct(natural, "ch-stretch", parameter, float(entry))
                 assert (point.rate, point.n_max, point.sigma, point.error) == expected
 
     @pytest.mark.parametrize(
@@ -337,7 +329,7 @@ class TestSweepExactness:
         points = rate_sweep(natural, mode_label, parameter, grid)
         assert [p.value for p in points] == grid
         for point in points:
-            expected = _direct(natural, mode_label, parameter, point.value, "initial")
+            expected = _direct(natural, mode_label, parameter, point.value)
             assert (point.rate, point.n_max, point.sigma, point.error) == expected
         assert points[-1].error is None
 
@@ -358,7 +350,7 @@ class TestExtremeEnergies:
         for parameter in SWEEP_PARAMETERS:
             grid = [_current(config, "accepting", parameter), 1.5]
             for point in rate_sweep(config, "accepting", parameter, grid):
-                expected = _direct(config, "accepting", parameter, point.value, "initial")
+                expected = _direct(config, "accepting", parameter, point.value)
                 assert (point.rate, point.n_max, point.sigma, point.error) == expected
                 assert point.rate is None
 
@@ -372,7 +364,7 @@ class TestExtremeEnergies:
         points = rate_sweep(natural, "accepting", parameter, grid)
         assert [point.error is None for point in points] == [True, False, True]
         for point in points:
-            expected = _direct(natural, "accepting", parameter, point.value, "initial")
+            expected = _direct(natural, "accepting", parameter, point.value)
             assert (point.rate, point.n_max, point.sigma, point.error) == expected
 
 
@@ -382,11 +374,8 @@ class TestRateKernelOracle:
     def test_reference_configurations(self, natural, deuterium):
         for config in (natural, deuterium):
             for mode in config.modes:
-                for reference in ("initial", "final"):
-                    total = nonradiative_rate(config, mode.label, reference).total_rate
-                    assert total == pytest.approx(
-                        _seed_rate(config, mode.label, reference), rel=1e-14
-                    )
+                total = nonradiative_rate(config, mode.label).total_rate
+                assert total == pytest.approx(_seed_rate(config, mode.label), rel=1e-14)
 
     @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
     def test_sweep_rows(self, natural, parameter):
@@ -407,8 +396,23 @@ class TestRateKernelOracle:
             assert type(term.contribution) is float
 
 
+@pytest.mark.parametrize("call", [
+    lambda nat, deu, pair: nonradiative_rate(nat, "accepting", moment_reference="initial"),
+    lambda nat, deu, pair: isotope_rate_ratio(nat, deu, "accepting", moment_reference="initial"),
+    lambda nat, deu, pair: rate_sweep(nat, "accepting", "coupling", [0.58], moment_reference="initial"),
+    lambda nat, deu, pair: transition_moments(pair, 4, reference="initial"),
+    lambda nat, deu, pair: transition_moment(1, pair, reference="initial"),
+], ids=["nonradiative_rate", "isotope_rate_ratio", "rate_sweep", "transition_moments",
+        "transition_moment"])
+def test_moments_have_one_convention_and_no_reference_keyword(call, natural, deuterium):
+    # Positions are measured from the initial-state equilibrium only; the
+    # keywords that once chose a convention are not accepted.
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call(natural, deuterium, OscillatorPair(33.0, 33.0, 0.7))
+
+
 def _high_precision_rate(config, mode_label, dps=40):
-    """The initial-reference rate by the m <= 1 recurrence and the sum, in mpmath."""
+    """The rate by the m <= 1 recurrence and the sum, in mpmath."""
     mode = config.mode(mode_label)
     with mpmath.workdps(dps):
         a_i = mpmath.mpf(mode.energy_excited) / HBAR_SQ_MEV_AMU_A2
@@ -465,7 +469,7 @@ class TestUnderflow:
         mode = _vary(natural, "accepting", "displacement", 14.8).mode("accepting")
         n_max = nonradiative_rate(certified, "accepting").n_max_used  # ΔQ does not change it
         moments, _ = rates._moments(mode.energy_excited, mode.energy_ground, mode.displacement,
-                                 n_max, "initial")
+                                    n_max)
         _, _, terms = rates._rate_terms(moments, mode.energy_excited, mode.energy_ground,
                                         mode.coupling, natural.zpl_energy)
         exact = _high_precision_rate(_vary(natural, "accepting", "displacement", 14.8), "accepting")
@@ -479,7 +483,7 @@ class TestUnderflow:
         for point in points[2:6]:
             assert point.rate is None and "underflows" in point.error
         for point in points:
-            expected = _direct(natural, "accepting", "displacement", point.value, "initial")
+            expected = _direct(natural, "accepting", "displacement", point.value)
             assert (point.rate, point.n_max, point.sigma, point.error) == expected
         assert points[6].rate == nonradiative_rate(natural, "accepting").total_rate
 
@@ -494,7 +498,7 @@ class TestUnderflow:
         assert points[0].rate == 3.501453114025851e-249
         assert [point.error is None for point in points] == [True, False, False]
         for point in points:
-            expected = _direct(_deep(15.5), "m", "displacement", point.value, "initial")
+            expected = _direct(_deep(15.5), "m", "displacement", point.value)
             assert (point.rate, point.n_max, point.sigma, point.error) == expected
 
     def test_subnormal_overlap_start_refusal_guards_a_real_error(self):
@@ -503,7 +507,7 @@ class TestUnderflow:
         mode = _deep(15.7).mode("m")
         n_max = nonradiative_rate(_deep(15.5), "m").n_max_used  # ΔQ does not change it
         moments, _ = rates._moments(mode.energy_excited, mode.energy_ground, mode.displacement,
-                                 n_max, "initial")
+                                    n_max)
         _, _, terms = rates._rate_terms(moments, mode.energy_excited, mode.energy_ground,
                                         mode.coupling, 5000.0)
         exact = _high_precision_rate(_deep(15.7), "m")
