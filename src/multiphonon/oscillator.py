@@ -11,7 +11,7 @@ The initial and final oscillators of a transition may differ both in
 frequency and in equilibrium position; the overlap integrals
 <chi_initial_m | chi_final_n> are generated by a two-index recurrence
 (no factorials, no binomial sums).  Its m <= 1 rows are certified to
-n = 512 against an independent dense-grid quadrature oracle (see
+n = 512 against an independent Gauss-Hermite quadrature oracle (see
 ``quadrature``, n <= 30), the position-operator sum rule and completeness;
 rows m > 1 only where that oracle agrees with them.  A table or moment row
 is refused with ``CapabilityError`` if it is not finite (inf or NaN), or if
@@ -72,8 +72,21 @@ def ho_length_scale(phonon_energy):
     float
         sqrt(ħ² / (2 ħΩ)) in amu^(1/2)·Å.  Strictly decreasing in the
         phonon energy.
+
+    Raises
+    ------
+    CapabilityError
+        If the length overflows double precision (ħΩ below about 1.2e-308).
     """
-    phonon_energy = _number(phonon_energy, "phonon_energy", gt=0.0)
+    length = _zero_point_length(_number(phonon_energy, "phonon_energy", gt=0.0))
+    if math.isinf(length):
+        raise CapabilityError(f"the zero-point length of ħΩ = {phonon_energy!r} meV "
+                              "is not finite in double precision")
+    return length
+
+
+def _zero_point_length(phonon_energy):
+    """:func:`ho_length_scale` unchecked: inf where it overflows, for callers that refuse inf."""
     return math.sqrt(HBAR_SQ_MEV_AMU_A2 / (2.0 * phonon_energy))
 
 
@@ -240,7 +253,7 @@ def _moments(energy_initial, energy_final, displacement, n_max):
     value the overlap recurrence started from.
     """
     s0, s1 = _moment_rows(energy_initial, energy_final, displacement, n_max)
-    return ho_length_scale(energy_initial) * s1, s0[0]
+    return _zero_point_length(energy_initial) * s1, s0[0]
 
 
 def transition_moments(pair, n_max):
@@ -275,5 +288,12 @@ def transition_moment(n, pair):
 
 
 def huang_rhys_factor(pair):
-    """Huang-Rhys factor S = Ω_final ΔQ² / (2ħ) of the pair, dimensionless."""
-    return pair.energy_final * pair.displacement**2 / (2.0 * HBAR_SQ_MEV_AMU_A2)
+    """Huang-Rhys factor S = Ω_final ΔQ² / (2ħ) of the pair, dimensionless.
+
+    Raises :class:`CapabilityError` if S overflows double precision.
+    """
+    # In this order only an S beyond the float range overflows, not an intermediate product.
+    factor = pair.energy_final / (2.0 * HBAR_SQ_MEV_AMU_A2) * pair.displacement * pair.displacement
+    if math.isinf(factor):
+        raise CapabilityError(f"the Huang-Rhys factor of {pair} is not finite in double precision")
+    return factor

@@ -1,57 +1,34 @@
-"""Dense-grid quadrature oracle for harmonic-oscillator overlaps.
+"""Gauss-Hermite quadrature oracle for harmonic-oscillator overlaps.
 
-This is the independent verification route for ``oscillator.fc_overlap``:
-it evaluates explicit Hermite-Gaussian wavefunctions on a dense uniform
-grid and integrates their product with the trapezoid rule, never touching
-the recurrence used by the analytic path.  Accuracy is self-diagnosed by a
-halving-step convergence check plus a summation roundoff floor; when the
-requested absolute tolerance cannot be certified, the oracle raises
-instead of returning a number it cannot stand behind.  The wavefunctions
-are evaluated once, on the fine grid; the coarse sum takes every other
-fine point at twice the weight (in float64 exactly the coarse grid, as
-halving a step is exact in binary).
-
-The grid is fixed: 12 turning-point lengths of the wider oscillator, 20
-points per shortest wavelength of the narrower.  The trapezoid rule converges
-geometrically on these Gaussian-decaying integrands (Trefethen & Weideman,
-SIAM Rev. 56, 385, 2014): on the ``overlap-certify`` pairs of seed pools 1-4,
-|fine - coarse| of a 30x30 table is at most 2.37 times its roundoff floor.
-Overlaps below roughly 1e-11 arise from cancellation of order-one
-integrand lobes and are unresolvable in float64 at any grid density; for
-those, ``GridSpec(dps=...)`` runs the same sums in stdlib ``decimal`` at
-*dps* digits, in a local context (intended for spot checks).
-
-Both backends skip grid points by one rule.  The Hermite recurrence's
-coefficients are at most sqrt(2)|y| and 1, so by induction |h_k(y)| <=
-(1 + sqrt(2)|y|)^k, and no term exceeds (1 + sqrt(2)|y_i|)^m * (1 +
-sqrt(2)|y_f|)^n * exp(-(y_i^2 + y_f^2)/2) * step * (a_i a_f)^(1/4) / sqrt(pi).
-Both sum the span from the first point whose bound reaches cut =
-10^-(dps+10) / (2 * points) to the last, and 3 * skipped * cut joins the error
-for the points outside it: a fine weight is at most the step, a coarse one
-twice it.  The float64 tables use the 30-digit cut and the bound at
-(m_max, n_max), which covers every entry.
+The independent route for ``oscillator.fc_overlap``: it sums Hermite-Gaussian
+wavefunctions at quadrature nodes, never the analytic recurrence.  With
+Q = A_f dQ/(A_i + A_f) + t sqrt(2/(A_i + A_f)), chi_m^i chi_n^f is a
+degree-(m + n) polynomial in t times exp(-t^2 - c), c = A_i A_f dQ^2/(2(A_i + A_f)),
+so K = (m + n)//2 + 1 Gauss-Hermite nodes are exact apart from rounding, and
+so are K + 1.  The two sums round independently: the error is |S_K - S_{K+1}|
+plus a floor on the absolute sum.  Both backends share one rule, the Jacobi
+matrix's eigenvalues (Golub & Welsch, Math. Comp. 23, 221, 1969) refined by
+Newton's method in ``decimal``, weighted by the Christoffel numbers.
 """
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 
 from .constants import HBAR_SQ_MEV_AMU_A2
 from .errors import AccuracyError, _number
 
-# Oracle contract is certified for small quantum numbers only.
-MAX_ORACLE_N = 30
-
-_TURNING_POINT_SPANS = 12.0
-_POINTS_PER_WAVELENGTH = 20.0
-# The float64 tables skip by the cut of a 30-digit spot check, 10^-40 / (2 * points).
-_TABLE_SKIP_DPS = 30
+MAX_ORACLE_N = 30  # the oracle contract is certified for small quantum numbers only
+_GUARD_DIGITS = 10  # keeps the rounding noise of a Newton step far below 10^-(dps+3)
 
 
 @dataclass(frozen=True, kw_only=True)
 class GridSpec:
-    """Accuracy demands for the quadrature oracle, by keyword; the grid is fixed.
+    """Accuracy demands for the quadrature oracle, by keyword; the nodes follow from m + n.
 
     Parameters
     ----------
@@ -61,8 +38,7 @@ class GridSpec:
     dps : int or None
         ``None`` evaluates in float64 (vectorized).  An integer switches
         to ``decimal`` arithmetic with that many digits, lowering the
-        roundoff floor far enough to resolve deep-tail overlaps; the points
-        outside the span where a term can reach 10^-(dps+10) are skipped.
+        roundoff floor far enough to resolve deep-tail overlaps.
     """
 
     abs_tol: float = 1e-10
@@ -72,21 +48,6 @@ class GridSpec:
         object.__setattr__(self, "abs_tol", _number(self.abs_tol, "abs_tol", gt=0.0))
         if self.dps is not None:  # fewer digits than float64 would be pointless
             object.__setattr__(self, "dps", _number(self.dps, "dps", integer=True, ge=15))
-
-
-def _grid_layout(pair, n_top):
-    """Uniform grid [lo, hi] and its coarse point count, for quantum numbers up to *n_top*."""
-    a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
-    a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
-    a_wide, a_narrow = sorted((a_i, a_f))
-    q_turn = math.sqrt((2.0 * n_top + 1.0) / a_wide)
-    half = 0.5 * _TURNING_POINT_SPANS * q_turn
-    lo = min(0.0, pair.displacement) - half
-    hi = max(0.0, pair.displacement) + half
-    wavelength = 2.0 * math.pi / math.sqrt(a_narrow * (2.0 * n_top + 1.0))
-    step = wavelength / _POINTS_PER_WAVELENGTH
-    count = int(math.ceil((hi - lo) / step)) + 1
-    return lo, hi, count
 
 
 def _hermite_rows(y, n_max, scale):
@@ -105,19 +66,71 @@ def _hermite_rows(y, n_max, scale):
     return rows
 
 
-def _trapezoid_weights(count, step):
-    weights = np.full(count, step)
-    weights[0] = weights[-1] = 0.5 * step
-    return weights
+def _hermite(order, y):
+    """[H_0(y), ..., H_order(y)], the physicists' Hermite polynomials, in ``decimal``."""
+    values = [Decimal(1), 2 * y]
+    for k in range(1, order):
+        values.append(2 * y * values[k] - 2 * k * values[k - 1])
+    return values[: order + 1]
+
+
+@functools.lru_cache(maxsize=128)
+def _decimal_rule(count, dps):
+    """((t_k, c_k, c_k e^{t_k^2}), ...): c_k = 1/sum_{j<K} H_j(t_k)^2/(2^j j!), the
+    Christoffel number over sqrt(pi); H_K' = 2K H_{K-1} gives the Newton step."""
+    off = np.sqrt(np.arange(1.0, count) / 2.0)
+    starts = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)).tolist()
+    with localcontext(Context(prec=dps + _GUARD_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        tol, rule = Decimal(10) ** -(dps + 3), []
+        for t in map(Decimal, starts):
+            step = tol
+            while abs(step) >= tol:  # h, so the weight, is at t before its last step (< tol)
+                h = _hermite(count, t)
+                step = h[count] / (2 * count * h[count - 1])
+                t -= step
+            christoffel = 1 / sum(v * v / (2**j * math.factorial(j)) for j, v in enumerate(h[:count]))
+            rule.append((t, christoffel, christoffel * (t * t).exp()))
+        return tuple(rule)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_hermite(count):
+    """Read-only float64 nodes t_k and weights w_k e^{t_k^2}, from the rule at 17 digits."""
+    rule = np.array(_decimal_rule(count, 17), dtype=float)
+    nodes, weights = rule[:, 0].copy(), math.sqrt(math.pi) * rule[:, 2]
+    for array in (nodes, weights):
+        array.setflags(write=False)
+    return nodes, weights
+
+
+def _float64_sums(pair, m_max, n_max, count):
+    """(S, l1, y_i, y_f): the *count*-node sums of the table and the nodes' coordinates."""
+    nodes, weights = _gauss_hermite(count)
+    a_i, a_f = pair.energy_initial / HBAR_SQ_MEV_AMU_A2, pair.energy_final / HBAR_SQ_MEV_AMU_A2
+    total = a_i + a_f
+    scale = math.sqrt(2.0 / total)
+    y_i = math.sqrt(a_i) * (pair.displacement * a_f / total + scale * nodes)
+    y_f = math.sqrt(a_f) * (scale * nodes - pair.displacement * a_i / total)
+    rows_i = _hermite_rows(y_i, m_max, a_i**0.25)
+    rows_f = _hermite_rows(y_f, n_max, a_f**0.25)
+    rows_f *= scale * weights
+    values = rows_i @ rows_f.T
+    np.abs(rows_f, out=rows_f)
+    rows_f *= np.maximum(64.0, 2.0 * (y_i * y_i + y_f * y_f))  # the floor's node weights
+    return values, np.abs(rows_i, out=rows_i) @ rows_f.T, y_i, y_f
 
 
 def quadrature_overlap_table(pair, m_max, n_max):
     """Quadrature overlaps and self-estimated absolute errors, in bulk.
 
-    Integrates every (m, n) pair on one grid sized for the largest quantum
-    number and on its halved step, and reports ``|fine - coarse|`` plus a
-    summation roundoff floor and the bound on the skipped points (at most
-    1.5e-40) as the error estimate.
+    Sums every (m, n) pair at the K and K + 1 nodes exact for the largest
+    degree, K = (m_max + n_max)//2 + 1.  The floor is eps times the absolute
+    sum, each node weighed by max(64, 2 (y_i^2 + y_f^2)) for the sums, the
+    recurrence and the conditioning of e^{-y^2/2}.  An entry whose absolute
+    sum is below the normal range underflowed: its error is |S| plus
+    e^(1 - c) max_k (1 + sqrt(2)|y_i|)^m (1 + sqrt(2)|y_f|)^n in log form, a
+    bound on the exact |S| by |h_k(y)| <= pi^(-1/4) (1 + sqrt(2)|y|)^k e^{-y^2/2},
+    weights summing to sqrt(pi) and sqrt(2/(A_i + A_f)) (A_i A_f)^(1/4) <= 1.
 
     Returns
     -------
@@ -128,105 +141,62 @@ def quadrature_overlap_table(pair, m_max, n_max):
     """
     m_max = _number(m_max, "m_max", integer=True, ge=0, le=MAX_ORACLE_N)
     n_max = _number(n_max, "n_max", integer=True, ge=0, le=MAX_ORACLE_N)
-    lo, hi, count = _grid_layout(pair, max(m_max, n_max, 1))
-    points = 2 * count - 1
-    span = _kept_points(pair, m_max, n_max, lo, hi, points, _TABLE_SKIP_DPS)
-    k0, k1 = span.start, span.stop
-    # linspace(lo, hi, count) == linspace(lo, hi, points)[::2] exactly.
-    x, step = np.linspace(lo, hi, points, retstep=True)
-    a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
-    a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
-    rows_i = _hermite_rows(np.sqrt(a_i) * x[k0:k1], m_max, a_i**0.25)
-    rows_f = _hermite_rows(np.sqrt(a_f) * (x[k0:k1] - pair.displacement), n_max, a_f**0.25)
-    weights = _trapezoid_weights(points, step)[k0:k1]
-    even = slice(k0 % 2, None, 2)  # coarse points: even fine indices, twice the weight
-    # Contiguous coarse operands keep the product on the BLAS path.
-    coarse_f = rows_f[:, even] * (2.0 * weights[even])
-    coarse = np.ascontiguousarray(rows_i[:, even]) @ coarse_f.T
-    rows_f *= weights
-    fine = rows_i @ rows_f.T
-    floor = 64.0 * np.finfo(float).eps * (np.abs(rows_i, out=rows_i) @ np.abs(rows_f, out=rows_f).T)
-    skip = 3 * (points - len(span)) * (10.0 ** -(_TABLE_SKIP_DPS + 10) / (2 * points))
-    return fine, np.abs(fine - coarse) + floor + skip
+    count = (m_max + n_max) // 2 + 1
+    with np.errstate(over="ignore", invalid="ignore"):  # y^2 = inf: zero terms and NaN l1, bound below
+        values, l1, y_i, y_f = _float64_sums(pair, m_max, n_max, count)
+        other, other_l1, _, _ = _float64_sums(pair, m_max, n_max, count + 1)
+    l1 = np.maximum(l1, other_l1)
+    errors = np.abs(values - other) + np.finfo(float).eps * l1
+    low = ~(l1 >= sys.float_info.min)
+    if low.any():
+        a_i, a_f = pair.energy_initial / HBAR_SQ_MEV_AMU_A2, pair.energy_final / HBAR_SQ_MEV_AMU_A2
+        log_bound = 1.0 - a_i * a_f * (pair.displacement * pair.displacement) / (2.0 * (a_i + a_f))
+        log_bound += np.add.outer(np.arange(m_max + 1.0) * np.log1p(math.sqrt(2.0) * np.abs(y_i)).max(),
+                                  np.arange(n_max + 1.0) * np.log1p(math.sqrt(2.0) * np.abs(y_f)).max())
+        errors[low] = np.maximum(np.exp(log_bound) + np.abs(values), math.ulp(0.0))[low]
+    return values, errors
 
 
-def _kept_points(pair, m, n, lo, hi, points, dps):
-    """range(first, last + 1) of the fine points whose float64 log term bound reaches the cut."""
-    a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
-    a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
-    x = np.linspace(lo, hi, points)
-    y_i, y_f = math.sqrt(a_i) * x, math.sqrt(a_f) * (x - pair.displacement)
-    log_term = math.log((hi - lo) / (points - 1) * (a_i * a_f) ** 0.25 / math.sqrt(math.pi))
-    log_term += m * np.log1p(math.sqrt(2.0) * np.abs(y_i)) + n * np.log1p(math.sqrt(2.0) * np.abs(y_f))
-    log_term -= 0.5 * (y_i * y_i + y_f * y_f)
-    # A margin of a factor e covers the float64 rounding of the log bound, ~1e-16 * y^2.
-    kept = np.flatnonzero(log_term + 1.0 >= -(dps + 10) * math.log(10.0) - math.log(2 * points))
-    return range(kept[0], kept[-1] + 1) if kept.size else range(0)
-
-
-def _decimal_overlap(pair, m, n, lo, hi, count, dps):
-    """(fine, coarse, floor) on 2 * count - 1 points and every other one; floor includes the skip."""
-    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
-
-    points = 2 * count - 1
-    span = _kept_points(pair, m, n, lo, hi, points, dps)
-    with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)) as ctx:
-        ctx.prec += 2  # pi by the recipe in the decimal docs, with two guard digits
-        lasts, t, s, p, dp, d, dd = 0, Decimal(3), 3, 1, 0, 0, 24
-        while s != lasts:
-            lasts, p, dp, d, dd = s, p + dp, dp + 8, d + dd, dd + 32
-            t = t * p / d
-            s += t
-        ctx.prec -= 2
-        a_i = Decimal(pair.energy_initial) / Decimal(HBAR_SQ_MEV_AMU_A2)
-        a_f = Decimal(pair.energy_final) / Decimal(HBAR_SQ_MEV_AMU_A2)
-        sqrt_ai, sqrt_af = a_i.sqrt(), a_f.sqrt()
-        norm = ((a_i * a_f).sqrt() / +s).sqrt()
-        dq, lo_d = Decimal(pair.displacement), Decimal(lo)
-        step = (Decimal(hi) - lo_d) / (points - 1)
-        # (sqrt(2/k), sqrt((k-1)/k)) for k >= 1; the second is 0 at k = 1, so h_1 = sqrt(2) y.
-        coeffs = [((Decimal(2) / k).sqrt(), (Decimal(k - 1) / k).sqrt())
-                  for k in range(1, max(m, n) + 1)]
-
-        def hermite(order, y):
-            h_prev, h = 0, Decimal(1)
-            for c_y, c_p in coeffs[:order]:
-                h, h_prev = c_y * y * h - c_p * h_prev, h
-            return h
-
-        total = coarse = l1 = Decimal(0)
-        for idx in span:
-            x = lo_d + idx * step
-            y_i, y_f = sqrt_ai * x, sqrt_af * (x - dq)
-            value = hermite(m, y_i) * hermite(n, y_f) * (-(y_i * y_i + y_f * y_f) / 2).exp()
-            weight = step if 0 < idx < points - 1 else step / 2
-            total += value * weight
-            l1 += abs(value) * weight
-            if idx % 2 == 0:
-                coarse += value * (2 * weight)
-        floor = 100 * Decimal(10) ** -dps * l1 * norm
-        floor += Decimal(3 * (points - len(span))) / (2 * points) * Decimal(10) ** -(dps + 10)
-        return float(total * norm), float(coarse * norm), float(floor)
+def _decimal_overlap(pair, m, n, dps):
+    """(S_K, |S_K - S_{K+1}| + 100 10^-dps l1) for one entry, l1 the absolute sum, in ``decimal``."""
+    count = (m + n) // 2 + 1
+    with localcontext(Context(prec=dps + _GUARD_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        a_i, a_f = (Decimal(energy) / Decimal(HBAR_SQ_MEV_AMU_A2)
+                    for energy in (pair.energy_initial, pair.energy_final))
+        total, dq = a_i + a_f, Decimal(pair.displacement)
+        scale, sqrt_ai, sqrt_af = (2 / total).sqrt(), a_i.sqrt(), a_f.sqrt()
+        # sqrt(2/(A_i + A_f)) (A_i A_f)^(1/4) e^-c / sqrt(2^(m+n) m! n!): the Gaussian leaves the sum.
+        prefactor = scale * (a_i * a_f).sqrt().sqrt() * (-a_i * a_f * dq * dq / (2 * total)).exp()
+        prefactor /= Decimal(2 ** (m + n) * math.factorial(m) * math.factorial(n)).sqrt()
+        sums = []
+        for points in (count, count + 1):
+            terms = [_hermite(m, sqrt_ai * (dq * a_f / total + scale * t))[m] * christoffel
+                     * _hermite(n, sqrt_af * (scale * t - dq * a_i / total))[n]
+                     for t, christoffel, _ in _decimal_rule(points, dps)]
+            sums.append((sum(terms) * prefactor, sum(map(abs, terms)) * prefactor))
+        (value, l1), (other, other_l1) = sums
+        return value, abs(value - other) + 100 * Decimal(10) ** -dps * max(l1, other_l1)
 
 
 def quadrature_overlap_with_error(m, n, pair, grid=GridSpec()):
     """Oracle overlap plus its self-estimated absolute error (no tolerance check).
 
-    In float64 this is the ``[m, n]`` entry of :func:`quadrature_overlap_table`.
+    In float64, the ``[m, n]`` entry of :func:`quadrature_overlap_table`; with ``grid.dps``,
+    summed in a local ``decimal`` context with e^-c factored out, floor 100 10^-dps l1.
     """
     m = _number(m, "m", integer=True, ge=0, le=MAX_ORACLE_N)
     n = _number(n, "n", integer=True, ge=0, le=MAX_ORACLE_N)
     if grid.dps is None:
         values, errors = quadrature_overlap_table(pair, m, n)
         return float(values[m, n]), float(errors[m, n])
-    lo, hi, count = _grid_layout(pair, max(m, n, 1))
-    fine, coarse, floor = _decimal_overlap(pair, m, n, lo, hi, count, grid.dps)
-    # The float returned is itself rounded: half an ulp joins the error.
-    return fine, abs(fine - coarse) + floor + math.ulp(fine) / 2
+    value, error = map(float, _decimal_overlap(pair, m, n, grid.dps))
+    # The float returned is itself rounded: half an ulp joins the error, which is at
+    # least the smallest subnormal (0 +- 0 otherwise, where |S| rounds to zero).
+    return value, max(error + math.ulp(value) / 2, math.ulp(0.0))
 
 
 def quadrature_overlap_oracle(m, n, pair, grid=GridSpec()):
-    """Overlap <chi_initial_m | chi_final_n> by dense-grid quadrature.
+    """Overlap <chi_initial_m | chi_final_n> by Gauss-Hermite quadrature.
 
     Parameters
     ----------
@@ -242,8 +212,8 @@ def quadrature_overlap_oracle(m, n, pair, grid=GridSpec()):
     Raises
     ------
     AccuracyError
-        If the halving-step convergence check (plus roundoff floor)
-        cannot certify ``grid.abs_tol``.
+        If the error estimate, the difference of the K- and (K + 1)-node
+        sums plus the roundoff floor, exceeds ``grid.abs_tol``.
     """
     value, error = quadrature_overlap_with_error(m, n, pair, grid)
     if error > grid.abs_tol:

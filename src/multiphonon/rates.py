@@ -39,7 +39,7 @@ from .errors import (
     MultiphononError,
     _number,
 )
-from .oscillator import MAX_CERTIFIED_N, _moments, ho_length_scale
+from .oscillator import MAX_CERTIFIED_N, _moments, _zero_point_length
 
 # Phonon terms × rows evaluated per batched pass of ``rate_sweep``; bounds
 # the kernel's temporary arrays to about 64 kB each.
@@ -149,7 +149,7 @@ def _uncertified(total, n_max, coupling, displacement, energy_excited, s00):
     Floats or arrays, under the caller's ``np.errstate``.
     """
     power = _TWO_PI_OVER_HBAR * (coupling * coupling)
-    length = ho_length_scale(energy_excited) + abs(displacement)
+    length = _zero_point_length(energy_excited) + abs(displacement)
     peak = 1.0 / (np.float64(energy_excited) / 2.0 * _SQRT_TWO_PI)  # σ = 0: inf, not raised
     bound = 2.0 * (n_max + 1) * (1.0 + power) * (1.0 + length * length) * (1.0 + peak)
     flushed = bound * sys.float_info.min > sys.float_info.epsilon * total

@@ -4,6 +4,8 @@ import decimal
 import sys
 import threading
 
+import pytest
+
 from multiphonon import (
     GridSpec,
     OscillatorPair,
@@ -20,6 +22,7 @@ from multiphonon import (
     sweep_grid,
     write_histogram_csv,
 )
+from multiphonon import quadrature
 
 THREADS = 8
 ROUNDS = 10
@@ -58,14 +61,19 @@ def test_threads_reproduce_the_serial_results(natural, deuterium, tmp_path):
               tmp_path / f"thread{t}.csv") for r in range(ROUNDS)] for t in range(THREADS)]
     serial = [[_work(*job) for job in thread_jobs] for thread_jobs in jobs]
 
-    results = [None] * THREADS
-    errors = []
+    results = _run_threads(lambda index: [_work(*job) for job in jobs[index]])
+    assert results == serial
+
+
+def _run_threads(target):
+    """Start THREADS threads on *target(index)* behind a barrier, with a tiny switch interval."""
+    results, errors = [None] * THREADS, []
     barrier = threading.Barrier(THREADS)
 
     def run(index):
         try:
             barrier.wait(timeout=60)
-            results[index] = [_work(*job) for job in jobs[index]]
+            results[index] = target(index)
         except Exception as exc:  # reported below, not lost in the thread
             errors.append(exc)
 
@@ -81,7 +89,32 @@ def test_threads_reproduce_the_serial_results(natural, deuterium, tmp_path):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert results == serial
+    return results
+
+
+# Table shapes and 30-digit entries whose node counts K = (m + n)//2 + 1 run from 1 to 31.
+SHAPES = [(0, 0), (1, 30), (30, 30), (5, 17), (12, 3), (1, 1), (0, 9)]
+ENTRIES = [(0, 0), (1, 1), (0, 26), (3, 8), (1, 28), (7, 2)]
+
+
+def _node_work(pair, index):
+    """Tables and 30-digit entries in an order that differs per thread."""
+    tables = [quadrature_overlap_table(pair, *SHAPES[(index + k) % len(SHAPES)]) for k in range(len(SHAPES))]
+    entries = [quadrature_overlap_with_error(*ENTRIES[(index + k) % len(ENTRIES)], pair, GridSpec(dps=30))
+               for k in range(len(ENTRIES))]
+    return [(values.tolist(), errors.tolist()) for values, errors in tables], entries
+
+
+def test_threads_fill_the_node_caches_from_cold():
+    pair = OscillatorPair(47.0, 151.0, 0.42)
+    serial = [_node_work(pair, index) for index in range(THREADS)]
+    quadrature._gauss_hermite.cache_clear()
+    quadrature._decimal_rule.cache_clear()
+    assert _run_threads(lambda index: _node_work(pair, index)) == serial
+    # Every caller shares the cached arrays, so none may write to them.
+    for array in quadrature._gauss_hermite(9):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def _context_state(context):

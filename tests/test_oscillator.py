@@ -59,6 +59,26 @@ class TestHoLengthScale:
         with pytest.raises(DomainError):
             ho_length_scale(bad)
 
+    def test_overflowing_length_refused_at_its_edge(self):
+        # sqrt(ħ²/(2ħΩ)): the quotient overflows between 1.16e-308 and 1.17e-308 meV.
+        assert ho_length_scale(1.17e-308) == pytest.approx(1.33656e154, rel=1e-5)
+        for energy in (1.16e-308, 1e-310, 5e-324):
+            with pytest.raises(CapabilityError, match="not finite"):
+                ho_length_scale(energy)
+
+
+class TestHuangRhysFactor:
+    def test_overflowing_factor_refused_at_its_edge(self):
+        # At ħΩ_f = 1e308 meV, S passes the float range between ΔQ = 3.876 and 3.88;
+        # at ħΩ_f = 1e-20 meV and ΔQ = 1e160, S = 1.2e299 though ΔQ² overflows.
+        assert huang_rhys_factor(OscillatorPair(33.0, 1e308, 3.876)) == pytest.approx(1.797e308, rel=1e-3)
+        assert huang_rhys_factor(OscillatorPair(33.0, 1e-20, 1e160)) == pytest.approx(
+            1e-20 / (2.0 * HSQ) * 1e160 * 1e160, rel=1e-15)
+        for pair in (OscillatorPair(33.0, 1e308, 3.88), OscillatorPair(33.0, 1e308, 1e10),
+                     OscillatorPair(33.0, 33.0, 1e200)):
+            with pytest.raises(CapabilityError, match="not finite"):
+                huang_rhys_factor(pair)
+
 
 class TestPairValidation:
     def test_rejects_nonpositive_energies(self):

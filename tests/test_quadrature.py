@@ -79,18 +79,29 @@ def test_deep_tail_spot_check_in_extended_precision(accepting_pair):
     assert abs(value - analytic) <= 1e-8 * abs(analytic)
 
 
-def test_halving_step_is_converged(monkeypatch):
-    pair = OscillatorPair(33.0, 359.0, 0.5)
-    value, error = quadrature_overlap_with_error(1, 7, pair)
-    assert error < 1e-12
-    monkeypatch.setattr(quadrature, "_POINTS_PER_WAVELENGTH", 40.0)
-    denser = quadrature_overlap_oracle(1, 7, pair)
-    assert denser == pytest.approx(value, abs=10 * max(error, 1e-15))
+def _seeded_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+    return [OscillatorPair(*np.exp(rng.uniform(np.log(20.0), np.log(400.0), size=2)), rng.uniform(0.0, 1.0))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("pair", [OscillatorPair(33.0, 359.0, 0.5)] + _seeded_pairs(20261, 12),
+                         ids=lambda p: f"{p.energy_initial:.1f}-{p.displacement:.2f}")
+@pytest.mark.parametrize("shape", [(1, 7), (1, 30), (30, 30), (12, 3)])
+def test_more_nodes_agree_within_the_reported_error(pair, shape):
+    # K nodes are exact for every entry, and so are K + 1 and K + 2: the
+    # sums differ by rounding only, which the reported error must cover.
+    count = sum(shape) // 2 + 1
+    values, errors = quadrature_overlap_table(pair, *shape)
+    assert np.array_equal(values, quadrature._float64_sums(pair, *shape, count)[0])
+    for more in (count + 1, count + 2):
+        assert np.all(np.abs(quadrature._float64_sums(pair, *shape, more)[0] - values) <= errors)
+    assert np.all(errors < 1e-12)
 
 
 def test_scalar_float64_oracle_is_the_table_entry():
     # One float64 path: the scalar oracle is the [m, n] entry of the table
-    # built on the same grid (sized for max(m, n)), bit for bit.
+    # summed at the same nodes (K for m + n), bit for bit.
     rng = np.random.default_rng(20260)
     for _ in range(40):
         energies = np.exp(rng.uniform(np.log(20.0), np.log(400.0), size=2))
@@ -130,7 +141,7 @@ def test_grid_spec_is_keyword_only_with_two_fields(accepting_pair):
     for removed in ("turning_point_spans", "points_per_wavelength"):
         with pytest.raises(TypeError):
             GridSpec(**{removed: 30.0})
-    # The bulk table is float64 on the fixed grid: it takes no GridSpec.
+    # The bulk table is float64 on its fixed nodes: it takes no GridSpec.
     with pytest.raises(TypeError):
         quadrature_overlap_table(accepting_pair, 1, 3, GridSpec())
     with pytest.raises(TypeError):
