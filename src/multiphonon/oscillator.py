@@ -172,12 +172,12 @@ def fc_overlap_matrix(pair, m_max, n_max):
         rows = np.hstack(_moment_rows(*args, n_max)).T
         s[:2] = _finite(rows[: m_max + 1], pair, rows[0, 0])
     a, b, _, _, e = map(float, _recurrence_coefficients(*args))
-    n = np.arange(1.0, n_max + 1.0)
     # Whole rows, each entry by the operations of the entry-wise recurrence, in order.
+    diagonal = 0.5 * e * np.sqrt(np.arange(1.0, n_max + 1.0) / np.arange(2.0, m_max + 1.0)[:, None])
     for m in range(2, m_max + 1):
         np.multiply(b / math.sqrt(2.0 * m), s[m - 1], out=s[m])
         s[m] += a * math.sqrt((m - 1.0) / m) * s[m - 2]
-        s[m, 1:] += 0.5 * e * np.sqrt(n / m) * s[m - 1, :-1]
+        s[m, 1:] += diagonal[m - 2] * s[m - 1, :-1]
     return s
 
 

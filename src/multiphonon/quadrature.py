@@ -6,9 +6,11 @@ Q = A_f dQ/(A_i + A_f) + t sqrt(2/(A_i + A_f)), chi_m^i chi_n^f is a
 degree-(m + n) polynomial in t times exp(-t^2 - c), c = A_i A_f dQ^2/(2(A_i + A_f)),
 so K = (m + n)//2 + 1 Gauss-Hermite nodes are exact apart from rounding, and
 so are K + 1.  The two sums round independently: the error is |S_K - S_{K+1}|
-plus a floor on the absolute sum.  Both backends share one rule, the Jacobi
-matrix's eigenvalues (Golub & Welsch, Math. Comp. 23, 221, 1969) refined by
-Newton's method in ``decimal``, weighted by the Christoffel numbers.
+plus a floor on the absolute sum.  In float64 one Hermite recurrence runs over
+both oscillators at both rules' nodes, and a pair whose A_i·A_f underflows is
+refused.  Both backends share one rule, the Jacobi matrix's eigenvalues (Golub &
+Welsch, Math. Comp. 23, 221, 1969) refined by Newton's method in ``decimal``,
+weighted by the Christoffel numbers.
 """
 
 import functools
@@ -20,7 +22,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 import numpy as np
 
 from .constants import HBAR_SQ_MEV_AMU_A2
-from .errors import AccuracyError, _number
+from .errors import AccuracyError, CapabilityError, _number
 
 MAX_ORACLE_N = 30  # the oracle contract is certified for small quantum numbers only
 _GUARD_DIGITS = 10  # keeps the rounding noise of a Newton step far below 10^-(dps+3)
@@ -104,33 +106,39 @@ def _gauss_hermite(count):
 
 
 def _float64_sums(pair, m_max, n_max, count):
-    """(S, l1, y_i, y_f): the *count*-node sums of the table and the nodes' coordinates."""
-    nodes, weights = _gauss_hermite(count)
+    """([S_K, S_K+1], [l1_K, l1_K+1], y_i, y_f at K), K = *count*, from one Hermite recurrence
+    on [y_i(K), y_i(K+1), y_f(K), y_f(K+1)]: each step is elementwise, as for one rule alone."""
+    nodes, weights = map(np.concatenate, zip(_gauss_hermite(count), _gauss_hermite(count + 1)))
     a_i, a_f = pair.energy_initial / HBAR_SQ_MEV_AMU_A2, pair.energy_final / HBAR_SQ_MEV_AMU_A2
     total = a_i + a_f
     scale = math.sqrt(2.0 / total)
     y_i = math.sqrt(a_i) * (pair.displacement * a_f / total + scale * nodes)
     y_f = math.sqrt(a_f) * (scale * nodes - pair.displacement * a_i / total)
-    rows_i = _hermite_rows(y_i, m_max, a_i**0.25)
-    rows_f = _hermite_rows(y_f, n_max, a_f**0.25)
+    points = nodes.size
+    rows = _hermite_rows(np.concatenate((y_i, y_f)), max(m_max, n_max),
+                         np.repeat((a_i**0.25, a_f**0.25), points))
+    rows_i, rows_f = rows[: m_max + 1, :points], rows[: n_max + 1, points:]
     rows_f *= scale * weights
-    values = rows_i @ rows_f.T
-    np.abs(rows_f, out=rows_f)
+    spans = slice(count), slice(count, points)
+    values = [rows_i[:, span] @ rows_f[:, span].T for span in spans]
+    np.abs(rows, out=rows)
     rows_f *= np.maximum(64.0, 2.0 * (y_i * y_i + y_f * y_f))  # the floor's node weights
-    return values, np.abs(rows_i, out=rows_i) @ rows_f.T, y_i, y_f
+    return values, [rows_i[:, span] @ rows_f[:, span].T for span in spans], y_i[:count], y_f[:count]
 
 
 def quadrature_overlap_table(pair, m_max, n_max):
     """Quadrature overlaps and self-estimated absolute errors, in bulk.
 
     Sums every (m, n) pair at the K and K + 1 nodes exact for the largest
-    degree, K = (m_max + n_max)//2 + 1.  The floor is eps times the absolute
+    degree, K = (m_max + n_max)//2 + 1, from one Hermite recurrence over both
+    oscillators and both rules.  The floor is eps times the absolute
     sum, each node weighed by max(64, 2 (y_i^2 + y_f^2)) for the sums, the
     recurrence and the conditioning of e^{-y^2/2}.  An entry whose absolute
     sum is below the normal range underflowed: its error is |S| plus
-    e^(1 - c) max_k (1 + sqrt(2)|y_i|)^m (1 + sqrt(2)|y_f|)^n in log form, a
-    bound on the exact |S| by |h_k(y)| <= pi^(-1/4) (1 + sqrt(2)|y|)^k e^{-y^2/2},
-    weights summing to sqrt(pi) and sqrt(2/(A_i + A_f)) (A_i A_f)^(1/4) <= 1.
+    sqrt(2/(A_i + A_f)) (A_i A_f)^(1/4) e^(1 - c) max_k (1 + sqrt(2)|y_i|)^m (1 + sqrt(2)|y_f|)^n
+    in log form, a bound on the exact |S| by |h_k(y)| <= pi^(-1/4) (1 + sqrt(2)|y|)^k e^{-y^2/2}
+    and weights summing to sqrt(pi).  A pair whose A_i·A_f is below the normal range
+    is refused with :class:`CapabilityError`, as ``oscillator.fc_overlap_matrix`` refuses it.
 
     Returns
     -------
@@ -141,16 +149,18 @@ def quadrature_overlap_table(pair, m_max, n_max):
     """
     m_max = _number(m_max, "m_max", integer=True, ge=0, le=MAX_ORACLE_N)
     n_max = _number(n_max, "n_max", integer=True, ge=0, le=MAX_ORACLE_N)
-    count = (m_max + n_max) // 2 + 1
+    a_i, a_f = pair.energy_initial / HBAR_SQ_MEV_AMU_A2, pair.energy_final / HBAR_SQ_MEV_AMU_A2
+    if not a_i * a_f >= sys.float_info.min:
+        raise CapabilityError(f"the quadrature overlaps of {pair} underflow double precision: "
+                              f"A_i·A_f = {a_i * a_f!r} must reach {sys.float_info.min!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # y^2 = inf: zero terms and NaN l1, bound below
-        values, l1, y_i, y_f = _float64_sums(pair, m_max, n_max, count)
-        other, other_l1, _, _ = _float64_sums(pair, m_max, n_max, count + 1)
+        (values, other), (l1, other_l1), y_i, y_f = _float64_sums(pair, m_max, n_max, (m_max + n_max) // 2 + 1)
     l1 = np.maximum(l1, other_l1)
     errors = np.abs(values - other) + np.finfo(float).eps * l1
     low = ~(l1 >= sys.float_info.min)
     if low.any():
-        a_i, a_f = pair.energy_initial / HBAR_SQ_MEV_AMU_A2, pair.energy_final / HBAR_SQ_MEV_AMU_A2
         log_bound = 1.0 - a_i * a_f * (pair.displacement * pair.displacement) / (2.0 * (a_i + a_f))
+        log_bound += 0.5 * (math.log(2.0) - math.log(a_i + a_f)) + 0.25 * (math.log(a_i) + math.log(a_f))
         log_bound += np.add.outer(np.arange(m_max + 1.0) * np.log1p(math.sqrt(2.0) * np.abs(y_i)).max(),
                                   np.arange(n_max + 1.0) * np.log1p(math.sqrt(2.0) * np.abs(y_f)).max())
         errors[low] = np.maximum(np.exp(log_bound) + np.abs(values), math.ulp(0.0))[low]

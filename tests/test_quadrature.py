@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from multiphonon import (
     AccuracyError,
+    CapabilityError,
     DomainError,
     GridSpec,
     OscillatorPair,
@@ -17,6 +19,7 @@ from multiphonon import (
     quadrature_overlap_with_error,
 )
 from multiphonon import quadrature
+from multiphonon.constants import HBAR_SQ_MEV_AMU_A2
 
 # Where float64 quadrature certifies a 1e-8 relative comparison; smaller
 # overlaps are cross-checked in extended precision (see the deep-tail test).
@@ -93,10 +96,77 @@ def test_more_nodes_agree_within_the_reported_error(pair, shape):
     # sums differ by rounding only, which the reported error must cover.
     count = sum(shape) // 2 + 1
     values, errors = quadrature_overlap_table(pair, *shape)
-    assert np.array_equal(values, quadrature._float64_sums(pair, *shape, count)[0])
-    for more in (count + 1, count + 2):
-        assert np.all(np.abs(quadrature._float64_sums(pair, *shape, more)[0] - values) <= errors)
+    (sum_k, sum_k1), _, _, _ = quadrature._float64_sums(pair, *shape, count)
+    (_, sum_k2), _, _, _ = quadrature._float64_sums(pair, *shape, count + 1)
+    assert np.array_equal(values, sum_k)
+    for more in (sum_k1, sum_k2):
+        assert np.all(np.abs(more - values) <= errors)
     assert np.all(errors < 1e-12)
+
+
+def _one_rule_sums(pair, m_max, n_max, count):
+    """(S, l1) at *count* nodes, one Hermite recurrence per oscillator: the reference."""
+    nodes, weights = quadrature._gauss_hermite(count)
+    a_i, a_f = pair.energy_initial / HBAR_SQ_MEV_AMU_A2, pair.energy_final / HBAR_SQ_MEV_AMU_A2
+    total = a_i + a_f
+    scale = math.sqrt(2.0 / total)
+    y_i = math.sqrt(a_i) * (pair.displacement * a_f / total + scale * nodes)
+    y_f = math.sqrt(a_f) * (scale * nodes - pair.displacement * a_i / total)
+    rows = []
+    for y, top, a in ((y_i, m_max, a_i), (y_f, n_max, a_f)):
+        h = [math.pi**-0.25 * np.exp(-0.5 * y * y)]
+        for k in range(1, top + 1):
+            row = math.sqrt(2.0 / k) * y * h[k - 1]
+            h.append(row - math.sqrt((k - 1.0) / k) * h[k - 2] if k >= 2 else row)
+        rows.append(np.array(h) * a**0.25)
+    rows_i, rows_f = rows[0], rows[1] * (scale * weights)
+    floor = np.abs(rows_f) * np.maximum(64.0, 2.0 * (y_i * y_i + y_f * y_f))
+    return rows_i @ rows_f.T, np.abs(rows_i) @ floor.T
+
+
+@pytest.mark.parametrize("pair", _seeded_pairs(20262, 8) + [
+    OscillatorPair(20.0, 400.0, 0.5), OscillatorPair(33.0, 40.0, 0.734),
+    OscillatorPair(33.0, 33.0, 18.5), OscillatorPair(20.0, 400.0, 50.0),
+], ids=lambda p: f"{p.energy_initial:.1f}-{p.energy_final:.1f}-{p.displacement:.2f}")
+@pytest.mark.parametrize("shape", [(0, 0), (1, 30), (30, 30), (12, 3), (30, 1)])
+def test_table_is_bit_identical_to_one_recurrence_per_oscillator_and_rule(pair, shape):
+    # One recurrence over both oscillators and both rules is elementwise the
+    # same arithmetic, so values and errors match bit for bit; only entries
+    # whose absolute sum underflowed carry the log-form bound instead.
+    count = sum(shape) // 2 + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        (expected, l1), (other, other_l1) = (_one_rule_sums(pair, *shape, k) for k in (count, count + 1))
+    l1 = np.maximum(l1, other_l1)
+    expected_errors = np.abs(expected - other) + np.finfo(float).eps * l1
+    values, errors = quadrature_overlap_table(pair, *shape)
+    assert values.tobytes() == expected.tobytes()
+    normal = l1 >= sys.float_info.min
+    assert errors[normal].tobytes() == expected_errors[normal].tobytes()
+    assert np.all(errors[~normal] >= np.abs(values[~normal]))
+
+
+def test_float64_table_refuses_an_exponent_product_below_the_normal_range():
+    # As fc_overlap_matrix does: A_i + A_f underflows (or A_i·A_f loses digits).
+    for args in ((5e-324, 5e-324, 0.0), (5e-324, 33.0, 0.7), (1e-323, 33.0, 0.0)):
+        with pytest.raises(CapabilityError, match="underflow double precision"):
+            quadrature_overlap_table(OscillatorPair(*args), 1, 3)
+    # The decimal backend factors e^-c out of its sum and still answers.
+    _, error = quadrature_overlap_with_error(0, 1, OscillatorPair(5e-324, 33.0, 0.7), GridSpec(dps=30))
+    assert math.isfinite(error)
+    pair = OscillatorPair(1e-300, 33.0, 0.7)  # A_i·A_f = 1.9e-300 still answers
+    values, errors = quadrature_overlap_table(pair, 1, 3)
+    assert np.all(np.abs(values - fc_overlap_matrix(pair, 1, 3)) <= errors)
+    assert errors[0, 0] <= 1e-13 * values[0, 0]
+
+
+def test_underflow_bound_keeps_the_normalization_factor():
+    # Every term of S[0, 1] underflows; sqrt(2/(A_i + A_f)) (A_i A_f)^(1/4)
+    # is about 2.5e-154 here, so the bound is no longer of order one.
+    pair = OscillatorPair(1e308, 1e-308, 1.0)
+    values, errors = quadrature_overlap_table(pair, 1, 3)
+    exact, _ = quadrature_overlap_with_error(0, 1, pair, GridSpec(dps=30))
+    assert exact == pytest.approx(-9.78213338026192e-309, rel=1e-12)
+    assert abs(values[0, 1] - exact) <= errors[0, 1] <= 1e-150
 
 
 def test_scalar_float64_oracle_is_the_table_entry():
