@@ -14,10 +14,14 @@ energy, where the weight is below 2e-22).
 
 One kernel, ``_rate_terms``, evaluates the terms for a batch of rows at
 once.  ``nonradiative_rate`` is the kernel on one row; ``rate_sweep``
-runs all valid grid points through it in one batched pass, so every
-sweep row equals ``nonradiative_rate`` of its own configuration exactly;
-both sum a row's terms top down by the correctly rounded ``math.fsum``.
-Sweep rows are grouped by phonon cut-off into chunks of at most
+runs all valid grid points through it in one batched pass.  Both return
+the correctly rounded sum of a row's terms, which is unique, so every
+sweep row equals ``nonradiative_rate`` of its own configuration exactly:
+``nonradiative_rate`` by one ``math.fsum``, ``rate_sweep`` by one
+error-free pairwise tree over a whole chunk of rows, certified row by
+row, with ``math.fsum`` for the rows it cannot certify (``_row_totals``).
+A sum of finite terms past the float range is inf on both routes, and
+refused.  Sweep rows are grouped by phonon cut-off into chunks of at most
 ``_SWEEP_CHUNK_CELLS`` terms, which bounds memory.
 """
 
@@ -127,12 +131,69 @@ def _rate_terms(moments, energy_excited, energy_ground, coupling, zpl_energy):
     return moment_sq, weight, contribution
 
 
-def _row_totals(contribution, n_max):
-    """Correctly rounded, hence order-free, sum of each row's first n_max + 1 terms.
+def _fsum(terms):
+    """``math.fsum``, with a total of finite terms past the float range read as inf."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # "intermediate overflow": refused as not finite, not raised
+        return math.inf
 
-    Top down, ``math.fsum`` meets the peak before the underflowed low-n terms.
+
+def _row_totals(contribution, n_max):
+    """Correctly rounded sum of each column's first n_max + 1 terms, all ≥ 0.
+
+    All columns go through one pairwise tree (Ogita, Rump & Oishi, SIAM J. Sci.
+    Comput. 26, 2005).  Terms past a column's n_max are zeroed and the rows
+    padded with zeros to m = 2^L.  Each of the L levels adds row i to row
+    i + m/2 by Knuth's TwoSum, h = fl(a + b) with the exact error
+    e = a + b − h, and the low part l = fl(fl(l_a + l_b) + e) (l = e on the
+    first level) gathers the errors.  At the root h + E = S exactly, with E the
+    sum of every e, and r = fl(h + l) with its exact remainder t = h + l − r
+    gives S − r = t + (E − l).
+
+    The bound on δ = |E − l|, with u = 2^-53 and γ_k = ku/(1 − ku): every h is
+    ≥ 0, each level's h sum is at most (1 + u) times the one below and
+    |e| ≤ u(a + b), so Σ|e| ≤ L·u·(1 + u)^L·S.  Each e meets at most 2L − 1
+    roundings on its way into l, so δ ≤ γ_{2L−1}·Σ|e| ≈ 2L²u²S, and with
+    S ≤ r + |t| + δ and |t| ≤ u·r/(1 − u), δ ≤ 2L²u²r·(1 + 200u) for any
+    L ≤ 64.  Underflow changes none of this: TwoSum stays exact, and an
+    addition with a subnormal result is exact.
+
+    The certificate, with c = 3: g = r − pred(r) is exact, and g ≥ u·r for a
+    normal r.  If |t| < fl((1/2 − cL²u)·g), then |t| + δ < g/2: the product
+    is exact where it is normal (g is a power of two), both sides are
+    multiples of the least subnormal where it is not, and the rounding of
+    1/2 − cL²u (≤ u/4) stays inside the margin the 3 leaves over the 2.  So S
+    lies strictly nearer r than any other float, the gap above r being never
+    smaller than g, and r = fl(S), which ``math.fsum`` returns too.  The other
+    columns keep ``math.fsum``, top down: exact ties, a power of two with
+    |t| ≥ g/2, an all-zero or subnormal r, and inf or NaN terms or an
+    overflowing total, whose remainder is NaN.  Under the caller's
+    ``np.errstate``.
     """
-    return [math.fsum(column[k::-1].tolist()) for column, k in zip(contribution.T, n_max)]
+    n_max = np.asarray(n_max)
+    rows = len(contribution)
+    levels = (rows - 1).bit_length()
+    hi = np.zeros((1 << levels, contribution.shape[1]))
+    np.copyto(hi[:rows], contribution, where=np.arange(rows)[:, None] <= n_max)
+    lo = np.zeros((1, hi.shape[1]))  # the low part of a single row
+    for level in range(levels):
+        half = len(hi) // 2
+        a, b = hi[:half], hi[half:]
+        hi = a + b
+        z = hi - a
+        error = (a - (hi - z)) + (b - z)
+        lo = lo[:half] + lo[half:] + error if level else error
+    hi, lo = hi[0], lo[0]
+    total = hi + lo
+    z = total - hi
+    remainder = (hi - (total - z)) + (lo - z)
+    gap = total - np.nextafter(total, 0.0)
+    limit = 0.5 - 3.0 * levels * levels * sys.float_info.epsilon / 2.0  # c = 3
+    certified = (total >= sys.float_info.min) & (np.abs(remainder) < limit * gap)
+    for column in np.flatnonzero(~certified).tolist():
+        total[column] = _fsum(contribution[n_max[column]::-1, column].tolist())
+    return total
 
 
 def _uncertified(total, n_max, coupling, displacement, energy_excited, s00):
@@ -208,7 +269,7 @@ def nonradiative_rate(config, mode_label):
             moments, mode.energy_excited, mode.energy_ground, mode.coupling, config.zpl_energy
         )
         moment_sq, weight, contribution = (column[:, 0].tolist() for column in columns)
-        total = math.fsum(contribution[::-1])  # top down, as in _row_totals
+        total = _fsum(contribution[::-1])  # one column: cheaper than _row_totals's tree
         if _uncertified(total, n_max, mode.coupling, mode.displacement, mode.energy_excited,
                         s00.item()):
             raise CapabilityError(
@@ -269,14 +330,14 @@ def rate_sweep(config, mode_label, parameter, grid):
         )
     mode = config.mode(mode_label)
     grid = list(grid)
-    entries = [_sweep_value(value) for value in grid]
+    entries = [value if type(value) is float else _sweep_value(value) for value in grid]
     values = np.array(entries, dtype=float)  # None, a non-real entry, becomes NaN
     # E_ZPL belongs to the configuration; the other sweep parameters name fields of the mode.
     fixed = {p: config.zpl_energy if p == "zpl_energy" else getattr(mode, p)
              for p in SWEEP_PARAMETERS}
     swept = dict(fixed, **{parameter: values})
     sigma = mode.energy_excited / 2.0
-    rates = {}
+    rates = np.full(len(grid), math.nan)  # NaN marks a failing row
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
         n_max = _cut_off(swept["zpl_energy"], mode.energy_excited, swept["energy_ground"])
         valid = np.isfinite(values) & (n_max <= MAX_CERTIFIED_N)
@@ -305,34 +366,34 @@ def rate_sweep(config, mode_label, parameter, grid):
                 moments, mode.energy_excited, row["energy_ground"], row["coupling"],
                 row["zpl_energy"],
             )
-            totals = np.array(_row_totals(contribution, n_max[chunk]))
+            totals = _row_totals(contribution, n_max[chunk])
             kept = ~_uncertified(totals, n_max[chunk], row["coupling"], row["displacement"],
                                  mode.energy_excited, s00)
-            rates.update(zip(chunk[kept].tolist(), totals[kept].tolist()))
+            rates[chunk[kept]] = totals[kept]
 
-    points = []
-    for index, (value, cut_off) in enumerate(zip(entries, n_max.tolist())):
-        if index in rates:
-            points.append(SweepPoint(parameter, value, rates[index], cut_off, sigma))
-            continue
-        if value is None:  # the constructors report the entry's type
-            value = grid[index]
+    def rerun(value):
+        """A failing row, rebuilt through the constructors and nonradiative_rate."""
         try:
             varied = (replace(config, zpl_energy=value) if parameter == "zpl_energy"
                       else config.with_mode(replace(mode, **{parameter: value})))
             result = nonradiative_rate(varied, mode_label)
-            points.append(
-                SweepPoint(parameter, value, result.total_rate, result.n_max_used, result.sigma)
-            )
         except MultiphononError as exc:
-            points.append(SweepPoint(parameter, value, None, None, None, error=str(exc)))
-    return points
+            return SweepPoint(parameter, value, None, None, None, error=str(exc))
+        return SweepPoint(parameter, value, result.total_rate, result.n_max_used, result.sigma)
+
+    # A failing row (a NaN rate) is rerun; a non-real entry (None) as given, so the
+    # constructors report its type.
+    return [
+        SweepPoint(parameter, value, rate, cut_off, sigma) if rate == rate
+        else rerun(entry if value is None else value)
+        for entry, value, rate, cut_off in zip(grid, entries, rates.tolist(), n_max.tolist())
+    ]
 
 
 def sweep_grid(start, stop, steps):
-    """Inclusive linear grid with exactly *steps* points."""
+    """Inclusive linear grid with exactly *steps* points, as Python floats."""
     start, stop = _number(start, "start"), _number(stop, "stop")
     steps = _number(steps, "steps", integer=True, ge=1)
     if steps == 1:
         return [start]
-    return list(np.linspace(start, stop, steps))
+    return np.linspace(start, stop, steps).tolist()

@@ -183,6 +183,21 @@ class TestRateSweep:
         with pytest.raises(DomainError):
             sweep_grid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("start, stop, steps", [
+        (1.0, 2.0, 5), (500.0, 1200.0, 29), (3.0, 9.0, 1), (0, 1, 2), (1, 1e54, 2),
+    ])
+    def test_sweep_grid_is_python_floats_with_the_linspace_values(self, natural, start, stop, steps):
+        grid = sweep_grid(start, stop, steps)
+        assert [type(value) for value in grid] == [float] * steps
+        assert [value.hex() for value in grid] == [
+            float(value).hex() for value in np.linspace(start, stop, steps)
+        ]
+        # The float pass-through gives the rows of the np.float64 entries.
+        linspace = list(np.linspace(start, stop, steps))
+        assert rate_sweep(natural, "ch-stretch", "coupling", grid) == rate_sweep(
+            natural, "ch-stretch", "coupling", linspace
+        )
+
 
 def _vary(config, mode_label, parameter, value):
     """The configuration a sweep evaluates at one grid value, built independently."""
@@ -224,6 +239,14 @@ def _sweep_grid(mode_label, parameter):
     return [float(v) for v in np.random.default_rng(len(grid)).permutation(grid)]
 
 
+def _mixed_n_max_grid():
+    """Accepting-mode ħΩ_g from 2.2 to 140 meV, which needs n_max from 500 down to 8,
+    and 20 values below ~2.148 meV, where the phonon sum needs n > 512."""
+    in_range = list(np.geomspace(2.2, 140.0, 200))
+    refused = list(np.linspace(1.0, 2.14, 20))
+    return [float(v) for v in np.random.default_rng(5).permutation(in_range + refused)]
+
+
 def _seed_rate(config, mode_label):
     """The rate by the scalar formula: table moments and a gaussian_delta loop."""
     mode = config.mode(mode_label)
@@ -260,11 +283,7 @@ class TestSweepExactness:
         assert resolved >= 40
 
     def test_mixed_n_max_grid_at_default_budget(self, natural):
-        # Accepting-mode ħΩ_g from 2.2 to 140 meV needs n_max from 500 down
-        # to 8; below ~2.148 meV the phonon sum needs n > 512.
-        in_range = list(np.geomspace(2.2, 140.0, 200))
-        refused = list(np.linspace(1.0, 2.14, 20))
-        grid = [float(v) for v in np.random.default_rng(5).permutation(in_range + refused)]
+        grid = _mixed_n_max_grid()
         points = rate_sweep(natural, "accepting", "energy_ground", grid)
         assert [p.value for p in points] == grid
         n_max = {p.n_max for p in points if p.error is None}
@@ -366,6 +385,31 @@ class TestExtremeEnergies:
         for point in points:
             expected = _direct(natural, "accepting", parameter, point.value)
             assert (point.rate, point.n_max, point.sigma, point.error) == expected
+
+
+def _overflowing():
+    """A mode whose 106 terms are finite (the largest 1.4e308) but sum past 1.8e308."""
+    return DefectConfiguration(
+        "x", 1e-98, (VibrationalMode("m", 1e-100, 1e-100, 4.09e51, 1e54),)
+    )
+
+
+class TestOverflowingTotal:
+    """A total of finite terms past the float range is refused, not raised as OverflowError."""
+
+    def test_rate_refuses_it(self):
+        with pytest.raises(CapabilityError, match="is not finite in double precision"):
+            nonradiative_rate(_overflowing(), "m")
+
+    def test_sweep_reports_it_in_its_row(self):
+        config = _overflowing()
+        first, second = rate_sweep(config, "m", "coupling", [1.0, 1e54])
+        assert first.error is None and first.rate > 1e200
+        expected = _direct(config, "m", "coupling", 1.0)
+        assert (first.rate, first.n_max, first.sigma, first.error) == expected
+        assert second.rate is None and "is not finite in double precision" in second.error
+        expected = _direct(config, "m", "coupling", 1e54)
+        assert (second.rate, second.n_max, second.sigma, second.error) == expected
 
 
 class TestRateKernelOracle:
@@ -526,8 +570,30 @@ class TestUnderflow:
 _SPAN = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 997))
 
 
+def _record_fallbacks(monkeypatch):
+    """Record the ``_row_totals`` calls and the terms of each ``math.fsum`` call inside them."""
+    calls = {"chunks": 0, "fallbacks": []}
+    row_totals, fsum = rates._row_totals, math.fsum
+
+    def recording_fsum(terms):
+        calls["fallbacks"].append(terms)
+        return fsum(terms)
+
+    def recorded(contribution, n_max):
+        calls["chunks"] += 1
+        math.fsum = recording_fsum
+        try:
+            return row_totals(contribution, n_max)
+        finally:
+            math.fsum = fsum
+
+    monkeypatch.setattr(rates, "_row_totals", recorded)
+    return calls
+
+
 class TestRowTotals:
-    """Rows are summed from the top term down; a correctly rounded sum is order-free."""
+    """Sweep rows are summed by a certified tree, with ``math.fsum`` where it cannot
+    certify; a correctly rounded sum is order-free, so both give the same bits."""
 
     @given(values=st.lists(st.one_of(_SPAN, st.just(0.0)), min_size=1, max_size=60),
            ties=st.integers(0, 20))
@@ -543,6 +609,67 @@ class TestRowTotals:
         for k in {0, len(values) // 2, len(values) - 1}:
             assert rates._row_totals(column, [k]) == [math.fsum(values[: k + 1])]
         assert math.fsum(values[::-1]) == math.fsum(values)
+
+    @given(columns=st.lists(
+        st.tuples(st.lists(st.one_of(_SPAN, st.just(0.0)), min_size=1, max_size=40),
+                  st.integers(0, 20), st.integers(0, 60)),
+        min_size=1, max_size=8,
+    ))
+    @example(columns=[([1.0, 2.0**-53], 0, 1), ([0.1, 0.2, 0.3], 2, 60), ([0.0], 0, 0),
+                      ([5e-324, 1e300, 5e-324], 2, 4), ([1.0, 3 * 2.0**-55], 0, 1)])
+    @settings(max_examples=300, deadline=None)
+    def test_chunk_totals_equal_fsum_per_column(self, columns):
+        # Each column: its terms, some repeated, and its own n_max.
+        terms = [values + values[:ties] for values, ties, _ in columns]
+        n_max = [cut % len(column) for column, (_, _, cut) in zip(terms, columns)]
+        chunk = np.full((max(map(len, terms)), len(terms)), math.inf)  # past every n_max
+        for j, column in enumerate(terms):
+            chunk[: len(column), j] = column
+        expected = [math.fsum(column[: k + 1]) for column, k in zip(terms, n_max)]
+        assert rates._row_totals(chunk, n_max).tolist() == expected
+
+    @pytest.mark.parametrize("terms, total", [
+        ([1.0, 2.0**-53], 1.0),
+        ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),
+        ([1.0, 3 * 2.0**-55], 1.0),
+        ([0.0, 0.0, 0.0], 0.0),
+        ([5e-324, 2.0**-1050, 5e-324], 2.0**-1050 + 1e-323),
+        ([1.0, math.inf, 2.0], math.inf),
+        ([1.0, math.nan, 2.0], math.nan),
+        ([1.7e308, 1.7e308, 1.0], math.inf),
+    ], ids=["tie-to-even-down", "tie-to-even-up", "power-of-two", "all-zero", "subnormal",
+            "inf-term", "nan-term", "finite-overflow"])
+    def test_uncertified_columns_fall_back_to_fsum(self, monkeypatch, terms, total):
+        # Beside a column the tree certifies, only the uncertified one calls math.fsum,
+        # from its top term down.
+        calls, fsum = [], math.fsum
+        certified = [math.pi / (k + 1) for k in range(len(terms))]
+        chunk = np.array([terms, certified]).T
+        monkeypatch.setattr(math, "fsum", lambda values: calls.append(values) or fsum(values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = rates._row_totals(chunk, [len(terms) - 1] * 2)
+        assert [list(map(float.hex, values)) for values in calls] == [
+            list(map(float.hex, terms[::-1]))
+        ]
+        assert np.array_equal(totals, [total, fsum(certified)], equal_nan=True)
+
+    @pytest.mark.parametrize("mode_label", ["accepting", "ch-stretch"])
+    @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+    def test_sweep_grids_need_no_fallback(self, natural, monkeypatch, parameter, mode_label):
+        # The grids and chunk budget of TestSweepExactness: the tree certifies every
+        # nonzero total.  The all-zero rows (W = 0, or every term underflowed) fall back.
+        monkeypatch.setattr(rates, "_SWEEP_CHUNK_CELLS", 97)
+        calls = _record_fallbacks(monkeypatch)
+        rate_sweep(natural, mode_label, parameter, _sweep_grid(mode_label, parameter))
+        assert calls["chunks"] > 1
+        assert [terms for terms in calls["fallbacks"] if any(terms)] == []
+        assert len(calls["fallbacks"]) <= 2
+
+    def test_mixed_n_max_grid_needs_no_fallback(self, natural, monkeypatch):
+        calls = _record_fallbacks(monkeypatch)
+        points = rate_sweep(natural, "accepting", "energy_ground", _mixed_n_max_grid())
+        assert sum(point.error is None for point in points) == 200
+        assert calls["chunks"] > 1 and calls["fallbacks"] == []
 
 
 class TestSweepPoint:
