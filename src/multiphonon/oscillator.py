@@ -8,14 +8,14 @@ eigenfunctions
 
 with Gaussian exponent A = E/ħ² (1/(amu·Å²)) and equilibrium position Q_c.
 The initial and final oscillators of a transition may differ both in
-frequency and in equilibrium position; the overlap integrals
-<chi_initial_m | chi_final_n> are generated by a two-index recurrence
-(no factorials, no binomial sums).  Its m <= 1 rows are certified to
-n = 512 against an independent Gauss-Hermite quadrature oracle (see
-``quadrature``, n <= 30), the position-operator sum rule and completeness;
-rows m > 1 only where that oracle agrees with them.  A table or moment row
-is refused with ``CapabilityError`` if it is not finite (inf or NaN), or if
-S₀₀ or A_i·A_f is below the normal range, where either one loses digits.
+frequency and in equilibrium position.  The overlap integrals
+<chi_initial_m | chi_final_n> of rows m <= 1 come from a recurrence in n
+(no factorials, no binomial sums), with its relative accuracy, certified to
+n = 512 against the independent Gauss-Hermite quadrature oracle (see
+``quadrature``), the position-operator sum rule and completeness.  Rows
+m >= 2 are that oracle's values, accurate to its absolute error.  A table or
+moment row is refused with ``CapabilityError`` if it is not finite (inf or
+NaN), or if S₀₀ or A_i·A_f is below the normal range, where either one loses digits.
 Transition moments measure positions from the initial-state equilibrium.
 """
 
@@ -28,8 +28,8 @@ import numpy as np
 from .constants import HBAR_SQ_MEV_AMU_A2
 from .errors import CapabilityError, _number
 
-# Rows m <= 1 certified against the quadrature oracle (n <= 30), the sum
-# rule and completeness (n <= 512); refuse beyond 512 rather than risk error.
+# One limit for m and n, in the oscillator and the oracle: rows m <= 1 are certified
+# entry by entry to 512; refuse beyond rather than risk error.
 MAX_CERTIFIED_N = 512
 
 
@@ -102,9 +102,9 @@ def _recurrence_coefficients(energy_initial, energy_final, displacement):
 
     and the transpose-symmetric relation in n with (c, d) in place of
     (a, b).  All coefficients are dimensionless and bounded (|a| = |c| < 1),
-    yet the forward recursion in m is not stable in general: only the
-    m <= 1 rows are certified to n = 512.  The arguments may be floats or
-    arrays that broadcast together (one pair per element).
+    yet the forward recursion in m is not stable in general, so only rows
+    m <= 1 are run, forward in n.  The arguments may be floats or arrays
+    that broadcast together (one pair per element).
     """
     a_i = energy_initial / HBAR_SQ_MEV_AMU_A2
     a_f = energy_final / HBAR_SQ_MEV_AMU_A2
@@ -146,7 +146,8 @@ def _finite(values, pair, s00):
 
 
 def fc_overlap_matrix(pair, m_max, n_max):
-    """Overlap table S[m, n] = <chi_initial_m | chi_final_n>.
+    """Overlap table S[m, n] = <chi_initial_m | chi_final_n>: rows m <= 1 from
+    :func:`_moment_rows`, rows m >= 2 the values of ``quadrature_overlap_table``.
 
     Parameters
     ----------
@@ -166,19 +167,16 @@ def fc_overlap_matrix(pair, m_max, n_max):
         or S₀₀ or A_i·A_f is below the normal range (2.2e-308).
     """
     m_max, n_max = _check_quantum_numbers(m_max, n_max)
-    args = (pair.energy_initial, pair.energy_final, pair.displacement)
-    s = np.empty((m_max + 1, n_max + 1))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
-        rows = np.hstack(_moment_rows(*args, n_max)).T
-        s[:2] = _finite(rows[: m_max + 1], pair, rows[0, 0])
-    a, b, _, _, e = map(float, _recurrence_coefficients(*args))
-    # Whole rows, each entry by the operations of the entry-wise recurrence, in order.
-    diagonal = 0.5 * e * np.sqrt(np.arange(1.0, n_max + 1.0) / np.arange(2.0, m_max + 1.0)[:, None])
-    for m in range(2, m_max + 1):
-        np.multiply(b / math.sqrt(2.0 * m), s[m - 1], out=s[m])
-        s[m] += a * math.sqrt((m - 1.0) / m) * s[m - 2]
-        s[m, 1:] += diagonal[m - 2] * s[m - 1, :-1]
-    return s
+        rows = _moment_rows(pair.energy_initial, pair.energy_final, pair.displacement, n_max)
+        rows = _finite(np.vstack([row.T for row in rows])[: m_max + 1], pair, rows[0][0, 0])
+    if m_max <= 1:
+        return rows
+    from .quadrature import quadrature_overlap_table  # only here: rates never load quadrature
+
+    table = quadrature_overlap_table(pair, m_max, n_max)[0]
+    table[:2] = rows
+    return table
 
 
 def fc_overlap(m, n, pair):

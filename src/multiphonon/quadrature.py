@@ -1,7 +1,8 @@
-"""Gauss-Hermite quadrature oracle for harmonic-oscillator overlaps.
+"""Gauss-Hermite quadrature oracle for harmonic-oscillator overlaps, m and n <= 512.
 
-The independent route for ``oscillator.fc_overlap``: it sums Hermite-Gaussian
-wavefunctions at quadrature nodes, never the analytic recurrence.  With
+The independent check of rows m <= 1 of ``oscillator.fc_overlap_matrix`` and the
+source of its rows m >= 2: it sums Hermite-Gaussian wavefunctions at quadrature
+nodes, never the analytic recurrence.  With
 Q = A_f dQ/(A_i + A_f) + t sqrt(2/(A_i + A_f)), chi_m^i chi_n^f is a
 degree-(m + n) polynomial in t times exp(-t^2 - c), c = A_i A_f dQ^2/(2(A_i + A_f)),
 so K = (m + n)//2 + 1 Gauss-Hermite nodes are exact apart from rounding, and
@@ -23,8 +24,8 @@ import numpy as np
 
 from .constants import HBAR_SQ_MEV_AMU_A2
 from .errors import AccuracyError, CapabilityError, _number
+from .oscillator import _check_quantum_numbers
 
-MAX_ORACLE_N = 30  # the oracle contract is certified for small quantum numbers only
 _GUARD_DIGITS = 10  # keeps the rounding noise of a Newton step far below 10^-(dps+3)
 
 
@@ -78,21 +79,22 @@ def _hermite(order, y):
 
 @functools.lru_cache(maxsize=128)
 def _decimal_rule(count, dps):
-    """((t_k, c_k, c_k e^{t_k^2}), ...): c_k = 1/sum_{j<K} H_j(t_k)^2/(2^j j!), the
-    Christoffel number over sqrt(pi); H_K' = 2K H_{K-1} gives the Newton step."""
+    """((t_k, c_k, c_k e^{t_k^2}), ...), t ascending: c_k = 2^(K-1) (K-1)!/(K H_{K-1}(t_k)^2) is the
+    Christoffel number over sqrt(pi).  The rule is even: Newton (H_K' = 2K H_{K-1}) refines t >= 0."""
     off = np.sqrt(np.arange(1.0, count) / 2.0)
     starts = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)).tolist()
     with localcontext(Context(prec=dps + _GUARD_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        tol, rule = Decimal(10) ** -(dps + 3), []
-        for t in map(Decimal, starts):
+        tol, half = Decimal(10) ** -(dps + 3), []
+        numerator = Decimal(2 ** (count - 1) * math.factorial(count - 1)) / count
+        for t in map(Decimal, starts[count // 2 :]):
             step = tol
             while abs(step) >= tol:  # h, so the weight, is at t before its last step (< tol)
                 h = _hermite(count, t)
                 step = h[count] / (2 * count * h[count - 1])
                 t -= step
-            christoffel = 1 / sum(v * v / (2**j * math.factorial(j)) for j, v in enumerate(h[:count]))
-            rule.append((t, christoffel, christoffel * (t * t).exp()))
-        return tuple(rule)
+            christoffel = numerator / (h[count - 1] * h[count - 1])
+            half.append((t, christoffel, christoffel * (t * t).exp()))
+        return tuple((-t, c, w) for t, c, w in reversed(half[count % 2 :])) + tuple(half)
 
 
 @functools.lru_cache(maxsize=None)
@@ -147,8 +149,7 @@ def quadrature_overlap_table(pair, m_max, n_max):
         ``(m_max + 1, n_max + 1)``.  No tolerance is enforced here; use
         :func:`quadrature_overlap_oracle` for the checked scalar form.
     """
-    m_max = _number(m_max, "m_max", integer=True, ge=0, le=MAX_ORACLE_N)
-    n_max = _number(n_max, "n_max", integer=True, ge=0, le=MAX_ORACLE_N)
+    m_max, n_max = _check_quantum_numbers(m_max, n_max)
     a_i, a_f = pair.energy_initial / HBAR_SQ_MEV_AMU_A2, pair.energy_final / HBAR_SQ_MEV_AMU_A2
     if not a_i * a_f >= sys.float_info.min:
         raise CapabilityError(f"the quadrature overlaps of {pair} underflow double precision: "
@@ -194,8 +195,7 @@ def quadrature_overlap_with_error(m, n, pair, grid=GridSpec()):
     In float64, the ``[m, n]`` entry of :func:`quadrature_overlap_table`; with ``grid.dps``,
     summed in a local ``decimal`` context with e^-c factored out, floor 100 10^-dps l1.
     """
-    m = _number(m, "m", integer=True, ge=0, le=MAX_ORACLE_N)
-    n = _number(n, "n", integer=True, ge=0, le=MAX_ORACLE_N)
+    m, n = _check_quantum_numbers(m, n)
     if grid.dps is None:
         values, errors = quadrature_overlap_table(pair, m, n)
         return float(values[m, n]), float(errors[m, n])
@@ -211,7 +211,7 @@ def quadrature_overlap_oracle(m, n, pair, grid=GridSpec()):
     Parameters
     ----------
     m, n : int
-        Quantum numbers, each at most 30.
+        Quantum numbers, each at most 512.
     pair : OscillatorPair
     grid : GridSpec
 

@@ -396,4 +396,6 @@ def sweep_grid(start, stop, steps):
     steps = _number(steps, "steps", integer=True, ge=1)
     if steps == 1:
         return [start]
+    if math.isinf(stop - start):  # linspace would overflow; quarters fit, and /4, *4 are exact here
+        return (4.0 * np.linspace(start / 4.0, stop / 4.0, steps)).tolist()
     return np.linspace(start, stop, steps).tolist()

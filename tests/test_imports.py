@@ -114,6 +114,7 @@ NO_DATACLASSES = ("dataclasses", "inspect", "numpy")
 NO_CONFIG = NO_DATACLASSES + ("multiphonon.modes", "multiphonon.config_io")
 NO_RATES = ("multiphonon.config_io", "multiphonon.modes", "multiphonon.kinetics", "multiphonon.rates")
 NO_TRANSIENT = ("multiphonon.kinetics", "multiphonon.transient")
+NO_ORACLE = NO_TRANSIENT + ("multiphonon.quadrature",)
 
 # Subcommand -> modules its call must leave out of sys.modules.
 NOT_IMPORTED = {
@@ -123,8 +124,8 @@ NOT_IMPORTED = {
     "cyclicity": NO_CONFIG,
     "simulate": NO_RATES,
     "fit": NO_RATES,
-    "rate": NO_TRANSIENT,
-    "sweep": NO_TRANSIENT,
+    "rate": NO_ORACLE,
+    "sweep": NO_ORACLE,
 }
 
 
@@ -142,6 +143,25 @@ def test_each_subcommand_imports_only_what_it_runs(name, cli_files):
         print(code, [module for module in {NOT_IMPORTED[name]!r} if module in sys.modules])
     """)
     assert out.split(maxsplit=1) == ["0", "[]\n"]
+
+
+def test_cold_tables_at_the_quantum_number_limit_stay_within_budget():
+    # The first table at n = 512 builds its Gauss-Hermite rules; with one BLAS
+    # thread, as in a CLI call, the eigenvalue starts do not contend for cores.
+    out = run_fresh(f"""
+        import os, time
+        for name in {BLAS_THREAD_VARS!r}:
+            os.environ.setdefault(name, "1")
+        from multiphonon import OscillatorPair, fc_overlap_matrix, quadrature_overlap_table
+        pair = OscillatorPair(33.0, 40.0, 0.734)
+        start = time.perf_counter()
+        fc_overlap_matrix(pair, 512, 512)
+        middle = time.perf_counter()
+        quadrature_overlap_table(pair, 1, 512)
+        print(middle - start, time.perf_counter() - middle)
+    """)
+    table_s, row_s = map(float, out.split())
+    assert table_s < 3.0 and row_s < 0.5, (table_s, row_s)
 
 
 def test_concurrent_handlers_import_safely_and_match_a_serial_run(cli_files):

@@ -1,13 +1,15 @@
 """The overlap kernels against slow references.
 
-``fc_overlap_matrix`` advances whole rows; it must give the same IEEE
-results as the straightforward entry-by-entry recurrence below, bit for
-bit.  The quadrature oracle shares no code with that recurrence.  Its
-references are the recurrence's exact arithmetic, run in mpmath at 60
-digits or more: each float64 table entry and each ``decimal`` result must
-lie within its own reported error of it.  The forward recurrence in m
-loses at most ~17 of those digits for m <= 30, which leaves the references
-far more accurate than any error they are compared with.
+Rows m <= 1 of ``fc_overlap_matrix`` advance whole rows of the recurrence
+in n; they must give the same IEEE results as the straightforward
+entry-by-entry recurrence below, bit for bit.  Rows m >= 2 are the values
+of the quadrature oracle, which shares no code with that recurrence.  The
+references of both are the recurrence's exact arithmetic, run in mpmath at
+60 digits or more (100 or more for m > 40): each float64 entry and each
+``decimal`` result must lie within its own reported error of it.  The
+forward recurrence in m loses at most ~17 of those digits for m <= 30, and
+fewer than 20 of 110 for m <= 512, which leaves the references far more
+accurate than any error they are compared with.
 """
 
 import math
@@ -42,26 +44,20 @@ LARGE_DISPLACEMENTS = [OscillatorPair(33.0, 33.0, 18.5), OscillatorPair(33.0, 33
                        OscillatorPair(20.0, 400.0, 7.0), OscillatorPair(400.0, 20.0, -7.3)]
 
 
-def reference_fc_overlap_matrix(pair, m_max, n_max):
-    """The recurrence of ``fc_overlap_matrix``, one entry at a time."""
-    a, b, c, d, e = map(float, _recurrence_coefficients(
+def reference_moment_rows(pair, n_max):
+    """Rows m = 0 and m = 1 of ``fc_overlap_matrix``'s recurrence, one entry at a time."""
+    _, b, c, d, e = map(float, _recurrence_coefficients(
         pair.energy_initial, pair.energy_final, pair.displacement
     ))
-    s = np.zeros((m_max + 1, n_max + 1))
+    s = np.zeros((2, n_max + 1))
     s[0, 0] = math.sqrt(e / 2.0) * math.exp(b * d / (2.0 * e))
     for n in range(1, n_max + 1):
         s[0, n] = d / math.sqrt(2.0 * n) * s[0, n - 1]
         if n >= 2:
             s[0, n] += c * math.sqrt((n - 1.0) / n) * s[0, n - 2]
-    for m in range(1, m_max + 1):
-        s[m, 0] = b / math.sqrt(2.0 * m) * s[m - 1, 0]
-        if m >= 2:
-            s[m, 0] += a * math.sqrt((m - 1.0) / m) * s[m - 2, 0]
-        for n in range(1, n_max + 1):
-            s[m, n] = b / math.sqrt(2.0 * m) * s[m - 1, n]
-            if m >= 2:
-                s[m, n] += a * math.sqrt((m - 1.0) / m) * s[m - 2, n]
-            s[m, n] += 0.5 * e * math.sqrt(n / m) * s[m - 1, n - 1]
+    s[1, 0] = b / math.sqrt(2.0) * s[0, 0]
+    for n in range(1, n_max + 1):
+        s[1, n] = b / math.sqrt(2.0) * s[0, n] + 0.5 * e * math.sqrt(n) * s[0, n - 1]
     return s
 
 
@@ -79,17 +75,20 @@ def _seeded_pairs(seed, count):
 @pytest.mark.parametrize("pair", _seeded_pairs(11, 24), ids=lambda p: f"{p.energy_initial:.1f}")
 @pytest.mark.parametrize("shape", [(1, 512), (30, 30), (0, 0), (7, 40), (40, 7)])
 def test_overlap_table_equals_entrywise_recurrence(pair, shape):
+    # Rows m <= 1 bit for bit; rows m >= 2 within the oracle's error of 80 digits.
     table = fc_overlap_matrix(pair, *shape)
     assert table.shape == (shape[0] + 1, shape[1] + 1)
-    assert np.array_equal(table, reference_fc_overlap_matrix(pair, *shape))
+    assert np.array_equal(table[:2], reference_moment_rows(pair, shape[1])[: shape[0] + 1])
+    if shape[0] >= 2:
+        _, errors = quadrature_overlap_table(pair, *shape)
+        deviation = mpmath_deviation(table[2:], mpmath_overlap_table(pair, *shape, 80)[2:], 80)
+        assert np.all(deviation <= errors[2:]), np.argwhere(deviation > errors[2:]).tolist()
 
 
 def test_fc_overlap_equals_reference_entry():
     for k, pair in enumerate(_seeded_pairs(12, 16)):
         m, n = k % 2, 32 * k
-        assert fc_overlap(m, n, pair) == reference_fc_overlap_matrix(pair, m, n)[m, n]
-
-
+        assert fc_overlap(m, n, pair) == reference_moment_rows(pair, n)[m, n]
 
 
 def mpmath_overlap_table(pair, m_max, n_max, dps):
@@ -112,6 +111,13 @@ def mpmath_overlap_table(pair, m_max, n_max, dps):
         return [row[: n_max + 1] for row in s[: m_max + 1]]
 
 
+def mpmath_deviation(values, reference, dps):
+    """|value - reference| per entry, as floats, the difference taken at *dps* digits."""
+    with mpmath.workdps(dps):
+        return np.array([[float(abs(mpmath.mpf(float(v)) - r)) for v, r in zip(row, ref_row)]
+                         for row, ref_row in zip(values, reference)])
+
+
 def test_mpmath_reference_matches_the_float64_recurrence_and_its_own_digits():
     pair = _seeded_pairs(22, 1)[0]
     reference = mpmath_overlap_table(pair, 1, 30, 60)
@@ -120,6 +126,11 @@ def test_mpmath_reference_matches_the_float64_recurrence_and_its_own_digits():
     with mpmath.workdps(80):
         assert max(abs(x - y) for row, other in zip(mpmath_overlap_table(pair, 30, 30, 60), more)
                    for x, y in zip(row, other)) < mpmath.mpf(10) ** -40
+    for pair, shape in ((_seeded_pairs(52, 1)[0], (512, 8)), (OscillatorPair(20.0, 400.0, 0.5), (120, 120))):
+        more = mpmath_overlap_table(pair, *shape, 150)
+        with mpmath.workdps(150):
+            assert max(abs(x - y) for row, other in zip(mpmath_overlap_table(pair, *shape, 110), more)
+                       for x, y in zip(row, other)) < mpmath.mpf(10) ** -90
 
 
 @pytest.mark.parametrize("pair", _seeded_pairs(23, 48) + TRAPEZOID_MISSES + LARGE_DISPLACEMENTS,
@@ -127,10 +138,7 @@ def test_mpmath_reference_matches_the_float64_recurrence_and_its_own_digits():
 @pytest.mark.parametrize("shape", [(1, 30), (30, 30)])
 def test_float64_table_entries_lie_within_their_error_of_mpmath(pair, shape):
     values, errors = quadrature_overlap_table(pair, *shape)
-    reference = mpmath_overlap_table(pair, *shape, 60)
-    with mpmath.workdps(60):
-        deviation = np.array([[float(abs(mpmath.mpf(float(v)) - r)) for v, r in zip(row, ref_row)]
-                              for row, ref_row in zip(values, reference)])
+    deviation = mpmath_deviation(values, mpmath_overlap_table(pair, *shape, 60), 60)
     assert np.all(deviation <= errors), np.argwhere(deviation > errors).tolist()
     assert np.all(errors > 0.0)
 
@@ -175,3 +183,41 @@ def test_entries_whose_every_term_underflows_get_a_bound_on_their_size(pair, gri
     with mpmath.workdps(60):
         largest = max(abs(x) for row in reference for x in row)
         assert 0 < largest < mpmath.mpf(10) ** -2000 and largest <= errors.min()
+
+
+# Tables that no benchmark workload asks for: eight rows or columns to the
+# limit, and 120 x 120, where the forward recursion in m was 3.9e-5 off for
+# (33, 40, 0.734).  Where it was run to 512 x 512, it reached |S| = 1.6e17.
+LARGE_TABLES = ([(pair, (8, 512)) for pair in _seeded_pairs(51, 3)]
+                + [(pair, (512, 8)) for pair in _seeded_pairs(52, 3)]
+                + [(OscillatorPair(33.0, 40.0, 0.734), (120, 120)),
+                   (OscillatorPair(20.0, 400.0, 0.5), (120, 120))])
+
+
+def _table_id(value):
+    return f"{value.energy_initial:.1f}" if isinstance(value, OscillatorPair) else "x".join(map(str, value))
+
+
+@pytest.mark.parametrize("pair, shape", LARGE_TABLES, ids=_table_id)
+def test_large_tables_lie_within_their_error_of_mpmath(pair, shape):
+    table = fc_overlap_matrix(pair, *shape)
+    _, errors = quadrature_overlap_table(pair, *shape)
+    deviation = mpmath_deviation(table, mpmath_overlap_table(pair, *shape, 110), 110)
+    assert np.all(deviation <= errors), np.argwhere(deviation > errors).tolist()
+    assert np.all(np.abs(table) <= 1.0)
+    # Bessel's inequality: a row's exact squares sum to at most 1, and a value v
+    # within its error e of S has v^2 - S^2 <= e (2|v| + e).
+    slack = np.sum(errors * (2.0 * np.abs(table) + errors), axis=1)
+    assert np.all(np.sum(table * table, axis=1) <= 1.0 + slack)
+
+
+@pytest.mark.parametrize("pair, shape", LARGE_TABLES + [(pair, (30, 30)) for pair in _seeded_pairs(53, 4)],
+                         ids=_table_id)
+def test_swapped_pair_gives_the_transposed_table(pair, shape):
+    # <chi_i_m | chi_f_n> = <chi_f_n | chi_i_m>, the initial state of the swapped
+    # pair sitting at -dQ from its final state: rows become columns.
+    swapped = OscillatorPair(pair.energy_final, pair.energy_initial, -pair.displacement)
+    table, transposed = fc_overlap_matrix(pair, *shape), fc_overlap_matrix(swapped, *shape[::-1]).T
+    errors = quadrature_overlap_table(pair, *shape)[1]
+    errors = errors + quadrature_overlap_table(swapped, *shape[::-1])[1].T
+    assert np.all(np.abs(table - transposed) <= errors)

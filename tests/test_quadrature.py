@@ -39,6 +39,18 @@ def test_matches_poisson_closed_form(accepting_pair):
         assert value**2 == pytest.approx(expected, rel=1e-9)
 
 
+def _criterion7(analytic, values, errors, tiny=1e-6):
+    """Check the rows m <= 1 against the oracle by the criterion-7 rule; count the resolved entries."""
+    resolvable = errors <= REL_TOL * np.abs(values)
+    deviation = np.abs(analytic - values)
+    assert np.all(deviation[resolvable] <= REL_TOL * np.abs(values[resolvable]))
+    # Unresolvable entries are deep-tail overlaps: both routes must agree they are tiny.
+    assert np.all(np.abs(values[~resolvable]) < tiny)
+    assert np.all(np.abs(analytic[~resolvable]) < tiny)
+    assert np.all(deviation[~resolvable] <= errors[~resolvable])
+    return int(np.sum(resolvable))
+
+
 def test_agrees_with_analytic_recursion_across_parameter_box():
     energies = (20.0, 33.0, 359.0)
     displacements = (0.0, 0.366, 1.0)
@@ -47,25 +59,13 @@ def test_agrees_with_analytic_recursion_across_parameter_box():
         for e_f in energies:
             for dq in displacements:
                 pair = OscillatorPair(e_i, e_f, dq)
-                analytic = fc_overlap_matrix(pair, 1, 30)
-                values, errors = quadrature_overlap_table(pair, 1, 30)
-                resolvable = errors <= REL_TOL * np.abs(values)
-                deviation = np.abs(analytic - values)
-                assert np.all(
-                    deviation[resolvable] <= REL_TOL * np.abs(values[resolvable])
-                )
-                # Unresolvable entries are deep-tail overlaps: both routes
-                # must agree they are tiny.
-                assert np.all(np.abs(values[~resolvable]) < 1e-6)
-                assert np.all(np.abs(analytic[~resolvable]) < 1e-6)
-                assert np.all(deviation[~resolvable] <= errors[~resolvable])
-                checked += int(np.sum(resolvable))
+                table = quadrature_overlap_table(pair, 1, 30)
+                checked += _criterion7(fc_overlap_matrix(pair, 1, 30), *table)
     assert checked > 1000  # the comparison is not vacuous
 
 
 def test_general_row_recursion_against_oracle():
-    # The matrix form supports arbitrary initial quantum numbers; certify a
-    # generic high-row entry against the independent route.
+    # Rows m >= 2 of the matrix form are the oracle's values, no longer a recursion in m.
     pair = OscillatorPair(47.0, 151.0, 0.42)
     analytic = fc_overlap_matrix(pair, 8, 9)[5, 7]
     value = quadrature_overlap_oracle(5, 7, pair)
@@ -234,5 +234,25 @@ def test_grid_spec_rejects_non_finite_and_non_integer_fields(field, bad):
 
 
 def test_oracle_quantum_number_limit(accepting_pair):
-    with pytest.raises(DomainError):
-        quadrature_overlap_oracle(0, 31, accepting_pair)
+    # The oracle and the oscillator share one limit: 512 answers, 513 is refused.
+    values, errors = quadrature_overlap_table(accepting_pair, 2, 512)
+    assert values.shape == errors.shape == (3, 513) and np.all(errors < 1e-12)
+    assert abs(quadrature_overlap_oracle(512, 0, accepting_pair)) < 1e-14  # the exact S is 1.4e-500
+    assert fc_overlap_matrix(accepting_pair, 512, 2).shape == (513, 3)
+    for call in (lambda: quadrature_overlap_table(accepting_pair, 2, 513),
+                 lambda: quadrature_overlap_table(accepting_pair, 513, 0),
+                 lambda: quadrature_overlap_oracle(0, 513, accepting_pair),
+                 lambda: quadrature_overlap_with_error(513, 0, accepting_pair),
+                 lambda: fc_overlap_matrix(accepting_pair, 513, 2)):
+        with pytest.raises(CapabilityError, match="exceeds"):
+            call()
+
+
+@pytest.mark.parametrize("pair", _seeded_pairs(20263, 8),
+                         ids=lambda p: f"{p.energy_initial:.1f}-{p.displacement:.2f}")
+def test_moment_rows_agree_with_the_oracle_entrywise_to_n_512(pair):
+    # The rows the rates use, each entry to the limit, beyond which only sum rules
+    # checked them.  Some entries near 1.2e-6 carry oracle errors of 1.2-1.4e-14,
+    # just short of 1e-8 relative, so the bound on unresolved entries is 2e-6.
+    table = quadrature_overlap_table(pair, 1, 512)
+    assert _criterion7(fc_overlap_matrix(pair, 1, 512), *table, tiny=2e-6) > 20

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import mpmath
@@ -197,6 +198,16 @@ class TestRateSweep:
         assert rate_sweep(natural, "ch-stretch", "coupling", grid) == rate_sweep(
             natural, "ch-stretch", "coupling", linspace
         )
+
+
+    @pytest.mark.parametrize("steps, expected", [(3, [-1e308, 0.0, 1e308]), (2, [-1e308, 1e308])])
+    def test_sweep_grid_spanning_past_the_float_range(self, steps, expected):
+        # stop - start overflows: linspace gave [nan, inf, 1e308] and a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = sweep_grid(-1e308, 1e308, steps)
+        assert [type(value) for value in grid] == [float] * steps
+        assert [value.hex() for value in grid] == [value.hex() for value in expected]
 
 
 def _vary(config, mode_label, parameter, value):
