@@ -205,7 +205,7 @@ def run_command(argv):
     out, err = sys.stdout, sys.stderr
     try:
         return args.handler(args, out, err)
-    except (MultiphononError, OSError) as exc:
+    except (MultiphononError, OSError, UnicodeDecodeError) as exc:  # or a file that is not text
         print(f"error: {exc}", file=err)
         return 1
 

@@ -91,17 +91,17 @@ def _zero_point_length(phonon_energy):
 
 
 def _recurrence_coefficients(energy_initial, energy_final, displacement):
-    """The five constants driving the two-oscillator overlap recurrence.
+    """The four constants driving the two-oscillator overlap recurrence.
 
     With Gaussian exponents A_i, A_f and displacement ΔQ (final minimum at
     +ΔQ relative to the initial), the overlaps S[m, n] satisfy
 
         S[0, 0] = sqrt(e/2) * exp(b d / (2 e))
-        S[m, n] = b/sqrt(2m) S[m-1, n] + a sqrt((m-1)/m) S[m-2, n]
+        S[m, n] = b/sqrt(2m) S[m-1, n] - c sqrt((m-1)/m) S[m-2, n]
                   + (e/2) sqrt(n/m) S[m-1, n-1]
 
     and the transpose-symmetric relation in n with (c, d) in place of
-    (a, b).  All coefficients are dimensionless and bounded (|a| = |c| < 1),
+    (−c, b).  All coefficients are dimensionless and bounded (|c| < 1),
     yet the forward recursion in m is not stable in general, so only rows
     m <= 1 are run, forward in n.  The arguments may be floats or arrays
     that broadcast together (one pair per element).
@@ -109,12 +109,11 @@ def _recurrence_coefficients(energy_initial, energy_final, displacement):
     a_i = energy_initial / HBAR_SQ_MEV_AMU_A2
     a_f = energy_final / HBAR_SQ_MEV_AMU_A2
     total = a_i + a_f
-    a = (a_i - a_f) / total
     b = 2.0 * displacement * np.sqrt(a_i) * a_f / total
-    c = -a
+    c = -(a_i - a_f) / total  # (A_f − A_i)/(A_i + A_f), with −0.0 at equal energies
     d = -2.0 * displacement * np.sqrt(a_f) * a_i / total
     e = 4.0 * np.sqrt(a_i * a_f) / total
-    return a, b, c, d, e
+    return b, c, d, e
 
 
 def _check_quantum_numbers(m, n):
@@ -185,7 +184,8 @@ def fc_overlap(m, n, pair):
     Parameters
     ----------
     m : int
-        Initial-oscillator quantum number, 0 or 1.
+        Initial-oscillator quantum number, 0 <= m <= 512; rows m >= 2 carry
+        the quadrature oracle's absolute accuracy (see :func:`fc_overlap_matrix`).
     n : int
         Final-oscillator quantum number, 0 <= n <= 512.
     pair : OscillatorPair
@@ -198,13 +198,12 @@ def fc_overlap(m, n, pair):
     Raises
     ------
     DomainError
-        If ``m`` is not 0 or 1, or ``n`` is not a non-negative integer.
+        If ``m`` or ``n`` is not a non-negative integer.
     CapabilityError
-        If ``n`` exceeds the certified recursion range, the overlap is not
+        If ``m`` or ``n`` exceeds the certified range, the overlap is not
         finite, or S₀₀ or A_i·A_f is below the normal range.
     """
-    m, n = _check_quantum_numbers(_number(m, "m", integer=True, le=1), n)
-    return float(fc_overlap_matrix(pair, m, n)[m, n])
+    return float(fc_overlap_matrix(pair, m, n)[m, n])  # the table checks m and n
 
 
 def _moment_rows(energy_initial, energy_final, displacement, n_max):
@@ -223,7 +222,7 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
         S[0, n] and S[1, n], each of shape ``(n_max + 1, G)``.
     """
     _, n_max = _check_quantum_numbers(1, n_max)
-    _, b, c, d, e = _recurrence_coefficients(energy_initial, energy_final, displacement)
+    b, c, d, e = _recurrence_coefficients(energy_initial, energy_final, displacement)
     b, d = np.atleast_1d(b, d)  # both carry every argument's shape
     n = np.arange(1.0, n_max + 1.0)[:, None]
     step = d / np.sqrt(2.0 * n)

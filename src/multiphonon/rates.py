@@ -12,16 +12,17 @@ delta function, with broadening fixed to σ = ħΩ_e/2.  The phonon sum is
 truncated once the Gaussian weight is negligible (10σ past the ZPL
 energy, where the weight is below 2e-22).
 
-One kernel, ``_rate_terms``, evaluates the terms for a batch of rows at
-once.  ``nonradiative_rate`` is the kernel on one row; ``rate_sweep``
-runs all valid grid points through it in one batched pass.  Both return
-the correctly rounded sum of a row's terms, which is unique, so every
-sweep row equals ``nonradiative_rate`` of its own configuration exactly:
-``nonradiative_rate`` by one ``math.fsum``, ``rate_sweep`` by one
-error-free pairwise tree over a whole chunk of rows, certified row by
-row, with ``math.fsum`` for the rows it cannot certify (``_row_totals``).
-A sum of finite terms past the float range is inf on both routes, and
-refused.  Sweep rows are grouped by phonon cut-off into chunks of at most
+One function, ``_rate_rows``, runs the whole pipeline for a batch of rows:
+the transition moments to the batch's largest cut-off, the kernel
+``_rate_terms``, the correctly rounded totals and the refusal mask
+(``_uncertified``).  ``nonradiative_rate`` runs it on one row and
+``rate_sweep`` on each chunk of valid grid points.  A correctly rounded sum
+is unique, so every sweep row equals ``nonradiative_rate`` of its own
+configuration exactly: a single rate is summed by one ``math.fsum``, a
+sweep chunk by one error-free pairwise tree, certified row by row, with
+``math.fsum`` for the rows it cannot certify (``_row_totals``).  A sum of
+finite terms past the float range is inf on both routes, and refused.
+Sweep rows are grouped by phonon cut-off into chunks of at most
 ``_SWEEP_CHUNK_CELLS`` terms, which bounds memory.
 """
 
@@ -236,6 +237,26 @@ def _chunks(rows, n_max):
         start = stop
 
 
+def _rate_rows(energy_excited, row, n_max):
+    """The rate pipeline for a batch of R rows, from moments to refusal.
+
+    *row* maps ``zpl_energy``, ``energy_ground``, ``displacement`` and ``coupling`` to
+    floats or arrays of length R; *n_max* is the int cut-off of one row or the array of R
+    cut-offs, ascending, and the moments run to the last (a prefix serves a smaller one).
+    Returns the kernel's ``(moment_sq, weight, contribution)``, the correctly rounded
+    totals (s⁻¹) and the ``_uncertified`` mask.  One row is summed by one top-down
+    ``_fsum`` and checked on floats, cheaper than ``_row_totals``'s tree and arrays, with
+    the same bits; its total is a float.  Under the caller's ``np.errstate``.
+    """
+    ground, displacement, coupling = row["energy_ground"], row["displacement"], row["coupling"]
+    one = np.ndim(n_max) == 0
+    moments, s00 = _moments(energy_excited, ground, displacement, n_max if one else n_max[-1])
+    columns = _rate_terms(moments, energy_excited, ground, coupling, row["zpl_energy"])
+    totals = _fsum(columns[2][::-1, 0].tolist()) if one else _row_totals(columns[2], n_max)
+    s00 = s00.item() if one else s00
+    return columns, totals, _uncertified(totals, n_max, coupling, displacement, energy_excited, s00)
+
+
 def nonradiative_rate(config, mode_label):
     """T = 0 nonradiative decay rate through one vibrational mode.
 
@@ -264,20 +285,16 @@ def nonradiative_rate(config, mode_label):
             raise CapabilityError(f"quantum number {n_max:.0f} exceeds the certified "
                                   f"recursion range (n <= {MAX_CERTIFIED_N})")
         n_max = int(n_max)
-        moments, s00 = _moments(mode.energy_excited, mode.energy_ground, mode.displacement, n_max)
-        columns = _rate_terms(
-            moments, mode.energy_excited, mode.energy_ground, mode.coupling, config.zpl_energy
-        )
-        moment_sq, weight, contribution = (column[:, 0].tolist() for column in columns)
-        total = _fsum(contribution[::-1])  # one column: cheaper than _row_totals's tree
-        if _uncertified(total, n_max, mode.coupling, mode.displacement, mode.energy_excited,
-                        s00.item()):
+        row = {**vars(mode), "zpl_energy": config.zpl_energy}
+        columns, total, refused = _rate_rows(mode.energy_excited, row, n_max)
+        if refused:
             raise CapabilityError(
                 f"the rate through mode {mode_label!r} underflows double precision: flushed "
                 f"terms or a subnormal S₀₀ could move it by > eps (got {total!r} s⁻¹, W > 0)"
                 if math.isfinite(total) else f"the rate through mode {mode_label!r} is not "
                 f"finite in double precision (got {total!r} s⁻¹)"
             )
+    moment_sq, weight, contribution = (column[:, 0].tolist() for column in columns)
     terms = tuple(map(RateTerm, range(n_max + 1), moment_sq, weight, contribution))
     return RateResult(total_rate=total, terms=terms, n_max_used=n_max, sigma=sigma)
 
@@ -317,7 +334,7 @@ def rate_sweep(config, mode_label, parameter, grid):
     numbers (not ``bool``); any other entry fails its row and is reported
     as given.
 
-    The valid rows run through the batched kernel (see the module docstring);
+    The valid rows run through ``_rate_rows`` chunk by chunk (see the module docstring);
     the failing rows are rebuilt one by one to report their errors.
 
     Returns
@@ -333,43 +350,21 @@ def rate_sweep(config, mode_label, parameter, grid):
     entries = [value if type(value) is float else _sweep_value(value) for value in grid]
     values = np.array(entries, dtype=float)  # None, a non-real entry, becomes NaN
     # E_ZPL belongs to the configuration; the other sweep parameters name fields of the mode.
-    fixed = {p: config.zpl_energy if p == "zpl_energy" else getattr(mode, p)
-             for p in SWEEP_PARAMETERS}
-    swept = dict(fixed, **{parameter: values})
+    rows = {**vars(mode), "zpl_energy": config.zpl_energy, parameter: values}
     sigma = mode.energy_excited / 2.0
     rates = np.full(len(grid), math.nan)  # NaN marks a failing row
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
-        n_max = _cut_off(swept["zpl_energy"], mode.energy_excited, swept["energy_ground"])
+        n_max = _cut_off(rows["zpl_energy"], mode.energy_excited, rows["energy_ground"])
         valid = np.isfinite(values) & (n_max <= MAX_CERTIFIED_N)
         for key, bound in _BOUNDS[parameter].items():  # "gt", "ge" or "le", as in _number
             valid &= getattr(operator, key)(values, bound)
         n_max = np.where(valid, n_max, 0).astype(int)
 
-        order = np.flatnonzero(valid)
-        order = order[np.argsort(n_max[order], kind="stable")]
-        # The oscillator pair does not depend on E_ZPL or W: one moment table
-        # at the largest cut-off serves every row, by the prefix property.
-        shared = parameter in ("zpl_energy", "coupling")
-        if shared and len(order):
-            top = int(n_max[order[-1]])
-            pair_moments, pair_s00 = _moments(mode.energy_excited, mode.energy_ground,
-                                              mode.displacement, top)
+        order = np.flatnonzero(valid)[np.argsort(n_max[valid], kind="stable")]
         for chunk in _chunks(order, n_max):
-            row = dict(fixed, **{parameter: values[chunk]})
-            top = int(n_max[chunk[-1]])
-            if shared:
-                moments, s00 = pair_moments[: top + 1], pair_s00
-            else:
-                moments, s00 = _moments(mode.energy_excited, row["energy_ground"],
-                                        row["displacement"], top)
-            _, _, contribution = _rate_terms(
-                moments, mode.energy_excited, row["energy_ground"], row["coupling"],
-                row["zpl_energy"],
-            )
-            totals = _row_totals(contribution, n_max[chunk])
-            kept = ~_uncertified(totals, n_max[chunk], row["coupling"], row["displacement"],
-                                 mode.energy_excited, s00)
-            rates[chunk[kept]] = totals[kept]
+            _, totals, refused = _rate_rows(mode.energy_excited,
+                                            {**rows, parameter: values[chunk]}, n_max[chunk])
+            rates[chunk[~refused]] = totals[~refused]
 
     def rerun(value):
         """A failing row, rebuilt through the constructors and nonradiative_rate."""

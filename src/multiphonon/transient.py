@@ -17,6 +17,8 @@ tokenizer parses the file in one pass; a ``float`` loop reads what it refuses.
 Times are microseconds throughout this module.
 """
 
+import contextlib
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,36 +301,39 @@ def write_histogram_csv(histogram, path):
 
 
 def read_histogram_csv(path):
-    """Load a ``t_us,counts`` file, inferring and validating uniform bins."""
-    with open(path) as handle:
-        table, stripped = None, (line.strip() for line in iter(handle.readline, ""))
-        try:  # a pipe cannot rewind for the ``float`` loop, so it goes straight there
-            if handle.seekable() and next(filter(None, stripped), None) == HISTOGRAM_CSV_HEADER:
-                start, rest = handle.tell(), handle.read()
-                # Blank: loadtxt would warn about empty input.  Unlike ``float``,
-                # numpy strips the ASCII separators \x1c-\x1f next to a number.
-                if rest and not rest.isspace() and not any(c in rest for c in "\x1c\x1d\x1e\x1f"):
-                    handle.seek(start)
-                    table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-        except ValueError:  # the decoder or numpy refused the text
-            pass
-        if table is None or table.shape[1] != 2:
-            # ``float`` takes ``1_0``, non-ASCII digits...; it also words every error.
-            if handle.seekable():
-                handle.seek(0)
-            lines = [(n, line.strip()) for n, line in enumerate(handle, start=1) if line.strip()]
-            if not lines or lines[0][1] != HISTOGRAM_CSV_HEADER:
-                raise DomainError(f"histogram file must start with header '{HISTOGRAM_CSV_HEADER}'")
-            table = []
-            for n, line in lines[1:]:
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise DomainError(f"line {n}: expected 't,counts', got {line!r}")
-                try:
-                    table.append((float(parts[0]), float(parts[1])))
-                except ValueError as exc:
-                    raise DomainError(f"line {n}: {exc}") from exc
-            table = np.array(table).reshape(-1, 2)
+    """Load a ``t_us,counts`` file, inferring and validating uniform bins.
+
+    Text that does not decode raises :class:`DomainError`, as a bad row does.
+    """
+    try:
+        with open(path) as handle:  # a pipe too: read to EOF once, no rewind
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"histogram file is not valid text: {exc}") from exc
+    table = None
+    header, _, rest = text.lstrip().partition("\n")  # the first non-blank line, and the rest
+    # Blank: loadtxt would warn about empty input.  Unlike ``float``, numpy
+    # strips the ASCII separators \x1c-\x1f next to a number.
+    if (header.rstrip() == HISTOGRAM_CSV_HEADER and rest and not rest.isspace()
+            and not any(c in rest for c in "\x1c\x1d\x1e\x1f")):
+        with contextlib.suppress(ValueError):  # numpy refused the text
+            table = np.loadtxt(io.StringIO(rest), delimiter=",", comments=None, ndmin=2)
+    if table is None or table.shape[1] != 2:
+        # ``float`` takes ``1_0``, non-ASCII digits...; it also words every error.  Lines
+        # end at \n alone, as in a text file: ``splitlines`` also splits at \x1c-\x1e, \x85...
+        lines = [(n, line.strip()) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
+        if not lines or lines[0][1] != HISTOGRAM_CSV_HEADER:
+            raise DomainError(f"histogram file must start with header '{HISTOGRAM_CSV_HEADER}'")
+        table = []
+        for n, line in lines[1:]:
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise DomainError(f"line {n}: expected 't,counts', got {line!r}")
+            try:
+                table.append((float(parts[0]), float(parts[1])))
+            except ValueError as exc:
+                raise DomainError(f"line {n}: {exc}") from exc
+        table = np.array(table).reshape(-1, 2)
     centers, counts = np.ascontiguousarray(table.T)
     if centers.size < 2:
         raise DomainError("histogram needs at least two bins")

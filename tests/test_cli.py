@@ -260,3 +260,19 @@ class TestUsageErrors:
     def test_missing_file_exits_1(self, capsys):
         code, out, err = run(capsys, "fit", "--histogram", "/nonexistent/h.csv")
         assert code == 1 and out == "" and err != ""
+
+    @pytest.mark.parametrize("command", ["fit", "rate"])
+    def test_file_that_is_not_text_exits_1_with_one_error_line(self, capsys, tmp_path,
+                                                               command):
+        # A 0xff byte is not UTF-8: one error line, not a UnicodeDecodeError traceback.
+        path = tmp_path / "binary"
+        if command == "fit":
+            path.write_bytes(b"t_us,counts\n0.5,3\n1.5,\xff\n")
+            argv = ["fit", "--histogram", str(path)]
+        else:
+            path.write_bytes(b'{"variant_label": "\xff"}')
+            argv = ["rate", "--config", str(path), "--mode", "m"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff" in err

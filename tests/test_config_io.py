@@ -173,6 +173,14 @@ def test_empty_modes_rejected():
         parse_defect_config(json.dumps(doc))
 
 
+def test_non_object_mode_rejected():
+    doc = json.loads(NATURAL_DOC)
+    doc["modes"] = [1]
+    with pytest.raises(ConfigValidationError,
+                       match=r"^modes\[0\] must be an object, got 1 \(line 1\)$"):
+        parse_defect_config(json.dumps(doc))
+
+
 def test_duplicate_mode_labels_rejected():
     doc = json.loads(NATURAL_DOC)
     doc["modes"][1]["label"] = "accepting"

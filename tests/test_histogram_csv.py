@@ -115,6 +115,13 @@ class TestReader:
         with pytest.raises(DomainError, match=r"^line 5: could not convert string to float: 'x'$"):
             read_histogram_csv(path)
 
+    @pytest.mark.parametrize("data", [b"\xfft_us,counts\n", b"t_us,counts\n0.5,3\n1.5,\xff\n"])
+    def test_bytes_that_are_not_text_raise_domain_error(self, tmp_path, data):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(data)
+        with pytest.raises(DomainError, match="^histogram file is not valid text: .*0xff"):
+            read_histogram_csv(path)
+
     @pytest.mark.parametrize("text", [
         "t_us,counts\n",
         "t_us,counts",

@@ -97,6 +97,11 @@ class TestInferRadiativeRate:
         with pytest.raises(InfeasibleKineticsError):
             infer_radiative_rate(TAU_B, TAU_A, NR_RATIO)
 
+    def test_non_positive_radiative_rate(self):
+        # Lifetimes 1 and 2 µs with a ratio of 1.5: Γ_R = 1e6 − 1.5e6 s⁻¹ < 0.
+        with pytest.raises(InfeasibleKineticsError, match="radiative rate is not positive"):
+            infer_radiative_rate(1e-6, 2e-6, 1.5)
+
     def test_unit_ratio_with_unequal_lifetimes(self):
         with pytest.raises(InfeasibleKineticsError):
             infer_radiative_rate(TAU_A, TAU_B, 1.0)

@@ -149,6 +149,12 @@ class TestTypes:
         with pytest.raises(DomainError, match="VibrationalMode"):
             DefectConfiguration("x", 935.0, (natural.modes[0], "ch-stretch"))
 
+    def test_configuration_needs_a_mode(self):
+        from multiphonon import DefectConfiguration
+
+        with pytest.raises(DomainError, match="needs at least one vibrational mode"):
+            DefectConfiguration("x", 935.0, ())
+
     def test_missing_mode_lookup(self, natural):
         with pytest.raises(ModeLookupError):
             natural.mode("breathing")

@@ -159,9 +159,15 @@ class TestFcOverlap:
         # ... but serves the full certified range.
         assert math.isfinite(fc_overlap(0, 512, accepting_pair))
 
+    def test_rows_m_at_least_2_are_the_table_entries(self, accepting_pair):
+        # One limit for m and n: rows m >= 2 are the matrix's, and m = 513 is refused.
+        assert fc_overlap(2, 3, accepting_pair) == fc_overlap_matrix(accepting_pair, 2, 3)[2, 3]
+        with pytest.raises(CapabilityError):
+            fc_overlap(513, 0, accepting_pair)
+
     def test_rejects_bad_quantum_numbers(self, accepting_pair):
         with pytest.raises(DomainError):
-            fc_overlap(2, 0, accepting_pair)
+            fc_overlap(-1, 0, accepting_pair)
         with pytest.raises(DomainError):
             fc_overlap(0, -1, accepting_pair)
 

@@ -46,7 +46,7 @@ LARGE_DISPLACEMENTS = [OscillatorPair(33.0, 33.0, 18.5), OscillatorPair(33.0, 33
 
 def reference_moment_rows(pair, n_max):
     """Rows m = 0 and m = 1 of ``fc_overlap_matrix``'s recurrence, one entry at a time."""
-    _, b, c, d, e = map(float, _recurrence_coefficients(
+    b, c, d, e = map(float, _recurrence_coefficients(
         pair.energy_initial, pair.energy_final, pair.displacement
     ))
     s = np.zeros((2, n_max + 1))

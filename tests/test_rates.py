@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import fields, replace
 
@@ -78,6 +79,11 @@ class TestNonradiativeRate:
                 assert result.total_rate >= 0.0
                 assert result.sigma == mode.energy_excited / 2.0
                 assert len(result.terms) == result.n_max_used + 1
+
+    def test_totals_are_python_floats(self, natural):
+        assert type(nonradiative_rate(natural, "accepting").total_rate) is float
+        points = rate_sweep(natural, "accepting", "coupling", [1.0, 9.23])
+        assert [type(point.rate) for point in points] == [float, float]
 
     def test_quadratic_coupling_scaling(self, natural):
         base = nonradiative_rate(natural, "ch-stretch").total_rate
@@ -422,6 +428,14 @@ class TestOverflowingTotal:
         expected = _direct(config, "m", "coupling", 1e54)
         assert (second.rate, second.n_max, second.sigma, second.error) == expected
 
+    def test_message_in_full(self):
+        # The total is a Python float in the text: inf, not np.float64(inf).
+        message = "the rate through mode 'm' is not finite in double precision (got inf s⁻¹)"
+        with pytest.raises(CapabilityError) as caught:
+            nonradiative_rate(_overflowing(), "m")
+        (point,) = rate_sweep(_overflowing(), "m", "coupling", [1e54])
+        assert str(caught.value) == point.error == message
+
 
 class TestRateKernelOracle:
     """The batched kernel against the scalar formula it replaced."""
@@ -555,6 +569,18 @@ class TestUnderflow:
         for point in points:
             expected = _direct(_deep(15.5), "m", "displacement", point.value)
             assert (point.rate, point.n_max, point.sigma, point.error) == expected
+
+    def test_message_in_full(self):
+        # Refused for its subnormal S₀₀; the total is printed as a plain float repr.
+        message = re.escape(
+            "the rate through mode 'm' underflows double precision: flushed terms or a "
+            "subnormal S₀₀ could move it by > eps (got "
+        ) + r"\d\.\d+e-\d+ s⁻¹, W > 0\)"
+        with pytest.raises(CapabilityError) as caught:
+            nonradiative_rate(_deep(15.6), "m")
+        (point,) = rate_sweep(_deep(15.6), "m", "displacement", [15.6])
+        assert re.fullmatch(message, str(caught.value))
+        assert point.error == str(caught.value)
 
     def test_subnormal_overlap_start_refusal_guards_a_real_error(self):
         # At ΔQ = 15.7 (S₀₀ = 1.75e-313) the kernel's own total is off by

@@ -174,6 +174,12 @@ class TestFit:
         with pytest.raises((FitPreconditionError, FitError)):
             fit_lifetime(hist)
 
+    def test_total_counts_at_most_100_rejected(self):
+        hist = simulate_transient(1.0, 3.0, 0.0, 40, 10.0, 1)
+        with pytest.raises(FitPreconditionError,
+                           match=r"^total counts above background \(11\.0\) must exceed 100$"):
+            fit_lifetime(hist)
+
     def test_too_few_bins_in_window(self):
         hist = simulate_transient(0.885, 1e4, 10.0, 500, 10.0, seed=1)
         with pytest.raises(FitPreconditionError):
@@ -234,6 +240,12 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("t_us,counts\n0.5,3\n1.5,4\n3.5,5\n")
         with pytest.raises(DomainError):
+            read_histogram_csv(path)
+
+    def test_decreasing_centers_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t_us,counts\n1.5,3\n0.5,4\n")
+        with pytest.raises(DomainError, match="^bin centers must be strictly increasing$"):
             read_histogram_csv(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

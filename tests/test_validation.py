@@ -170,7 +170,7 @@ def test_float32_config_rate_equals_the_float_one(natural):
     [
         lambda: fc_overlap(1, True, PAIR),
         lambda: fc_overlap(True, 3, PAIR),
-        lambda: fc_overlap(2, 3, PAIR),
+        lambda: fc_overlap(-1, 3, PAIR),
         lambda: fc_overlap_matrix(PAIR, 1.5, 3),
         lambda: fc_overlap_matrix(PAIR, 1, 3.0),
         lambda: transition_moments(PAIR, True),
