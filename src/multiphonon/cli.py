@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .errors import MultiphononError
+from .errors import DomainError, MultiphononError
 
 
 def _fmt(value):
@@ -34,8 +34,12 @@ def _window(text):
 def _load_config(path):
     from .config_io import parse_defect_config
 
-    with open(path) as handle:
-        return parse_defect_config(handle.read())
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"config file {path!r} is not valid text: {exc}") from exc
+    return parse_defect_config(text)
 
 
 def _build_parser():
@@ -205,7 +209,7 @@ def run_command(argv):
     out, err = sys.stdout, sys.stderr
     try:
         return args.handler(args, out, err)
-    except (MultiphononError, OSError, UnicodeDecodeError) as exc:  # or a file that is not text
+    except (MultiphononError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 

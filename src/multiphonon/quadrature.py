@@ -53,20 +53,26 @@ class GridSpec:
             object.__setattr__(self, "dps", _number(self.dps, "dps", integer=True, ge=15))
 
 
-def _hermite_rows(y, n_max, scale):
-    """*scale* times the normalized Hermite functions h_0..h_n_max on *y*.
+def _hermite_rows(y, n_max, shared, longer):
+    """The normalized Hermite functions h_0..h_n_max on *y*: rows up to *shared* on every
+    point, the later ones on the points *longer* (a slice) alone, the rest zero.
 
     h_n(y) = (2^n n! sqrt(pi))^(-1/2) H_n(y) exp(-y^2/2), evaluated in place
-    by the standard three-term recurrence, which keeps every row O(1).
+    by the standard three-term recurrence from h_-1 = 0, which keeps every row O(1).
+    Each step is elementwise: a point's values do not depend on the points beside it.
     """
-    rows, scratch = np.empty((n_max + 1, y.size)), np.empty(y.size)
-    rows[0] = math.pi**-0.25 * np.exp(-0.5 * y * y)
-    for k in range(1, n_max + 1):
-        np.multiply(np.multiply(math.sqrt(2.0 / k), y, out=scratch), rows[k - 1], out=rows[k])
-        if k >= 2:
-            rows[k] -= np.multiply(math.sqrt((k - 1.0) / k), rows[k - 2], out=scratch)
-    rows *= scale
-    return rows
+    rows = np.zeros((n_max + 2, y.size))  # rows[k + 1] = h_k
+    rows[1] = math.pi**-0.25 * np.exp(-0.5 * y * y)
+    scratch, start = np.empty(y.size), 1
+    for stop, span in ((shared, slice(None)), (n_max, longer)):
+        part, x, out = rows[:, span], y[span], scratch[span]
+        low, prev = part[start - 1], part[start]
+        for k, row in zip(range(start, stop + 1), part[start + 1 :]):
+            np.multiply(np.multiply(math.sqrt(2.0 / k), x, out=out), prev, out=row)
+            row -= np.multiply(math.sqrt((k - 1.0) / k), low, out=out)  # 0 h_-1 at k = 1
+            low, prev = prev, row
+        start = stop + 1
+    return rows[1:]
 
 
 def _hermite(order, y):
@@ -109,7 +115,8 @@ def _gauss_hermite(count):
 
 def _float64_sums(pair, m_max, n_max, count):
     """([S_K, S_K+1], [l1_K, l1_K+1], y_i, y_f at K), K = *count*, from one Hermite recurrence
-    on [y_i(K), y_i(K+1), y_f(K), y_f(K+1)]: each step is elementwise, as for one rule alone."""
+    on [y_i(K), y_i(K+1), y_f(K), y_f(K+1)]: each step is elementwise, as for one rule alone.
+    It runs to min(m_max, n_max) on all points, then on the longer side's points alone."""
     nodes, weights = map(np.concatenate, zip(_gauss_hermite(count), _gauss_hermite(count + 1)))
     a_i, a_f = pair.energy_initial / HBAR_SQ_MEV_AMU_A2, pair.energy_final / HBAR_SQ_MEV_AMU_A2
     total = a_i + a_f
@@ -117,8 +124,9 @@ def _float64_sums(pair, m_max, n_max, count):
     y_i = math.sqrt(a_i) * (pair.displacement * a_f / total + scale * nodes)
     y_f = math.sqrt(a_f) * (scale * nodes - pair.displacement * a_i / total)
     points = nodes.size
-    rows = _hermite_rows(np.concatenate((y_i, y_f)), max(m_max, n_max),
-                         np.repeat((a_i**0.25, a_f**0.25), points))
+    longer = slice(points, None) if n_max > m_max else slice(points)  # y_f or y_i
+    rows = _hermite_rows(np.concatenate((y_i, y_f)), max(m_max, n_max), min(m_max, n_max), longer)
+    rows *= np.repeat((a_i**0.25, a_f**0.25), points)
     rows_i, rows_f = rows[: m_max + 1, :points], rows[: n_max + 1, points:]
     rows_f *= scale * weights
     spans = slice(count), slice(count, points)

@@ -276,3 +276,4 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "can't decode byte 0xff" in err
+        assert command == "fit" or f"config file {str(path)!r} is not valid text" in err

@@ -1,7 +1,9 @@
+import copy
 import math
+import pickle
 import re
 import warnings
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import mpmath
 import numpy as np
@@ -729,15 +731,29 @@ class TestSweepPoint:
             "sigma=None, error=\"zpl_energy must be a real number, got 'x'\")"
         )
 
-    @pytest.mark.parametrize("name", ["rate", "error", "new_attribute"])
-    def test_immutable(self, natural, name):
-        point = rate_sweep(natural, "accepting", "zpl_energy", [935.0])[0]
-        with pytest.raises(AttributeError):
-            setattr(point, name, 1.0)
+    # Rows rate_sweep builds: resolved, refused (n_max 733 > 512) and a non-real entry.
+    ROWS = [("zpl_energy", 935.0), ("energy_ground", 1.5), ("zpl_energy", "x")]
 
-    def test_replace_and_equality(self, natural):
-        first, second = rate_sweep(natural, "accepting", "zpl_energy", [935.0, 935.0])
+    @pytest.mark.parametrize("parameter, entry", ROWS)
+    @pytest.mark.parametrize("name", ["rate", "error", "new_attribute"])
+    def test_immutable(self, natural, parameter, entry, name):
+        point = rate_sweep(natural, "accepting", parameter, [entry])[0]
+        with pytest.raises(FrozenInstanceError):
+            setattr(point, name, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(point, name)
+
+    @pytest.mark.parametrize("parameter, entry", ROWS)
+    def test_replace_and_equality(self, natural, parameter, entry):
+        first, second = rate_sweep(natural, "accepting", parameter, [entry, entry])
+        assert (first.error is None) == (entry == 935.0)
         assert first == second and hash(first) == hash(second)
-        doubled = replace(first, rate=2 * first.rate)
-        assert doubled != first and doubled.rate == 2 * first.rate
-        assert replace(doubled, rate=first.rate) == first
+        # Indistinguishable from the constructor's row, also once pickled or copied.
+        built = SweepPoint(*(getattr(first, name) for name in self.FIELDS))
+        for row in (first, pickle.loads(pickle.dumps(first)), copy.copy(first)):
+            assert type(row) is SweepPoint and row == built and hash(row) == hash(built)
+            assert list(vars(row).items()) == list(vars(built).items())
+            assert asdict(row) == asdict(built)
+        changed = replace(first, rate=2.0)
+        assert changed != first and changed.rate == 2.0
+        assert replace(changed, rate=first.rate) == first
