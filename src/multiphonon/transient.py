@@ -8,17 +8,24 @@ inverse-model weights (Fisher scoring for the Poisson likelihood), and
 the parameter covariance comes from the curvature of the objective at
 the optimum.
 
+The fit's line search keeps exp(-t/τ) and μ of the step it accepts, so
+the next iterate's Fisher matrix computes neither again; the Jacobian
+fills one preallocated (N, 3) array.
+
 Histograms are CSV: the header ``t_us,counts``, then one row per bin,
 written in fixed-size blocks: the center with ``repr``, the count without
-``.0`` when integer-valued.  The reader skips blank lines, takes any
-Python ``float`` syntax and names the physical line of a bad row.  Numpy's
-tokenizer parses the file in one pass; a ``float`` loop reads what it refuses.
+``.0`` when integer-valued.  Each block turns its own slice into lists, and
+a block whose counts are all integers below 2**63 formats them as int64.
+The reader skips blank lines, takes any Python ``float`` syntax and names
+the physical line of a bad row.  Numpy's tokenizer parses the file in one
+pass; a ``float`` loop reads what it refuses.
 
 Times are microseconds throughout this module.
 """
 
 import contextlib
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +37,20 @@ HISTOGRAM_CSV_HEADER = "t_us,counts"
 _MAX_ITERATIONS = 100
 _RELATIVE_STEP_TOL = 1e-10
 _CSV_BLOCK_ROWS = 8192  # rows formatted per write: few calls, bounded memory
+# numpy's Poisson sampler refuses larger means ("lam value too large").
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+
+def _check_edge_range(edges):
+    """Refuse edges whose span or end-pair sums overflow double precision.
+
+    Python float arithmetic gives inf there without a warning.  For
+    increasing edges the span bounds every width and the two end pairs
+    bound every sum that a bin center takes.
+    """
+    first, second, penultimate, last = (float(edges[i]) for i in (0, 1, -2, -1))
+    if not all(map(math.isfinite, (last - first, first + second, penultimate + last))):
+        raise DomainError("bin_edges overflow double precision: their span or a bin center")
 
 
 @dataclass(frozen=True)
@@ -54,9 +75,10 @@ class TransientHistogram:
             raise DomainError("bin_edges must be a 1D array of at least two edges")
         if not np.all(np.isfinite(edges)):
             raise DomainError("bin_edges must be finite")
-        widths = np.diff(edges)
-        if np.any(widths <= 0):
+        if not np.all(edges[1:] > edges[:-1]):
             raise DomainError("bin_edges must be strictly increasing")
+        _check_edge_range(edges)
+        widths = np.diff(edges)
         mean_width = float(widths.mean())
         # Relative to the time span: a per-width comparison would trip on
         # IEEE representation noise for histograms with many bins.
@@ -105,7 +127,8 @@ def simulate_transient(lifetime, amplitude, background, n_bins, t_max, seed):
     amplitude : float
         Expected counts per bin at t = 0, non-negative.
     background : float
-        Expected counts per bin from uncorrelated events, non-negative.
+        Expected counts per bin from uncorrelated events, non-negative;
+        amplitude + background is at most numpy's Poisson limit, 9.2e18.
     n_bins : int
         Number of uniform bins (at least 10).
     t_max : float
@@ -123,7 +146,10 @@ def simulate_transient(lifetime, amplitude, background, n_bins, t_max, seed):
     amplitude = _number(amplitude, "amplitude", ge=0.0)
     background = _number(background, "background", ge=0.0)
     seed = _number(seed, "seed", integer=True, ge=0)
+    # Every mean is at most amplitude + background.
+    _number(amplitude + background, "amplitude + background", le=_POISSON_MEAN_MAX)
     edges = np.linspace(0.0, t_max, n_bins + 1)
+    _check_edge_range(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     means = background + amplitude * np.exp(-centers / lifetime)
     rng = np.random.default_rng(seed)
@@ -145,11 +171,11 @@ def _initial_guess(t, counts):
     if mask.sum() < 2:
         raise FitError("no decaying component above the background estimate", trace=[])
     ty, y = t[mask], excess[mask]
-    logy = np.log(y)
-    weights = y  # inverse variance of log(counts) for Poisson data
-    design = np.column_stack([np.ones_like(ty), ty])
-    scaled = design * np.sqrt(weights)[:, None]
-    solution, *_ = np.linalg.lstsq(scaled, logy * np.sqrt(weights), rcond=None)
+    root_weights = np.sqrt(y)  # y is the inverse variance of log(counts) for Poisson data
+    scaled = np.empty((ty.size, 2))  # the design [1, t] times the root weights
+    scaled[:, 0] = root_weights
+    np.multiply(ty, root_weights, out=scaled[:, 1])
+    solution, *_ = np.linalg.lstsq(scaled, np.log(y) * root_weights, rcond=None)
     intercept, slope = solution
     if slope >= 0:
         raise FitError("counts do not decay over the fit window", trace=[])
@@ -157,23 +183,32 @@ def _initial_guess(t, counts):
 
 
 def _model(theta, t):
+    """exp(-t/τ) and the model mean μ, floored at 1e-300, at *theta*."""
     amplitude, tau, background = theta
-    return amplitude * np.exp(-t / tau) + background
+    decay = np.exp(-t / tau)
+    return decay, np.maximum(amplitude * decay + background, 1e-300)
 
 
-def _neg_log_likelihood(theta, t, counts):
-    mu = np.maximum(_model(theta, t), 1e-300)
+def _objective(mu, counts):
     return float(np.sum(mu) - np.sum(counts * np.log(mu)))
 
 
-def _scoring_terms(theta, t):
-    """Model mean μ, Jacobian / μ and the Fisher matrix Jᵀ(J/μ) at *theta*."""
-    amplitude, tau, background = theta
-    decay = np.exp(-t / tau)
-    mu = np.maximum(amplitude * decay + background, 1e-300)
-    jacobian = np.column_stack([decay, amplitude * t * decay / tau**2, np.ones_like(t)])
+def _neg_log_likelihood(theta, t, counts):
+    return _objective(_model(theta, t)[1], counts)
+
+
+def _scoring_terms(theta, t, decay, mu):
+    """Jacobian / μ and the Fisher matrix Jᵀ(J/μ) at *theta*, from its :func:`_model`."""
+    amplitude, tau, _ = theta
+    jacobian = np.empty((t.size, 3))
+    jacobian[:, 0] = decay
+    column = jacobian[:, 1]
+    np.multiply(amplitude, t, out=column)
+    column *= decay
+    column /= tau**2
+    jacobian[:, 2] = 1.0
     weighted = jacobian / mu[:, None]
-    return mu, weighted, weighted.T @ jacobian
+    return weighted, weighted.T @ jacobian
 
 
 def _valid(theta):
@@ -222,13 +257,14 @@ def fit_lifetime(histogram, fit_window=None):
         )
 
     theta = np.array([amplitude0, tau0, background0])
-    nll = _neg_log_likelihood(theta, t_all, c_all)
+    decay, mu = _model(theta, t_all)
+    nll = _objective(mu, c_all)
     trace = [(0, tuple(theta), nll)]
     converged = False
     iterations = 0
     for iteration in range(1, _MAX_ITERATIONS + 1):
         iterations = iteration
-        mu, weighted, normal = _scoring_terms(theta, t_all)
+        weighted, normal = _scoring_terms(theta, t_all, decay, mu)
         gradient = weighted.T @ (c_all - mu)
         try:
             step = np.linalg.solve(normal, gradient)
@@ -239,7 +275,8 @@ def fit_lifetime(histogram, fit_window=None):
         for _ in range(60):
             candidate = theta + factor * step
             if _valid(candidate):
-                candidate_nll = _neg_log_likelihood(candidate, t_all, c_all)
+                candidate_decay, candidate_mu = _model(candidate, t_all)
+                candidate_nll = _objective(candidate_mu, c_all)
                 if candidate_nll <= nll + 1e-12 * abs(nll):
                     accepted = candidate
                     break
@@ -250,7 +287,7 @@ def fit_lifetime(histogram, fit_window=None):
             converged = True
             break
         rel_change = np.max(np.abs(factor * step) / np.maximum(np.abs(accepted), 1e-300))
-        theta, nll = accepted, candidate_nll
+        theta, nll, decay, mu = accepted, candidate_nll, candidate_decay, candidate_mu
         trace.append((iteration, tuple(theta), nll))
         if rel_change < _RELATIVE_STEP_TOL:
             converged = True
@@ -259,7 +296,7 @@ def fit_lifetime(histogram, fit_window=None):
         raise FitError(f"no convergence in {_MAX_ITERATIONS} iterations", trace)
 
     amplitude, tau, background = theta
-    mu, _, normal = _scoring_terms(theta, t_all)
+    _, normal = _scoring_terms(theta, t_all, decay, mu)
     try:
         covariance = np.linalg.inv(normal)
     except np.linalg.LinAlgError:
@@ -289,15 +326,20 @@ def fit_lifetime(histogram, fit_window=None):
 
 def write_histogram_csv(histogram, path):
     """Write a histogram as ``t_us,counts`` rows (t at bin centers)."""
-    centers, counts = histogram.bin_centers.tolist(), histogram.counts.tolist()
+    centers, counts = histogram.bin_centers, histogram.counts
     with open(path, "w") as handle:
         handle.write(HISTOGRAM_CSV_HEADER + "\n")
-        for start in range(0, len(centers), _CSV_BLOCK_ROWS):
+        for start in range(0, centers.size, _CSV_BLOCK_ROWS):
             stop = start + _CSV_BLOCK_ROWS
-            handle.write("".join([
-                f"{center!r},{str(int(count)) if count.is_integer() else repr(count)}\n"
-                for center, count in zip(centers[start:stop], counts[start:stop])
-            ]))
+            block = counts[start:stop]
+            # Bound first: casting a count of 2**63 or more to int64 would warn.
+            if block.max() < 2.0**63 and np.array_equal(integers := block.astype(np.int64), block):
+                texts = map(str, integers.tolist())
+            else:
+                texts = [str(int(count)) if count.is_integer() else repr(count)
+                         for count in block.tolist()]
+            rows = zip(map(repr, centers[start:stop].tolist()), texts)
+            handle.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def read_histogram_csv(path):

@@ -208,6 +208,21 @@ class TestSimulateAndFit:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--amplitude", "1e20", "amplitude + background must be <= "),  # numpy's Poisson limit
+        ("--tmax", "1.7e308", "bin_edges overflow double precision"),
+    ])
+    def test_out_of_range_input_exits_1_without_writing(self, capsys, tmp_path, flag, value,
+                                                        reason):
+        out_path = tmp_path / "hist.csv"
+        argv = {"--tau": "0.885", "--amplitude": "1e4", "--background": "5",
+                "--bins": "100", "--tmax": "10", "--seed": "1", "--out": str(out_path)}
+        argv[flag] = value
+        code, out, err = run(capsys, "simulate", *(item for pair in argv.items() for item in pair))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+        assert not out_path.exists()
+
     def test_negative_seed_exits_1_without_writing(self, capsys, tmp_path):
         out_path = tmp_path / "hist.csv"
         code, out, err = run(capsys, "simulate", "--tau", "0.885", "--amplitude", "10000",

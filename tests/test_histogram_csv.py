@@ -87,7 +87,8 @@ def noiseless_counts(n_bins, seed):
 
 class TestWriter:
     @pytest.mark.parametrize("n_bins", [10, 500, 8191, 8192, 8193, 100_000])
-    @pytest.mark.parametrize("kind", ["integer", "float", "beyond-2**53"])
+    @pytest.mark.parametrize("kind", ["integer", "float", "beyond-2**53", "2**63",
+                                      "below-2**63", "-0.0", "one-non-integer"])
     def test_bytes_equal_the_reference(self, tmp_path, n_bins, kind):
         simulated = simulate_transient(0.885, 1e4, 10.0, n_bins, 10.0, seed=n_bins)
         counts = {
@@ -99,13 +100,24 @@ class TestWriter:
                 np.arange(n_bins) % 3 == 0, 0.5 + np.arange(n_bins),
                 np.geomspace(2.0**53, 1.7e308, n_bins),
             ),
-        }[kind]
+        }.get(kind, simulated.counts)
+        # One count in the last block that an int64 block cannot hold (2**63),
+        # that it can (the largest float below), that prints as "0", or that
+        # is not an integer.
+        odd = {"2**63": 2.0**63, "below-2**63": np.nextafter(2.0**63, 0.0), "-0.0": -0.0,
+               "one-non-integer": simulated.counts[-1] + 0.5}.get(kind)
+        if odd is not None:
+            counts = counts.copy()
+            counts[-1] = odd
         histogram = TransientHistogram(bin_edges=simulated.bin_edges, counts=counts)
-        write_histogram_csv(histogram, tmp_path / "new.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_histogram_csv(histogram, tmp_path / "new.csv")
         reference_write_histogram_csv(histogram, tmp_path / "reference.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         back = read_histogram_csv(tmp_path / "new.csv")
-        assert back.counts.tobytes() == histogram.counts.tobytes()
+        # + 0.0 turns -0.0, which the writer prints as 0, into 0.0.
+        assert back.counts.tobytes() == (histogram.counts + 0.0).tobytes()
 
 
 class TestReader:

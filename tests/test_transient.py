@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,19 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate_transient(**defaults)
 
+    def test_poisson_limit_of_amplitude_plus_background(self):
+        # numpy's sampler takes means up to 9.223372006484771e18 and raises
+        # ValueError above; the sum bounds every bin's mean.
+        limit = 9.223372006484771e18
+        hist = simulate_transient(0.885, limit - 5.0, 5.0, 10, 10.0, seed=1)
+        assert hist.counts.max() > 1e18
+        for amplitude, background in [(np.nextafter(limit, np.inf), 0.0), (1e20, 5.0),
+                                      (1.7e308, 1.7e308)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="^amplitude \\+ background must be"):
+                    simulate_transient(0.885, amplitude, background, 10, 10.0, seed=1)
+
 
 class TestHistogramType:
     def test_rejects_nonuniform_bins(self):
@@ -109,6 +124,35 @@ class TestHistogramType:
     def test_rejects_non_finite_edges(self, edges):
         with pytest.raises(DomainError, match="bin_edges must be finite"):
             TransientHistogram(bin_edges=edges, counts=[1.0, 2.0])
+
+    @pytest.mark.parametrize("edges, overflows", [
+        ([-8e307, 0.0, 8e307], False),
+        ([-1.7e308, 0.0, 1.7e308], True),  # the span
+        ([5e307, 7e307, 9e307], False),
+        ([8e307, 1e308, 1.2e308], True),  # the last center's sum
+        ([-1.2e308, -1e308, -8e307], True),  # the first center's sum
+    ])
+    def test_edges_whose_span_or_centers_overflow_are_refused(self, edges, overflows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if overflows:
+                with pytest.raises(DomainError, match="^bin_edges overflow double precision"):
+                    TransientHistogram(bin_edges=edges, counts=[1.0, 2.0])
+            else:
+                hist = TransientHistogram(bin_edges=edges, counts=[1.0, 2.0])
+                assert np.all(np.isfinite(hist.bin_centers)) and np.isfinite(hist.bin_width)
+
+    def test_simulated_span_at_the_edge_of_double_precision(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = simulate_transient(0.885, 1e4, 5.0, 100, 8e307, seed=1)
+            write_histogram_csv(hist, path)
+            back = read_histogram_csv(path)
+            assert np.array_equal(back.counts, hist.counts)
+            assert np.allclose(back.bin_edges, hist.bin_edges, rtol=1e-12, atol=0)
+            with pytest.raises(DomainError, match="^bin_edges overflow double precision"):
+                simulate_transient(0.885, 1e4, 5.0, 100, 1.7e308, seed=1)
 
 
 class TestFit:
@@ -197,6 +241,9 @@ class TestFit:
         ((4.807, 200.0, 2.0, 10000, 40.0, 12), (0.5, 35.0),
          LifetimeFit(4.818621641333787, 0.015090541593675757, 199.1095376011119,
                      2.0267393700288365, 0.9927325286347182, 6)),
+        ((0.885, 1e4, 10.0, 100_000, 10.0, 13), (0.1, 9.0),
+         LifetimeFit(0.8849649546582329, 0.00011148988759048325, 9999.972521205942,
+                     10.019808845523523, 1.0071969274949566, 4)),
     ])
     def test_seeded_fit_is_pinned_exactly(self, args, window, expected):
         # Exact values: any change to the optimiser's arithmetic or to its
