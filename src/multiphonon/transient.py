@@ -14,8 +14,9 @@ fills one preallocated (N, 3) array.
 
 Histograms are CSV: the header ``t_us,counts``, then one row per bin,
 written in fixed-size blocks: the center with ``repr``, the count without
-``.0`` when integer-valued.  Each block turns its own slice into lists, and
-a block whose counts are all integers below 2**63 formats them as int64.
+``.0`` when integer-valued.  Each block turns its own slice into lists, a
+block whose counts are all integers below 2**63 formats them as int64, and
+one %-format call writes the block's text.
 The reader skips blank lines, takes any Python ``float`` syntax and names
 the physical line of a bad row.  Numpy's tokenizer parses the file in one
 pass; a ``float`` loop reads what it refuses.
@@ -46,10 +47,12 @@ def _check_edge_range(edges):
 
     Python float arithmetic gives inf there without a warning.  For
     increasing edges the span bounds every width and the two end pairs
-    bound every sum that a bin center takes.
+    bound every sum that a bin center takes.  The span keeps 2**-20 of
+    headroom, as rounding can take the sum of the widths past it.
     """
     first, second, penultimate, last = (float(edges[i]) for i in (0, 1, -2, -1))
-    if not all(map(math.isfinite, (last - first, first + second, penultimate + last))):
+    span = (last - first) * (1.0 + 2.0**-20)
+    if not all(map(math.isfinite, (span, first + second, penultimate + last))):
         raise DomainError("bin_edges overflow double precision: their span or a bin center")
 
 
@@ -334,12 +337,16 @@ def write_histogram_csv(histogram, path):
             block = counts[start:stop]
             # Bound first: casting a count of 2**63 or more to int64 would warn.
             if block.max() < 2.0**63 and np.array_equal(integers := block.astype(np.int64), block):
-                texts = map(str, integers.tolist())
+                texts = integers.tolist()  # %s of an int is its str
             else:
                 texts = [str(int(count)) if count.is_integer() else repr(count)
                          for count in block.tolist()]
-            rows = zip(map(repr, centers[start:stop].tolist()), texts)
-            handle.write("\n".join(map(",".join, rows)) + "\n")
+            # One %-format per block, fed centers and counts in turn; %r of a
+            # float is its repr.
+            fields = [None] * (2 * len(texts))
+            fields[::2] = centers[start:stop].tolist()
+            fields[1::2] = texts
+            handle.write("%r,%s\n" * len(texts) % tuple(fields))
 
 
 def read_histogram_csv(path):

@@ -131,15 +131,20 @@ class TestHistogramType:
         ([5e307, 7e307, 9e307], False),
         ([8e307, 1e308, 1.2e308], True),  # the last center's sum
         ([-1.2e308, -1e308, -8e307], True),  # the first center's sum
+        # Spans 2**-19 relative below the largest double, and at it, where the
+        # sum of 1001 widths overflows: the span keeps 2**-20 of headroom.
+        (np.linspace(-1.0, 1.0, 1002) * ((0.5 - 2.0**-20) * np.finfo(float).max), False),
+        (np.linspace(-1.0, 1.0, 1002) * (0.5 * np.finfo(float).max), True),
     ])
     def test_edges_whose_span_or_centers_overflow_are_refused(self, edges, overflows):
+        counts = np.ones(len(edges) - 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if overflows:
                 with pytest.raises(DomainError, match="^bin_edges overflow double precision"):
-                    TransientHistogram(bin_edges=edges, counts=[1.0, 2.0])
+                    TransientHistogram(bin_edges=edges, counts=counts)
             else:
-                hist = TransientHistogram(bin_edges=edges, counts=[1.0, 2.0])
+                hist = TransientHistogram(bin_edges=edges, counts=counts)
                 assert np.all(np.isfinite(hist.bin_centers)) and np.isfinite(hist.bin_width)
 
     def test_simulated_span_at_the_edge_of_double_precision(self, tmp_path):
