@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .errors import DomainError, MultiphononError
+from .errors import MultiphononError, _read_text
 
 
 def _fmt(value):
@@ -34,12 +34,7 @@ def _window(text):
 def _load_config(path):
     from .config_io import parse_defect_config
 
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"config file {path!r} is not valid text: {exc}") from exc
-    return parse_defect_config(text)
+    return parse_defect_config(_read_text(path, "config"))
 
 
 def _build_parser():

@@ -3,8 +3,8 @@
 Every error raised on a validated code path derives from
 :class:`MultiphononError`, so callers (and the CLI) can separate domain or
 validation failures (exit code 1) from genuine usage errors and bugs.
-Every module checks its numeric inputs with :func:`_number`, so inputs
-of the same kind are validated alike.
+Every module checks numeric inputs with :func:`_number` and reads text files
+with :func:`_read_text`, so inputs of the same kind are validated alike.
 """
 
 import math
@@ -117,6 +117,16 @@ def _number(value, name, *, integer=False, gt=None, ge=None, le=None):
     if le is not None and not number <= le:
         raise DomainError(f"{name} must be <= {le!r}, got {value!r}")
     return number
+
+
+def _read_text(path, kind):
+    """The text of *path*, read once (a pipe too); text that does not decode raises
+    :class:`DomainError` naming the *kind* of file and its path."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{kind} file {str(path)!r} is not valid text: {exc}") from exc
 
 
 def _label(value, name):

@@ -15,7 +15,8 @@ n = 512 against the independent Gauss-Hermite quadrature oracle (see
 ``quadrature``), the position-operator sum rule and completeness.  Rows
 m >= 2 are that oracle's values, accurate to its absolute error.  A table or
 moment row is refused with ``CapabilityError`` if it is not finite (inf or
-NaN), or if S₀₀ or A_i·A_f is below the normal range, where either one loses digits.
+NaN), or if S₀₀ or A_i·A_f is below the normal range, where either one loses digits;
+``_exponents``, which the float64 oracle shares, is the one check of A_i·A_f.
 Transition moments measure positions from the initial-state equilibrium.
 """
 
@@ -127,20 +128,25 @@ def _check_quantum_numbers(m, n):
     return m, n
 
 
-def _finite(values, pair, s00):
-    """*values*, or :class:`CapabilityError` if one is inf or NaN or they lost digits.
+def _exponents(pair):
+    """The exponents (A_i, A_f) = E/ħ² of *pair*, or :class:`CapabilityError` before any
+    division by A_i + A_f (maybe 0) if A_i·A_f, inside e, is below the normal range,
+    where its rounding error would pass into every overlap."""
+    a_i, a_f = pair.energy_initial / HBAR_SQ_MEV_AMU_A2, pair.energy_final / HBAR_SQ_MEV_AMU_A2
+    if not a_i * a_f >= sys.float_info.min:
+        raise CapabilityError(f"the overlaps of {pair} underflow double precision: "
+                              f"A_i·A_f = {a_i * a_f!r} must reach {sys.float_info.min!r}")
+    return a_i, a_f
 
-    Below the normal range, *s00*, the recurrence's start, and A_i·A_f, inside e,
-    would pass their rounding error into every entry (or flush them to zero).
-    """
+
+def _finite(values, pair, s00=None):
+    """*values*, or :class:`CapabilityError` if one is inf or NaN or if *s00*, the recurrence's
+    start, is below the normal range, where its rounding error passes into every entry."""
     if not np.isfinite(values).all():
         raise CapabilityError(f"the overlaps of {pair} are not finite in double precision")
-    product = pair.energy_initial / HBAR_SQ_MEV_AMU_A2 * (pair.energy_final / HBAR_SQ_MEV_AMU_A2)
-    if not (s00 >= sys.float_info.min and product >= sys.float_info.min):
-        raise CapabilityError(
-            f"the overlaps of {pair} underflow double precision: S₀₀ = {float(s00)!r} and "
-            f"A_i·A_f = {product!r} must both reach {sys.float_info.min!r}"
-        )
+    if s00 is not None and not s00 >= sys.float_info.min:
+        raise CapabilityError(f"the overlaps of {pair} underflow double precision: "
+                              f"S₀₀ = {float(s00)!r} must reach {sys.float_info.min!r}")
     return values
 
 
@@ -162,10 +168,11 @@ def fc_overlap_matrix(pair, m_max, n_max):
     Raises
     ------
     CapabilityError
-        If ``m_max`` or ``n_max`` exceeds 512, rows m <= 1 are not finite,
+        If ``m_max`` or ``n_max`` exceeds 512, an entry is not finite,
         or S₀₀ or A_i·A_f is below the normal range (2.2e-308).
     """
     m_max, n_max = _check_quantum_numbers(m_max, n_max)
+    _exponents(pair)  # refuses A_i·A_f before the recurrence divides by A_i + A_f
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
         rows = _moment_rows(pair.energy_initial, pair.energy_final, pair.displacement, n_max)
         rows = _finite(np.vstack([row.T for row in rows])[: m_max + 1], pair, rows[0][0, 0])
@@ -273,6 +280,7 @@ def transition_moments(pair, n_max):
     numpy.ndarray
         M_0 .. M_n_max in amu^(1/2)·Å; refused as :func:`fc_overlap_matrix` refuses.
     """
+    _exponents(pair)  # as in fc_overlap_matrix
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
         moments, s00 = _moments(pair.energy_initial, pair.energy_final, pair.displacement, n_max)
         return _finite(moments[:, 0], pair, s00.item())

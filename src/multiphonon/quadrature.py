@@ -8,10 +8,10 @@ degree-(m + n) polynomial in t times exp(-t^2 - c), c = A_i A_f dQ^2/(2(A_i + A_
 so K = (m + n)//2 + 1 Gauss-Hermite nodes are exact apart from rounding, and
 so are K + 1.  The two sums round independently: the error is |S_K - S_{K+1}|
 plus a floor on the absolute sum.  In float64 one Hermite recurrence runs over
-both oscillators at both rules' nodes, and a pair whose A_i·A_f underflows is
-refused.  Both backends share one rule, the Jacobi matrix's eigenvalues (Golub &
-Welsch, Math. Comp. 23, 221, 1969) refined by Newton's method in ``decimal``,
-weighted by the Christoffel numbers.
+both oscillators at both rules' nodes; the overlap table's checks refuse a pair whose
+A_i·A_f underflows and an entry that is not finite.  Both backends share one rule,
+the Jacobi matrix's eigenvalues (Golub & Welsch, Math. Comp. 23, 221, 1969)
+refined by Newton's method in ``decimal``, weighted by the Christoffel numbers.
 """
 
 import functools
@@ -23,8 +23,8 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 import numpy as np
 
 from .constants import HBAR_SQ_MEV_AMU_A2
-from .errors import AccuracyError, CapabilityError, _number
-from .oscillator import _check_quantum_numbers
+from .errors import AccuracyError, _number
+from .oscillator import _check_quantum_numbers, _exponents, _finite
 
 _GUARD_DIGITS = 10  # keeps the rounding noise of a Newton step far below 10^-(dps+3)
 
@@ -118,7 +118,7 @@ def _float64_sums(pair, m_max, n_max, count):
     on [y_i(K), y_i(K+1), y_f(K), y_f(K+1)]: each step is elementwise, as for one rule alone.
     It runs to min(m_max, n_max) on all points, then on the longer side's points alone."""
     nodes, weights = map(np.concatenate, zip(_gauss_hermite(count), _gauss_hermite(count + 1)))
-    a_i, a_f = pair.energy_initial / HBAR_SQ_MEV_AMU_A2, pair.energy_final / HBAR_SQ_MEV_AMU_A2
+    a_i, a_f = _exponents(pair)
     total = a_i + a_f
     scale = math.sqrt(2.0 / total)
     y_i = math.sqrt(a_i) * (pair.displacement * a_f / total + scale * nodes)
@@ -147,8 +147,8 @@ def quadrature_overlap_table(pair, m_max, n_max):
     sum is below the normal range underflowed: its error is |S| plus
     sqrt(2/(A_i + A_f)) (A_i A_f)^(1/4) e^(1 - c) max_k (1 + sqrt(2)|y_i|)^m (1 + sqrt(2)|y_f|)^n
     in log form, a bound on the exact |S| by |h_k(y)| <= pi^(-1/4) (1 + sqrt(2)|y|)^k e^{-y^2/2}
-    and weights summing to sqrt(pi).  A pair whose A_i·A_f is below the normal range
-    is refused with :class:`CapabilityError`, as ``oscillator.fc_overlap_matrix`` refuses it.
+    and weights summing to sqrt(pi).  Pairs and values are refused with :class:`CapabilityError`
+    as ``oscillator.fc_overlap_matrix`` refuses them.
 
     Returns
     -------
@@ -158,22 +158,20 @@ def quadrature_overlap_table(pair, m_max, n_max):
         :func:`quadrature_overlap_oracle` for the checked scalar form.
     """
     m_max, n_max = _check_quantum_numbers(m_max, n_max)
-    a_i, a_f = pair.energy_initial / HBAR_SQ_MEV_AMU_A2, pair.energy_final / HBAR_SQ_MEV_AMU_A2
-    if not a_i * a_f >= sys.float_info.min:
-        raise CapabilityError(f"the quadrature overlaps of {pair} underflow double precision: "
-                              f"A_i·A_f = {a_i * a_f!r} must reach {sys.float_info.min!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # y^2 = inf: zero terms and NaN l1, bound below
+    a_i, a_f = _exponents(pair)
+    # y^2 = inf: zero terms and NaN l1, bound below; |y| = inf: NaN entries, refused.
+    with np.errstate(over="ignore", invalid="ignore"):
         (values, other), (l1, other_l1), y_i, y_f = _float64_sums(pair, m_max, n_max, (m_max + n_max) // 2 + 1)
-    l1 = np.maximum(l1, other_l1)
-    errors = np.abs(values - other) + np.finfo(float).eps * l1
-    low = ~(l1 >= sys.float_info.min)
-    if low.any():
-        log_bound = 1.0 - a_i * a_f * (pair.displacement * pair.displacement) / (2.0 * (a_i + a_f))
-        log_bound += 0.5 * (math.log(2.0) - math.log(a_i + a_f)) + 0.25 * (math.log(a_i) + math.log(a_f))
-        log_bound += np.add.outer(np.arange(m_max + 1.0) * np.log1p(math.sqrt(2.0) * np.abs(y_i)).max(),
-                                  np.arange(n_max + 1.0) * np.log1p(math.sqrt(2.0) * np.abs(y_f)).max())
-        errors[low] = np.maximum(np.exp(log_bound) + np.abs(values), math.ulp(0.0))[low]
-    return values, errors
+        l1 = np.maximum(l1, other_l1)
+        errors = np.abs(values - other) + np.finfo(float).eps * l1
+        low = ~(l1 >= sys.float_info.min)
+        if low.any():
+            log_bound = 1.0 - a_i * a_f * (pair.displacement * pair.displacement) / (2.0 * (a_i + a_f))
+            log_bound += 0.5 * (math.log(2.0) - math.log(a_i + a_f)) + 0.25 * (math.log(a_i) + math.log(a_f))
+            log_bound += np.add.outer(np.arange(m_max + 1.0) * np.log1p(math.sqrt(2.0) * np.abs(y_i)).max(),
+                                      np.arange(n_max + 1.0) * np.log1p(math.sqrt(2.0) * np.abs(y_f)).max())
+            errors[low] = np.maximum(np.exp(log_bound) + np.abs(values), math.ulp(0.0))[low]
+    return _finite(values, pair), errors
 
 
 def _decimal_overlap(pair, m, n, dps):
@@ -231,10 +229,10 @@ def quadrature_overlap_oracle(m, n, pair, grid=GridSpec()):
     ------
     AccuracyError
         If the error estimate, the difference of the K- and (K + 1)-node
-        sums plus the roundoff floor, exceeds ``grid.abs_tol``.
+        sums plus the roundoff floor, is not within ``grid.abs_tol``.
     """
     value, error = quadrature_overlap_with_error(m, n, pair, grid)
-    if error > grid.abs_tol:
+    if not error <= grid.abs_tol:  # a NaN estimate certifies nothing
         raise AccuracyError(
             f"quadrature error estimate {error:.3e} exceeds the requested "
             f"absolute tolerance {grid.abs_tol:.3e} for m={m}, n={n}"

@@ -291,4 +291,5 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "can't decode byte 0xff" in err
-        assert command == "fit" or f"config file {str(path)!r} is not valid text" in err
+        kind = "histogram" if command == "fit" else "config"
+        assert f"{kind} file {str(path)!r} is not valid text" in err

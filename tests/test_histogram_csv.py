@@ -8,6 +8,7 @@ disk, and the same arrays or the same exception with the same message.
 """
 
 import os
+import re
 import threading
 import warnings
 
@@ -57,16 +58,10 @@ def reference_read_histogram_csv(path):
     counts = np.asarray(counts)
     if centers.size < 2:
         raise DomainError("histogram needs at least two bins")
-    if not np.all(np.isfinite(centers)):
-        raise DomainError("bin centers must be finite")
-    widths = np.diff(centers)
-    if np.any(widths <= 0):
-        raise DomainError("bin centers must be strictly increasing")
-    width = float(np.mean(widths))
-    span = float(centers[-1] - centers[0])
-    if np.max(np.abs(widths - width)) > 1e-12 * span:
-        raise DomainError("bin centers must be uniformly spaced to within 1e-12 relative")
-    edges = np.concatenate([centers - 0.5 * width, [centers[-1] + 0.5 * width]])
+    # The bins are TransientHistogram's to check: inf and NaN edges included.
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = float(np.mean(np.diff(centers)))
+        edges = np.concatenate([centers - 0.5 * width, [centers[-1] + 0.5 * width]])
     return TransientHistogram(bin_edges=edges, counts=counts)
 
 
@@ -131,7 +126,9 @@ class TestReader:
     def test_bytes_that_are_not_text_raise_domain_error(self, tmp_path, data):
         path = tmp_path / "binary.csv"
         path.write_bytes(data)
-        with pytest.raises(DomainError, match="^histogram file is not valid text: .*0xff"):
+        # The error names the file.
+        message = f"^histogram file {re.escape(repr(str(path)))} is not valid text: .*0xff"
+        with pytest.raises(DomainError, match=message):
             read_histogram_csv(path)
 
     @pytest.mark.parametrize("text", [

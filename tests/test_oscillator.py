@@ -172,8 +172,6 @@ class TestFcOverlap:
             fc_overlap(0, -1, accepting_pair)
 
     @pytest.mark.parametrize("pair", [
-        OscillatorPair(5e-324, 33.0, 0.7),  # A_i = E/ħ² underflows to 0: S₀₀ is 0/0
-        OscillatorPair(33.0, 5e-324, 0.7),
         OscillatorPair(33.0, 33.0, 1e308),  # 2ΔQ overflows
     ])
     def test_non_finite_overlaps_refused(self, pair):
@@ -199,18 +197,19 @@ class TestFcOverlap:
         assert np.array_equal(transition_moments(pair, 3), length * table[1])
         assert transition_moment(3, pair) == length * table[1, 3]
 
-    @pytest.mark.parametrize("energy", [1e-310, 1e-320])
-    def test_subnormal_exponent_product_refused(self, energy):
+    @pytest.mark.parametrize("args", [
+        (1e-310, 33.0, 0.7), (1e-320, 33.0, 0.7),
+        # A_i = E/ħ² underflows to 0, and with both, A_i + A_f: S₀₀ was 0/0 and the
+        # recurrence raised a bare ZeroDivisionError.
+        (5e-324, 33.0, 0.7), (33.0, 5e-324, 0.7), (5e-324, 5e-324, 0.0),
+    ], ids=["1e-310", "1e-320", "initial-5e-324", "final-5e-324", "both-5e-324"])
+    def test_subnormal_exponent_product_refused(self, args):
         # A_i·A_f is subnormal inside e; unrefused, S₀₀ was off by 2.2e-14
-        # relative at 1e-310 and by 9.3e-5 at 1e-320.  The moments' length
-        # scale overflows first, so they are refused as not finite.
-        pair = OscillatorPair(energy, 33.0, 0.7)
-        for call in (lambda: fc_overlap(0, 0, pair), lambda: fc_overlap(1, 2, pair),
-                     lambda: fc_overlap_matrix(pair, 2, 3)):
-            with pytest.raises(CapabilityError, match="underflow double precision"):
-                call()
-        for call in (lambda: transition_moments(pair, 3), lambda: transition_moment(3, pair)):
-            with pytest.raises(CapabilityError):
+        # relative at 1e-310 and by 9.3e-5 at 1e-320.  One check refuses the
+        # pair before any table or moment divides by A_i + A_f.
+        pair = OscillatorPair(*args)
+        for call in _overlap_calls(pair) + (lambda: fc_overlap_matrix(pair, 1, 1),):
+            with pytest.raises(CapabilityError, match="underflow double precision: A_i·A_f"):
                 call()
 
     def test_normal_exponent_product_answers(self):

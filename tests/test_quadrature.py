@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,26 @@ def test_float64_table_refuses_an_exponent_product_below_the_normal_range():
     values, errors = quadrature_overlap_table(pair, 1, 3)
     assert np.all(np.abs(values - fc_overlap_matrix(pair, 1, 3)) <= errors)
     assert errors[0, 0] <= 1e-13 * values[0, 0]
+
+
+def test_entries_that_are_not_finite_are_refused_without_a_warning():
+    # ΔQ·A_f overflows in the node positions, and 0·inf turns rows m >= 2 and the
+    # log-form bound into NaN: every call below must refuse, not return it.
+    pair = OscillatorPair(1e-310, 1e300, 1e12)
+    calls = (lambda: fc_overlap(2, 2, pair), lambda: fc_overlap_matrix(pair, 3, 20),
+             lambda: quadrature_overlap_table(pair, 3, 20), lambda: quadrature_overlap_oracle(2, 2, pair))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(CapabilityError, match="not finite in double precision"):
+                call()
+        assert np.isfinite(fc_overlap_matrix(pair, 1, 20)).all()  # rows m <= 1 still answer
+
+
+def test_oracle_refuses_an_error_estimate_that_is_not_a_number(monkeypatch):
+    monkeypatch.setattr(quadrature, "quadrature_overlap_with_error", lambda *args: (0.5, math.nan))
+    with pytest.raises(AccuracyError, match="^quadrature error estimate nan exceeds"):
+        quadrature_overlap_oracle(0, 0, OscillatorPair(33.0, 33.0, 0.0))
 
 
 def test_underflow_bound_keeps_the_normalization_factor():

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -99,8 +100,20 @@ class TestSimulate:
                 with pytest.raises(DomainError, match="^amplitude \\+ background must be"):
                     simulate_transient(0.885, amplitude, background, 10, 10.0, seed=1)
 
+    def test_decay_past_the_float_range_is_zero_without_a_warning(self):
+        # t/τ overflows to inf in every bin; exp(-inf) = 0 is the exact decay.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = simulate_transient(1e-300, 1.0, 0.0, 200, 1e300, 1)
+        assert np.array_equal(hist.counts, np.zeros(200))
+
 
 class TestHistogramType:
+    @pytest.mark.parametrize("edges", [[[0.0, 1.0], [1.0, 2.0]], [0.0], []])
+    def test_rejects_two_dimensional_or_single_edge_input(self, edges):
+        with pytest.raises(DomainError, match="^bin_edges must be a 1D array of at least two edges$"):
+            TransientHistogram(bin_edges=edges, counts=[1.0])
+
     def test_rejects_nonuniform_bins(self):
         edges = np.array([0.0, 1.0, 2.0, 3.5])
         with pytest.raises(DomainError):
@@ -263,10 +276,63 @@ class TestFit:
         trace = info.value.trace
         assert [entry[0] for entry in trace] == [0, 1, 2, 3]
         for _, params, objective in trace:
-            assert objective == transient._neg_log_likelihood(
-                np.array(params), hist.bin_centers, hist.counts
-            )
+            mu = transient._model(np.array(params), hist.bin_centers)[1]
+            assert objective == transient._objective(mu, hist.counts)
         assert all(later[2] <= earlier[2] for earlier, later in zip(trace, trace[1:]))
+
+    @staticmethod
+    def _assert_trace_descends(trace):
+        # The line search accepts a rise of 1e-12 relative, as its stopping rule.
+        assert [entry[0] for entry in trace] == list(range(len(trace)))
+        assert all(later[2] <= earlier[2] + 1e-12 * abs(earlier[2])
+                   for earlier, later in zip(trace, trace[1:]))
+
+    def test_flat_counts_have_no_decaying_component(self):
+        hist = TransientHistogram(bin_edges=np.linspace(0.0, 10.0, 51), counts=np.full(50, 7.0))
+        with pytest.raises(FitError, match="^no decaying component above the background") as info:
+            fit_lifetime(hist)
+        assert info.value.trace == []
+
+    def test_singular_normal_equations_carry_the_trace(self):
+        # τ runs to 1e-3 µs against 0.5 µs bins: the decay columns vanish.
+        hist = simulate_transient(0.885, 30.0, 50.0, 40, 20.0, 24)
+        with pytest.raises(FitError, match="^normal equations are singular") as info:
+            fit_lifetime(hist)
+        assert len(info.value.trace) == 4
+        self._assert_trace_descends(info.value.trace)
+
+    def test_halved_steps_and_a_last_iteration_without_improvement(self, monkeypatch):
+        # Counts of at most 30 and no background: full scoring steps overshoot,
+        # and the fit stops when 60 halvings of the last step all fail to improve.
+        events = []
+        for name in ("_scoring_terms", "_valid"):
+            real = getattr(transient, name)
+            monkeypatch.setattr(transient, name,
+                                lambda *args, real=real, name=name: events.append(name) or real(*args))
+        fit = fit_lifetime(simulate_transient(0.01, 30.0, 0.0, 500, 1.0, 0))
+        tries = [len(list(run)) for name, run in itertools.groupby(events) if name == "_valid"]
+        assert len(tries) == fit.iterations == 49
+        assert tries[-1] == 60 and any(1 < count < 60 for count in tries[:-1])
+        assert fit.lifetime_us == pytest.approx(0.0123, rel=1e-2)
+
+    def test_numerically_singular_curvature_at_the_optimum(self):
+        # The curvature matrix's condition number is inf here; whether its LU
+        # meets an exact zero pivot (singular) or a rounded one (a negative
+        # lifetime variance) depends on the LAPACK kernel, so either refusal passes.
+        hist = simulate_transient(0.75, 1600.0, 3.4e10, 60, 100.0, 181)
+        pattern = "^(lifetime variance is not defined|curvature matrix is singular) at the optimum$"
+        with pytest.raises(FitError, match=pattern) as info:
+            fit_lifetime(hist)
+        assert len(info.value.trace) >= 2
+        self._assert_trace_descends(info.value.trace)
+
+    def test_lifetime_uncertainty_spanning_the_window_is_unidentifiable(self):
+        hist = simulate_transient(0.01, 30.0, 50.0, 500, 10.0, 0)
+        with pytest.raises(FitError, match=r"^lifetime is unidentifiable: uncertainty \S+ µs spans "
+                                           r"the fit window \(9\.98 µs\)$") as info:
+            fit_lifetime(hist)
+        assert len(info.value.trace) == 37
+        self._assert_trace_descends(info.value.trace)
 
     def test_uncertainty_positive_on_noisy_data(self):
         fit = fit_lifetime(simulate_transient(0.885, 1e4, 10.0, 500, 10.0, seed=9))
@@ -297,7 +363,8 @@ class TestCsvRoundTrip:
     def test_decreasing_centers_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t_us,counts\n1.5,3\n0.5,4\n")
-        with pytest.raises(DomainError, match="^bin centers must be strictly increasing$"):
+        # TransientHistogram checks the edges the reader infers.
+        with pytest.raises(DomainError, match="^bin_edges must be strictly increasing$"):
             read_histogram_csv(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -307,5 +374,16 @@ class TestCsvRoundTrip:
         centers[row] = bad
         path = tmp_path / "bad.csv"
         path.write_text("t_us,counts\n" + "".join(f"{t},3\n" for t in centers))
-        with pytest.raises(DomainError, match="bin centers must be finite"):
+        with pytest.raises(DomainError, match="^bin_edges must be finite$"):
             read_histogram_csv(path)
+
+    @pytest.mark.parametrize("centers", [(-1.7e308, 1.7e308), (1.7e308, 1.79e308)])
+    def test_centers_whose_edges_overflow_rejected_without_a_warning(self, tmp_path, centers):
+        # The width, the span or the last edge overflows: TransientHistogram
+        # refuses the inferred edges, and nothing on the way warns.
+        path = tmp_path / "huge.csv"
+        path.write_text("t_us,counts\n" + "".join(f"{t!r},3\n" for t in centers))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^bin_edges must be finite$"):
+                read_histogram_csv(path)
