@@ -103,8 +103,6 @@ class ReferenceRecord:
     """Measured ZPL shift and lifetime of one isotopic variant.
 
     ``structure`` is the isotope triple (C_S, C_W, H) as mass numbers.
-    The ``*_text`` fields carry the source decimal strings for digit-exact
-    export; the float fields are parsed from them.
     """
 
     variant_label: str
@@ -112,9 +110,6 @@ class ReferenceRecord:
     zpl_shift_uev: float
     lifetime_us: float
     lifetime_err_us: float
-    zpl_shift_text: str
-    lifetime_text: str
-    lifetime_err_text: str
 
 
 def reduced_mass(mass_a, mass_b):
@@ -157,9 +152,6 @@ def load_reference_dataset():
             zpl_shift_uev=float(shift) if shift else 0.0,
             lifetime_us=float(lifetime),
             lifetime_err_us=float(err),
-            zpl_shift_text=shift,
-            lifetime_text=lifetime,
-            lifetime_err_text=err,
         )
         for label, structure, shift, lifetime, err in _RECORD_ROWS
     ]

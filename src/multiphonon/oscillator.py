@@ -288,7 +288,6 @@ def transition_moments(pair, n_max):
 
 def transition_moment(n, pair):
     """Single transition moment M_n; see :func:`transition_moments`."""
-    _, n = _check_quantum_numbers(0, n)
     return float(transition_moments(pair, n)[n])
 
 

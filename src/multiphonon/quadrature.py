@@ -113,12 +113,12 @@ def _gauss_hermite(count):
     return nodes, weights
 
 
-def _float64_sums(pair, m_max, n_max, count):
+def _float64_sums(pair, a_i, a_f, m_max, n_max, count):
     """([S_K, S_K+1], [l1_K, l1_K+1], y_i, y_f at K), K = *count*, from one Hermite recurrence
     on [y_i(K), y_i(K+1), y_f(K), y_f(K+1)]: each step is elementwise, as for one rule alone.
-    It runs to min(m_max, n_max) on all points, then on the longer side's points alone."""
+    It runs to min(m_max, n_max) on all points, then on the longer side's points alone.
+    (A_i, A_f) are ``_exponents(pair)``."""
     nodes, weights = map(np.concatenate, zip(_gauss_hermite(count), _gauss_hermite(count + 1)))
-    a_i, a_f = _exponents(pair)
     total = a_i + a_f
     scale = math.sqrt(2.0 / total)
     y_i = math.sqrt(a_i) * (pair.displacement * a_f / total + scale * nodes)
@@ -161,7 +161,8 @@ def quadrature_overlap_table(pair, m_max, n_max):
     a_i, a_f = _exponents(pair)
     # y^2 = inf: zero terms and NaN l1, bound below; |y| = inf: NaN entries, refused.
     with np.errstate(over="ignore", invalid="ignore"):
-        (values, other), (l1, other_l1), y_i, y_f = _float64_sums(pair, m_max, n_max, (m_max + n_max) // 2 + 1)
+        count = (m_max + n_max) // 2 + 1
+        (values, other), (l1, other_l1), y_i, y_f = _float64_sums(pair, a_i, a_f, m_max, n_max, count)
         l1 = np.maximum(l1, other_l1)
         errors = np.abs(values - other) + np.finfo(float).eps * l1
         low = ~(l1 >= sys.float_info.min)

@@ -23,9 +23,9 @@ sweep chunk by one error-free pairwise tree, certified row by row, with
 ``math.fsum`` for the rows it cannot certify (``_row_totals``).  A sum of
 finite terms past the float range is inf on both routes, and refused.
 Sweep rows are grouped by phonon cut-off into chunks of at most
-``_SWEEP_CHUNK_CELLS`` terms, which bounds memory.  The ``SweepPoint`` rows
-are built by ``_sweep_point``, six stores into each instance dict, not the
-frozen dataclass's generated ``__init__``.
+``_SWEEP_CHUNK_CELLS`` terms, which bounds memory.  ``SweepPoint``'s own
+``__init__`` builds each row with six stores into its instance dict, not the
+six ``object.__setattr__`` calls of a generated frozen ``__init__``.
 """
 
 import math
@@ -75,7 +75,7 @@ class RateResult:
     sigma: float  # broadening in meV
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepPoint:
     """One row of a parameter sweep; ``error`` is set when the point failed."""
 
@@ -86,21 +86,12 @@ class SweepPoint:
     sigma: float | None
     error: str | None = None
 
-
-def _sweep_point(parameter, value, rate, n_max, sigma, error=None):
-    """``SweepPoint(parameter, value, rate, n_max, sigma, error)`` without the generated ``__init__``.
-
-    The frozen ``__init__`` calls ``object.__setattr__`` once per field; six item assignments
-    to the instance dict make the same object (same ``==``, hash, ``vars`` order, pickle and
-    copy) in a quarter of the time.  Item by item, in field order, the dict keeps the class's
-    shared key table; ``dict.update`` would copy one into every row.  ``SweepPoint`` has no
-    ``__post_init__``, so no validation is skipped; should it gain one, this helper must go.
-    """
-    point = object.__new__(SweepPoint)
-    fields = point.__dict__
-    fields["parameter"], fields["value"], fields["rate"] = parameter, value, rate
-    fields["n_max"], fields["sigma"], fields["error"] = n_max, sigma, error
-    return point
+    def __init__(self, parameter, value, rate, n_max, sigma, error=None):
+        # Item stores in field order keep the class's shared key table (``dict.update`` would
+        # not); a generated frozen __init__ makes six object.__setattr__ calls, 4x slower.
+        fields = self.__dict__
+        fields["parameter"], fields["value"], fields["rate"] = parameter, value, rate
+        fields["n_max"], fields["sigma"], fields["error"] = n_max, sigma, error
 
 
 def gaussian_delta(detuning, sigma):
@@ -353,8 +344,7 @@ def rate_sweep(config, mode_label, parameter, grid):
     as given.
 
     The valid rows run through ``_rate_rows`` chunk by chunk (see the module docstring);
-    the failing rows are rebuilt one by one to report their errors.  Every row is made
-    by ``_sweep_point``, indistinguishable from one the ``SweepPoint`` constructor makes.
+    the failing rows are rebuilt one by one to report their errors.
 
     Returns
     -------
@@ -392,13 +382,13 @@ def rate_sweep(config, mode_label, parameter, grid):
                       else config.with_mode(replace(mode, **{parameter: value})))
             result = nonradiative_rate(varied, mode_label)
         except MultiphononError as exc:
-            return _sweep_point(parameter, value, None, None, None, error=str(exc))
-        return _sweep_point(parameter, value, result.total_rate, result.n_max_used, result.sigma)
+            return SweepPoint(parameter, value, None, None, None, error=str(exc))
+        return SweepPoint(parameter, value, result.total_rate, result.n_max_used, result.sigma)
 
     # A failing row (a NaN rate) is rerun; a non-real entry (None) as given, so the
     # constructors report its type.
     return [
-        _sweep_point(parameter, value, rate, cut_off, sigma) if rate == rate
+        SweepPoint(parameter, value, rate, cut_off, sigma) if rate == rate
         else rerun(entry if value is None else value)
         for entry, value, rate, cut_off in zip(grid, entries, rates.tolist(), n_max.tolist())
     ]

@@ -6,7 +6,8 @@ by Poisson-weighted least squares: a log-linear regression on the
 background-subtracted counts seeds a damped Gauss-Newton refinement with
 inverse-model weights (Fisher scoring for the Poisson likelihood), and
 the parameter covariance comes from the curvature of the objective at
-the optimum.
+the optimum.  A seed past the float range (t·√counts or the amplitude at
+t = 0) and a τ variance that is not finite and ≥ 0 raise ``FitError``.
 
 The fit's line search keeps exp(-t/τ) and μ of the step it accepts, so
 the next iterate's Fisher matrix computes neither again; the Jacobian
@@ -42,20 +43,6 @@ _CSV_BLOCK_ROWS = 8192  # rows formatted per write: few calls, bounded memory
 _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
-def _check_edge_range(edges):
-    """Refuse edges whose span or end-pair sums overflow double precision.
-
-    Python float arithmetic gives inf there without a warning.  For
-    increasing edges the span bounds every width and the two end pairs
-    bound every sum that a bin center takes.  The span keeps 2**-20 of
-    headroom, as rounding can take the sum of the widths past it.
-    """
-    first, second, penultimate, last = (float(edges[i]) for i in (0, 1, -2, -1))
-    span = (last - first) * (1.0 + 2.0**-20)
-    if not all(map(math.isfinite, (span, first + second, penultimate + last))):
-        raise DomainError("bin_edges overflow double precision: their span or a bin center")
-
-
 @dataclass(frozen=True)
 class TransientHistogram:
     """Binned photon counts versus delay after the excitation pulse.
@@ -80,7 +67,13 @@ class TransientHistogram:
             raise DomainError("bin_edges must be finite")
         if not np.all(edges[1:] > edges[:-1]):
             raise DomainError("bin_edges must be strictly increasing")
-        _check_edge_range(edges)
+        # In Python floats an overflow is inf without a warning.  The span bounds every
+        # width and the two end pairs every center's sum; it keeps 2**-20 of headroom, as
+        # rounding can take the sum of the widths past it.
+        first, second, penultimate, last = (float(edges[i]) for i in (0, 1, -2, -1))
+        if not all(map(math.isfinite, ((last - first) * (1.0 + 2.0**-20), first + second,
+                                       penultimate + last))):
+            raise DomainError("bin_edges overflow double precision: their span or a bin center")
         widths = np.diff(edges)
         mean_width = float(widths.mean())
         # Relative to the time span: a per-width comparison would trip on
@@ -152,9 +145,10 @@ def simulate_transient(lifetime, amplitude, background, n_bins, t_max, seed):
     # Every mean is at most amplitude + background.
     _number(amplitude + background, "amplitude + background", le=_POISSON_MEAN_MAX)
     edges = np.linspace(0.0, t_max, n_bins + 1)
-    _check_edge_range(edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    with np.errstate(over="ignore"):  # t/τ = inf: exp(-inf) = 0 is the exact decay
+    # A center that overflows is refused by the histogram; t/τ = inf gives exp(-inf) = 0,
+    # the exact decay.
+    with np.errstate(over="ignore"):
+        centers = 0.5 * (edges[:-1] + edges[1:])
         means = background + amplitude * np.exp(-centers / lifetime)
     rng = np.random.default_rng(seed)
     counts = rng.poisson(means)
@@ -168,8 +162,7 @@ def simulate_transient(lifetime, amplitude, background, n_bins, t_max, seed):
 def _initial_guess(t, counts):
     """Log-linear regression on background-subtracted counts."""
     tail = max(3, t.size // 10)
-    background = float(np.mean(counts[-tail:]))
-    background = max(background, 0.0)
+    background = float(np.mean(counts[-tail:]))  # >= 0, as the counts are
     excess = counts - background
     mask = excess > 0
     if mask.sum() < 2:
@@ -178,12 +171,19 @@ def _initial_guess(t, counts):
     root_weights = np.sqrt(y)  # y is the inverse variance of log(counts) for Poisson data
     scaled = np.empty((ty.size, 2))  # the design [1, t] times the root weights
     scaled[:, 0] = root_weights
-    np.multiply(ty, root_weights, out=scaled[:, 1])
+    with np.errstate(over="ignore"):  # inf is refused: lstsq would fail inside LAPACK
+        np.multiply(ty, root_weights, out=scaled[:, 1])
+    if not np.isfinite(scaled).all():
+        raise FitError("the initial guess overflows double precision: t·sqrt(counts)", trace=[])
     solution, *_ = np.linalg.lstsq(scaled, np.log(y) * root_weights, rcond=None)
     intercept, slope = solution
     if slope >= 0:
         raise FitError("counts do not decay over the fit window", trace=[])
-    return float(np.exp(intercept)), float(-1.0 / slope), background
+    with np.errstate(over="ignore"):  # the amplitude at t = 0, refused if inf
+        amplitude = np.exp(intercept)
+    if np.isinf(amplitude):
+        raise FitError("the initial guess overflows double precision: amplitude at t = 0", trace=[])
+    return float(amplitude), float(-1.0 / slope), background
 
 
 def _model(theta, t):
@@ -236,7 +236,7 @@ def fit_lifetime(histogram, fit_window=None):
         Fewer than 10 bins in the window, or total counts above the
         background estimate not exceeding 100.
     FitError
-        Unidentifiable data or no convergence (carries the iteration trace).
+        Unidentifiable data, an overflowing seed or no convergence (with the trace).
     """
     t_all = histogram.bin_centers
     c_all = histogram.counts
@@ -260,10 +260,7 @@ def fit_lifetime(histogram, fit_window=None):
     decay, mu = _model(theta, t_all)
     nll = _objective(mu, c_all)
     trace = [(0, tuple(theta), nll)]
-    converged = False
-    iterations = 0
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        iterations = iteration
         weighted, normal = _scoring_terms(theta, t_all, decay, mu)
         gradient = weighted.T @ (c_all - mu)
         try:
@@ -284,25 +281,22 @@ def fit_lifetime(histogram, fit_window=None):
         if accepted is None:
             # Even infinitesimal steps along the scoring direction do not
             # improve: numerically at the optimum.
-            converged = True
             break
         rel_change = np.max(np.abs(factor * step) / np.maximum(np.abs(accepted), 1e-300))
         theta, nll, decay, mu = accepted, candidate_nll, candidate_decay, candidate_mu
         trace.append((iteration, tuple(theta), nll))
         if rel_change < _RELATIVE_STEP_TOL:
-            converged = True
             break
-    if not converged:
+    else:
         raise FitError(f"no convergence in {_MAX_ITERATIONS} iterations", trace)
 
     amplitude, tau, background = theta
     _, normal = _scoring_terms(theta, t_all, decay, mu)
     try:
-        covariance = np.linalg.inv(normal)
-    except np.linalg.LinAlgError:
-        raise FitError("curvature matrix is singular at the optimum", trace)
-    tau_variance = covariance[1, 1]
-    if not np.isfinite(tau_variance) or tau_variance < 0:
+        tau_variance = np.linalg.inv(normal)[1, 1]
+    except np.linalg.LinAlgError:  # an exact zero pivot: as singular as a rounded one
+        tau_variance = math.nan
+    if not 0.0 <= tau_variance < math.inf:
         raise FitError("lifetime variance is not defined at the optimum", trace)
     window_span = float(t_all[-1] - t_all[0])
     tau_sigma = float(np.sqrt(tau_variance))
@@ -320,7 +314,7 @@ def fit_lifetime(histogram, fit_window=None):
         amplitude=float(amplitude),
         background=float(background),
         fit_quality=chi2 / dof,
-        iterations=iterations,
+        iterations=iteration,
     )
 
 

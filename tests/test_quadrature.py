@@ -97,8 +97,9 @@ def test_more_nodes_agree_within_the_reported_error(pair, shape):
     # sums differ by rounding only, which the reported error must cover.
     count = sum(shape) // 2 + 1
     values, errors = quadrature_overlap_table(pair, *shape)
-    (sum_k, sum_k1), _, _, _ = quadrature._float64_sums(pair, *shape, count)
-    (_, sum_k2), _, _, _ = quadrature._float64_sums(pair, *shape, count + 1)
+    exponents = quadrature._exponents(pair)
+    (sum_k, sum_k1), _, _, _ = quadrature._float64_sums(pair, *exponents, *shape, count)
+    (_, sum_k2), _, _, _ = quadrature._float64_sums(pair, *exponents, *shape, count + 1)
     assert np.array_equal(values, sum_k)
     for more in (sum_k1, sum_k2):
         assert np.all(np.abs(more - values) <= errors)

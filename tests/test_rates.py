@@ -3,7 +3,7 @@ import math
 import pickle
 import re
 import warnings
-from dataclasses import FrozenInstanceError, asdict, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, make_dataclass, replace
 
 import mpmath
 import numpy as np
@@ -730,6 +730,18 @@ class TestSweepPoint:
             "SweepPoint(parameter='zpl_energy', value='x', rate=None, n_max=None, "
             "sigma=None, error=\"zpl_energy must be a real number, got 'x'\")"
         )
+
+    def test_constructor_row_is_frozen_and_skips_no_post_init(self):
+        # The own __init__ stores into the instance dict: a __post_init__ would never run.
+        assert not hasattr(SweepPoint, "__post_init__")
+        values = ("coupling", 1.0, 2.0, 3, 4.0, None)
+        keywords = dict(zip(self.FIELDS, values))
+        for point in (SweepPoint(*values[:5]), SweepPoint(*values), SweepPoint(**keywords)):
+            assert list(vars(point).items()) == list(zip(self.FIELDS, values))
+            with pytest.raises(FrozenInstanceError):
+                point.rate = 5.0
+        generated = make_dataclass("SweepPoint", [(name, object) for name in self.FIELDS], frozen=True)
+        assert list(vars(generated(*values)).items()) == list(vars(point).items())
 
     # Rows rate_sweep builds: resolved, refused (n_max 733 > 512) and a non-real entry.
     ROWS = [("zpl_energy", 935.0), ("energy_ground", 1.5), ("zpl_energy", "x")]

@@ -293,6 +293,29 @@ class TestFit:
             fit_lifetime(hist)
         assert info.value.trace == []
 
+    def test_seed_design_that_overflows_is_refused(self):
+        # t·sqrt(counts) passes 1.8e308 near the end of an 8e307 µs span; LAPACK's
+        # least squares would print DLASCL lines and raise LinAlgError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = simulate_transient(1e307, 1e4, 5.0, 100, 8e307, 1)
+            with pytest.raises(FitError, match=r"^the initial guess overflows double "
+                                               r"precision: t·sqrt\(counts\)$") as info:
+                fit_lifetime(hist)
+        assert info.value.trace == []
+
+    def test_seed_amplitude_that_overflows_is_refused(self):
+        # A window 1000 lifetimes after t = 0: the seed amplitude there is e^1009.
+        edges = np.linspace(1000.0, 1010.0, 51)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        hist = TransientHistogram(bin_edges=edges, counts=10.0 + 1e4 * np.exp(-(centers - 1000.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="^the initial guess overflows double "
+                                               "precision: amplitude at t = 0$") as info:
+                fit_lifetime(hist)
+        assert info.value.trace == []
+
     def test_singular_normal_equations_carry_the_trace(self):
         # τ runs to 1e-3 µs against 0.5 µs bins: the decay columns vanish.
         hist = simulate_transient(0.885, 30.0, 50.0, 40, 20.0, 24)
@@ -316,15 +339,23 @@ class TestFit:
         assert fit.lifetime_us == pytest.approx(0.0123, rel=1e-2)
 
     def test_numerically_singular_curvature_at_the_optimum(self):
-        # The curvature matrix's condition number is inf here; whether its LU
-        # meets an exact zero pivot (singular) or a rounded one (a negative
-        # lifetime variance) depends on the LAPACK kernel, so either refusal passes.
+        # The curvature matrix's condition number is inf here; an exact zero
+        # pivot in its LU and a rounded one get the same refusal.
         hist = simulate_transient(0.75, 1600.0, 3.4e10, 60, 100.0, 181)
-        pattern = "^(lifetime variance is not defined|curvature matrix is singular) at the optimum$"
-        with pytest.raises(FitError, match=pattern) as info:
+        with pytest.raises(FitError, match="^lifetime variance is not defined at the optimum$") as info:
             fit_lifetime(hist)
         assert len(info.value.trace) >= 2
         self._assert_trace_descends(info.value.trace)
+
+    def test_exactly_singular_curvature_gets_the_same_refusal(self, monkeypatch):
+        # No input found meets an exact zero pivot; LU raising stands in for one.
+        def singular(matrix):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        hist = simulate_transient(0.885, 1000.0, 5.0, 500, 10.0, seed=11)
+        with pytest.raises(FitError, match="^lifetime variance is not defined at the optimum$") as info:
+            fit_lifetime(hist)
+        assert len(info.value.trace) == 7
 
     def test_lifetime_uncertainty_spanning_the_window_is_unidentifiable(self):
         hist = simulate_transient(0.01, 30.0, 50.0, 500, 10.0, 0)
