@@ -119,6 +119,13 @@ def _number(value, name, *, integer=False, gt=None, ge=None, le=None):
     return number
 
 
+def _finite_result(value, what):
+    """*value*, a float or tuple of floats; :class:`CapabilityError` naming *what* if not finite."""
+    if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+        raise CapabilityError(f"{what} is not finite in double precision (got {value!r})")
+    return value
+
+
 def _read_text(path, kind):
     """The text of *path*, read once (a pipe too); text that does not decode raises
     :class:`DomainError` naming the *kind* of file and its path."""

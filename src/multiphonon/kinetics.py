@@ -7,12 +7,13 @@ for Γ_R and both Γ_NR, and with them the quantum efficiencies
 η = Γ_R·τ.  A Purcell factor P rescales the radiative channel only,
 boosting the efficiency to η(P) = η₀P/(1 + η₀(P-1)); with a fully
 spin-mixing nonradiative channel the optical cyclicity is
-C = 2/(1 - η(P)) = 2(1 + η₀(P-1))/(1 - η₀).
+C = 2/(1 - η(P)) = 2(1 + η₀(P-1))/(1 - η₀).  A result past the float range (the
+inverse of a subnormal lifetime, say) raises ``CapabilityError``.
 """
 
 from collections import namedtuple
 
-from .errors import DegeneracyError, InfeasibleKineticsError, _number
+from .errors import DegeneracyError, InfeasibleKineticsError, _finite_result, _number
 
 
 class KineticsResult(namedtuple("KineticsResult", (
@@ -34,7 +35,7 @@ def total_lifetime(radiative_rate, nonradiative_rate):
     total = radiative_rate + _number(nonradiative_rate, "nonradiative_rate", ge=0.0)
     if total == 0.0:
         raise DegeneracyError("both decay rates are zero; the lifetime diverges")
-    return 1.0 / total
+    return _finite_result(1.0 / total, "the lifetime")
 
 
 def infer_radiative_rate(lifetime_a, lifetime_b, nr_ratio):
@@ -89,14 +90,14 @@ def infer_radiative_rate(lifetime_a, lifetime_b, nr_ratio):
                 f"inferred radiative rate is not positive ({radiative:.6e} s⁻¹)"
             )
     nr_a = nr_ratio * nr_b
-    return KineticsResult(
+    return _finite_result(KineticsResult(
         radiative_rate=radiative,
         nonradiative_rate_a=nr_a,
         nonradiative_rate_b=nr_b,
         radiative_lifetime_us=1e6 / radiative,
         efficiency_a=radiative * lifetime_a,
         efficiency_b=radiative * lifetime_b,
-    )
+    ), "the rate budget")  # 1/τ = inf leaves NaN, which passes the checks above
 
 
 def zpl_emission_fraction(efficiency, debye_waller):
@@ -141,4 +142,4 @@ def cyclicity(eta0, purcell):
     eta0, purcell = _purcell_inputs(eta0, purcell)
     if eta0 == 1.0:
         raise DegeneracyError("cyclicity diverges at unit intrinsic efficiency")
-    return 2.0 * (1.0 + eta0 * (purcell - 1.0)) / (1.0 - eta0)
+    return _finite_result(2.0 * (1.0 + eta0 * (purcell - 1.0)) / (1.0 - eta0), "the cyclicity")

@@ -8,6 +8,7 @@ The tables themselves live in ``_tables``, free of ``dataclasses``, as
 the original decimal strings so exports reproduce them digit for digit.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -15,7 +16,7 @@ from ._tables import (  # noqa: F401  (the public names are re-exported)
     _BOUNDS, _MODE_ROWS, _RECORD_ROWS, _ZPL_ENERGY_MEV, RECORDS_CSV_HEADER, SWEEP_CSV_HEADER,
     SWEEP_PARAMETERS, reference_records_csv,
 )
-from .errors import DomainError, ModeLookupError, _label, _number
+from .errors import DomainError, ModeLookupError, _finite_result, _label, _number
 
 # Atomic masses in amu, rounded at 1e-5 from the AME2020 atomic mass
 # evaluation (12C is exact by definition of the amu).
@@ -116,7 +117,9 @@ def reduced_mass(mass_a, mass_b):
     """Reduced mass mass_a·mass_b/(mass_a + mass_b) in amu; symmetric."""
     mass_a = _number(mass_a, "mass_a", gt=0.0)
     mass_b = _number(mass_b, "mass_b", gt=0.0)
-    return mass_a * mass_b / (mass_a + mass_b)
+    mass = mass_a * mass_b / (mass_a + mass_b)
+    # Where a·b overflows, both masses are > 1, so 4/a and 4/b are normal: no digit is lost.
+    return mass if math.isfinite(mass) else 4.0 / (4.0 / mass_a + 4.0 / mass_b)
 
 
 def isotope_scale_energy(energy, mu_old, mu_new):
@@ -128,11 +131,18 @@ def isotope_scale_energy(energy, mu_old, mu_new):
         E_new = E_old * sqrt(mu_old / mu_new).
 
     Composable: scaling mu1 -> mu2 -> mu3 equals scaling mu1 -> mu3.
+    :class:`CapabilityError` if E_new overflows double precision.
     """
     energy = _number(energy, "energy", gt=0.0)
     mu_old = _number(mu_old, "mu_old", gt=0.0)
     mu_new = _number(mu_new, "mu_new", gt=0.0)
-    return energy * math.sqrt(mu_old / mu_new)
+    scaled = energy * math.sqrt(mu_old / mu_new)
+    if math.isinf(scaled):  # the ratio or E_new overflowed: scale mantissas and exponents apart
+        (m_e, e_e), (m_o, e_o), (m_n, e_n) = map(math.frexp, (energy, mu_old, mu_new))
+        half, odd = divmod(e_o - e_n, 2)
+        with contextlib.suppress(OverflowError):  # the mantissas give (0.35, 2): E_new overflows
+            scaled = math.ldexp(m_e * math.sqrt(math.ldexp(m_o, odd) / m_n), e_e + half)
+    return _finite_result(scaled, "the scaled energy")
 
 
 def load_reference_dataset():

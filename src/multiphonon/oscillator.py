@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR_SQ_MEV_AMU_A2
-from .errors import CapabilityError, _number
+from .errors import CapabilityError, _finite_result, _number
 
 # One limit for m and n, in the oscillator and the oracle: rows m <= 1 are certified
 # entry by entry to 512; refuse beyond rather than risk error.
@@ -79,11 +79,8 @@ def ho_length_scale(phonon_energy):
     CapabilityError
         If the length overflows double precision (ħΩ below about 1.2e-308).
     """
-    length = _zero_point_length(_number(phonon_energy, "phonon_energy", gt=0.0))
-    if math.isinf(length):
-        raise CapabilityError(f"the zero-point length of ħΩ = {phonon_energy!r} meV "
-                              "is not finite in double precision")
-    return length
+    return _finite_result(_zero_point_length(_number(phonon_energy, "phonon_energy", gt=0.0)),
+                          f"the zero-point length of ħΩ = {phonon_energy!r} meV")
 
 
 def _zero_point_length(phonon_energy):
@@ -217,10 +214,10 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
     """Rows m = 0 and m = 1 of :func:`fc_overlap_matrix` for G pairs at once.
 
     The arguments are floats or arrays that broadcast to G oscillator pairs (G = 1 for
-    three floats).  Each entry comes from the same IEEE operations, in the same order,
-    for any G, so column g equals ``fc_overlap_matrix(pair_g, 1, n_max)`` bit for bit
-    (the table takes these two rows from here); for G = 1 the n-loop runs on Python
-    floats, sparing numpy's per-call cost.
+    three floats), and *n_max* an int the caller checked (at most 512).  Each entry comes
+    from the same IEEE operations, in the same order, for any G, so column g equals
+    ``fc_overlap_matrix(pair_g, 1, n_max)`` bit for bit (the table takes these two rows
+    from here); for G = 1 the n-loop runs on Python floats, sparing numpy's per-call cost.
     The recurrence runs forward in n, so the first k + 1 rows do not depend on ``n_max``.
 
     Returns
@@ -228,7 +225,6 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
     (numpy.ndarray, numpy.ndarray)
         S[0, n] and S[1, n], each of shape ``(n_max + 1, G)``.
     """
-    _, n_max = _check_quantum_numbers(1, n_max)
     b, c, d, e = _recurrence_coefficients(energy_initial, energy_final, displacement)
     b, d = np.atleast_1d(b, d)  # both carry every argument's shape
     n = np.arange(1.0, n_max + 1.0)[:, None]
@@ -249,17 +245,6 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
     return s0, s1
 
 
-def _moments(energy_initial, energy_final, displacement, n_max):
-    """Transition moments of G pairs at once, shape ``(n_max + 1, G)``, and their S₀₀.
-
-    Arguments as for :func:`_moment_rows`, except that ``energy_initial``
-    is a float; see :func:`transition_moments`.  S₀₀, shape ``(G,)``, is the
-    value the overlap recurrence started from.
-    """
-    s0, s1 = _moment_rows(energy_initial, energy_final, displacement, n_max)
-    return _zero_point_length(energy_initial) * s1, s0[0]
-
-
 def transition_moments(pair, n_max):
     """All transition moments M_n = <chi_initial_0 | Q - Q_initial | chi_final_n>.
 
@@ -278,12 +263,12 @@ def transition_moments(pair, n_max):
     Returns
     -------
     numpy.ndarray
-        M_0 .. M_n_max in amu^(1/2)·Å; refused as :func:`fc_overlap_matrix` refuses.
+        M_0 .. M_n_max in amu^(1/2)·Å, the zero-point length times row 1 of
+        ``fc_overlap_matrix(pair, 1, n_max)``; refused as it is, and where M_n is not finite.
     """
-    _exponents(pair)  # as in fc_overlap_matrix
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
-        moments, s00 = _moments(pair.energy_initial, pair.energy_final, pair.displacement, n_max)
-        return _finite(moments[:, 0], pair, s00.item())
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are refused
+        rows = fc_overlap_matrix(pair, 1, n_max)
+        return _finite(_zero_point_length(pair.energy_initial) * rows[1], pair)
 
 
 def transition_moment(n, pair):
@@ -298,6 +283,4 @@ def huang_rhys_factor(pair):
     """
     # In this order only an S beyond the float range overflows, not an intermediate product.
     factor = pair.energy_final / (2.0 * HBAR_SQ_MEV_AMU_A2) * pair.displacement * pair.displacement
-    if math.isinf(factor):
-        raise CapabilityError(f"the Huang-Rhys factor of {pair} is not finite in double precision")
-    return factor
+    return _finite_result(factor, f"the Huang-Rhys factor of {pair}")

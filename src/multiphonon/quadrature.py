@@ -53,9 +53,8 @@ class GridSpec:
             object.__setattr__(self, "dps", _number(self.dps, "dps", integer=True, ge=15))
 
 
-def _hermite_rows(y, n_max, shared, longer):
-    """The normalized Hermite functions h_0..h_n_max on *y*: rows up to *shared* on every
-    point, the later ones on the points *longer* (a slice) alone, the rest zero.
+def _hermite_rows(y, n_max):
+    """The normalized Hermite functions h_0..h_n_max on *y*, shape ``(n_max + 1, y.size)``.
 
     h_n(y) = (2^n n! sqrt(pi))^(-1/2) H_n(y) exp(-y^2/2), evaluated in place
     by the standard three-term recurrence from h_-1 = 0, which keeps every row O(1).
@@ -63,15 +62,11 @@ def _hermite_rows(y, n_max, shared, longer):
     """
     rows = np.zeros((n_max + 2, y.size))  # rows[k + 1] = h_k
     rows[1] = math.pi**-0.25 * np.exp(-0.5 * y * y)
-    scratch, start = np.empty(y.size), 1
-    for stop, span in ((shared, slice(None)), (n_max, longer)):
-        part, x, out = rows[:, span], y[span], scratch[span]
-        low, prev = part[start - 1], part[start]
-        for k, row in zip(range(start, stop + 1), part[start + 1 :]):
-            np.multiply(np.multiply(math.sqrt(2.0 / k), x, out=out), prev, out=row)
-            row -= np.multiply(math.sqrt((k - 1.0) / k), low, out=out)  # 0 h_-1 at k = 1
-            low, prev = prev, row
-        start = stop + 1
+    scratch, low, prev = np.empty(y.size), rows[0], rows[1]
+    for k, row in zip(range(1, n_max + 1), rows[2:]):
+        np.multiply(np.multiply(math.sqrt(2.0 / k), y, out=scratch), prev, out=row)
+        row -= np.multiply(math.sqrt((k - 1.0) / k), low, out=scratch)  # 0 h_-1 at k = 1
+        low, prev = prev, row
     return rows[1:]
 
 
@@ -115,17 +110,15 @@ def _gauss_hermite(count):
 
 def _float64_sums(pair, a_i, a_f, m_max, n_max, count):
     """([S_K, S_K+1], [l1_K, l1_K+1], y_i, y_f at K), K = *count*, from one Hermite recurrence
-    on [y_i(K), y_i(K+1), y_f(K), y_f(K+1)]: each step is elementwise, as for one rule alone.
-    It runs to min(m_max, n_max) on all points, then on the longer side's points alone.
-    (A_i, A_f) are ``_exponents(pair)``."""
+    to max(m_max, n_max) on [y_i(K), y_i(K+1), y_f(K), y_f(K+1)]: each step is elementwise,
+    as for one rule alone.  (A_i, A_f) are ``_exponents(pair)``."""
     nodes, weights = map(np.concatenate, zip(_gauss_hermite(count), _gauss_hermite(count + 1)))
     total = a_i + a_f
     scale = math.sqrt(2.0 / total)
     y_i = math.sqrt(a_i) * (pair.displacement * a_f / total + scale * nodes)
     y_f = math.sqrt(a_f) * (scale * nodes - pair.displacement * a_i / total)
     points = nodes.size
-    longer = slice(points, None) if n_max > m_max else slice(points)  # y_f or y_i
-    rows = _hermite_rows(np.concatenate((y_i, y_f)), max(m_max, n_max), min(m_max, n_max), longer)
+    rows = _hermite_rows(np.concatenate((y_i, y_f)), max(m_max, n_max))
     rows *= np.repeat((a_i**0.25, a_f**0.25), points)
     rows_i, rows_f = rows[: m_max + 1, :points], rows[: n_max + 1, points:]
     rows_f *= scale * weights

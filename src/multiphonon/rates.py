@@ -44,9 +44,10 @@ from .errors import (
     DegeneracyError,
     DomainError,
     MultiphononError,
+    _finite_result,
     _number,
 )
-from .oscillator import MAX_CERTIFIED_N, _moments, _zero_point_length
+from .oscillator import MAX_CERTIFIED_N, _moment_rows, _zero_point_length
 
 # Phonon terms × rows evaluated per batched pass of ``rate_sweep``; bounds
 # the kernel's temporary arrays to about 64 kB each.
@@ -108,10 +109,11 @@ def gaussian_delta(detuning, sigma):
     -------
     float
         exp(-detuning²/(2σ²)) / (σ·sqrt(2π)) in meV⁻¹; even in detuning.
+        :class:`CapabilityError` if it overflows double precision (σ below about 2.2e-309).
     """
     sigma = _number(sigma, "sigma", gt=0.0)
     z = _number(detuning, "detuning") / sigma
-    return math.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+    return _finite_result(math.exp(-0.5 * z * z) / (sigma * _SQRT_TWO_PI), "the Gaussian weight")
 
 
 def _rate_terms(moments, energy_excited, energy_ground, coupling, zpl_energy):
@@ -259,10 +261,11 @@ def _rate_rows(energy_excited, row, n_max):
     """
     ground, displacement, coupling = row["energy_ground"], row["displacement"], row["coupling"]
     one = np.ndim(n_max) == 0
-    moments, s00 = _moments(energy_excited, ground, displacement, n_max if one else n_max[-1])
+    s0, s1 = _moment_rows(energy_excited, ground, displacement, n_max if one else n_max[-1])
+    moments = _zero_point_length(energy_excited) * s1
     columns = _rate_terms(moments, energy_excited, ground, coupling, row["zpl_energy"])
     totals = _fsum(columns[2][::-1, 0].tolist()) if one else _row_totals(columns[2], n_max)
-    s00 = s00.item() if one else s00
+    s00 = s0[0, 0].item() if one else s0[0]
     return columns, totals, _uncertified(totals, n_max, coupling, displacement, energy_excited, s00)
 
 

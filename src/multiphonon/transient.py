@@ -233,10 +233,10 @@ def fit_lifetime(histogram, fit_window=None):
     Raises
     ------
     FitPreconditionError
-        Fewer than 10 bins in the window, or total counts above the
-        background estimate not exceeding 100.
+        Fewer than 10 bins in the window, counts summing past 1.7e305, or total
+        counts above the background estimate not exceeding 100.
     FitError
-        Unidentifiable data, an overflowing seed or no convergence (with the trace).
+        Unidentifiable data, an overflowing seed or chi-square, or no convergence (with the trace).
     """
     t_all = histogram.bin_centers
     c_all = histogram.counts
@@ -248,9 +248,13 @@ def fit_lifetime(histogram, fit_window=None):
         t_all, c_all = t_all[mask], c_all[mask]
     if t_all.size < 10:
         raise FitPreconditionError(f"need >= 10 bins in the fit window, found {t_all.size}")
+    with np.errstate(over="ignore"):  # refused below: as |log μ| < 710, Σ c·log μ stays finite
+        count_total = float(np.sum(c_all))
+    if not count_total <= 1.7e305:
+        raise FitPreconditionError(f"the window's counts sum to {count_total!r}, past 1.7e305")
 
     amplitude0, tau0, background0 = _initial_guess(t_all, c_all)
-    excess_total = float(np.sum(c_all) - c_all.size * background0)
+    excess_total = count_total - c_all.size * background0
     if excess_total <= 100:
         raise FitPreconditionError(
             f"total counts above background ({excess_total:.1f}) must exceed 100"
@@ -307,7 +311,12 @@ def fit_lifetime(histogram, fit_window=None):
             trace,
         )
     dof = max(t_all.size - 3, 1)
-    chi2 = float(np.sum((c_all - mu) ** 2 / mu))
+    with np.errstate(over="ignore"):  # a square past the float range: scaled by sqrt(μ) first
+        chi2 = float(np.sum((c_all - mu) ** 2 / mu))
+        if math.isinf(chi2):
+            chi2 = float(np.sum(((c_all - mu) / np.sqrt(mu)) ** 2))
+    if math.isinf(chi2):
+        raise FitError("the chi-square is not finite in double precision", trace)
     return LifetimeFit(
         lifetime_us=float(tau),
         lifetime_uncertainty_us=tau_sigma,

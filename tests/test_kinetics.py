@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiphonon import (
+    CapabilityError,
     DegeneracyError,
     DomainError,
     InfeasibleKineticsError,
@@ -189,6 +191,28 @@ class TestCyclicity:
     def test_divergence_at_unit_efficiency(self):
         with pytest.raises(DegeneracyError):
             cyclicity(1.0, 10.0)
+
+
+class TestResultsPastTheFloatRange:
+    """A result that is not finite is refused, without a warning; finite ones are unchanged."""
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda: total_lifetime(5e-324, 5e-324), "the lifetime"),  # 1/1e-323
+        (lambda: infer_radiative_rate(5e-324, 5e-324, 5e-324), "the rate budget"),  # inf - inf
+        (lambda: infer_radiative_rate(1.7e308, 1.7e308, 1.0), "the rate budget"),  # 1e6/5.9e-309
+        (lambda: cyclicity(0.5, 1.7e308), "the cyclicity"),
+    ], ids=["total_lifetime", "infer_radiative_rate-nan", "infer_radiative_rate-inf", "cyclicity"])
+    def test_refused(self, call, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapabilityError, match=f"^{what} is not finite in double precision"):
+                call()
+
+    def test_largest_finite_values_are_returned(self):
+        assert total_lifetime(1e-308, 0.0) == 1e308
+        assert cyclicity(0.5, 8e307) == 2.0 * (1.0 + 0.5 * (8e307 - 1.0)) / 0.5
+        result = infer_radiative_rate(1e300, 1e300, 1.0)
+        assert result.radiative_lifetime_us == 1e306 and result.efficiency_a == 1.0
 
 
 class TestKineticsResult:

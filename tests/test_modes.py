@@ -1,9 +1,12 @@
 import json
 import math
+import warnings
 
+import mpmath
 import pytest
 
 from multiphonon import (
+    CapabilityError,
     DomainError,
     ModeLookupError,
     VibrationalMode,
@@ -34,6 +37,17 @@ class TestReducedMass:
         for a, b in [(1.0, 1.0), (0.5, 100.0), (12.0, 13.00335)]:
             assert reduced_mass(a, b) < min(a, b)
 
+    def test_product_past_the_float_range(self):
+        # a·b overflows where the reduced mass itself fits in a double.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reduced_mass(2.0, 1.7e308) == reduced_mass(1.7e308, 2.0) == 2.0
+            assert reduced_mass(1.7e308, 1.7e308) == 8.5e307
+            for a, b in [(3e200, 7e150), (1.7976931348623157e308, 1.5)]:
+                exact = mpmath.mpf(a) * b / (mpmath.mpf(a) + b)
+                assert reduced_mass(a, b) == pytest.approx(float(exact), rel=4e-16)
+                assert reduced_mass(a, b) == reduced_mass(b, a)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             reduced_mass(0.0, 1.0)
@@ -61,6 +75,24 @@ class TestIsotopeScaleEnergy:
         assert isotope_scale_energy(250.0, 1.1, 1.9) == pytest.approx(
             2.5 * isotope_scale_energy(100.0, 1.1, 1.9), rel=1e-14
         )
+
+    def test_ratio_past_the_float_range(self):
+        # mu_old/mu_new overflows where E_new itself fits in a double: 5e-324 is 2^-1074,
+        # so E_new = sqrt(1e-12)·2^-537, rounded once.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert isotope_scale_energy(5e-324, 1e-12, 5e-324) == math.ldexp(math.sqrt(1e-12), -537)
+            for args in [(5e-324, 1.7e308, 5e-324), (1e-8, 1.7e308, 5e-324), (3.0, 1e300, 1e-300)]:
+                energy, mu_old, mu_new = map(mpmath.mpf, args)
+                exact = float(energy * mpmath.sqrt(mu_old / mu_new))
+                assert isotope_scale_energy(*args) == pytest.approx(exact, rel=4e-16)
+
+    def test_energy_past_the_float_range_is_refused(self):
+        for args in [(1.7e308, 4.0, 1.0), (1e300, 1e20, 1e-20)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CapabilityError, match="^the scaled energy is not finite"):
+                    isotope_scale_energy(*args)
 
     def test_domain_errors(self):
         for args in [(0.0, 1.0, 1.0), (10.0, 0.0, 1.0), (10.0, 1.0, math.nan)]:

@@ -337,7 +337,9 @@ class TestBatchedMomentRows:
             assert rows[:, g].tobytes() == row[:, 0].tobytes()
 
     def test_refuses_beyond_certified_range(self):
+        # _moment_rows takes a checked n_max; its public route checks it.
+        pair = OscillatorPair(33.0, 33.0, 0.7)
         with pytest.raises(CapabilityError):
-            _moment_rows(np.array([33.0]), 33.0, 0.7, MAX_CERTIFIED_N + 1)
+            transition_moments(pair, MAX_CERTIFIED_N + 1)
         with pytest.raises(DomainError):
-            _moment_rows(np.array([33.0]), 33.0, 0.7, -1)
+            transition_moments(pair, -1)

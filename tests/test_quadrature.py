@@ -270,6 +270,18 @@ def test_oracle_quantum_number_limit(accepting_pair):
             call()
 
 
+@pytest.mark.parametrize("pair", [OscillatorPair(33.0, 359.0, 0.5)] + _seeded_pairs(20264, 2),
+                         ids=lambda p: f"{p.energy_initial:.1f}-{p.displacement:.2f}")
+@pytest.mark.parametrize("shape", [(2, 512), (1, 30)])
+def test_swapped_pair_gives_the_transposed_table(pair, shape):
+    # <chi_i_m | chi_f_n> = <chi_f_n | chi_i_m>: the pair (E_f, E_i, -ΔQ) carries the
+    # long rows on the other oscillator, so the two tables agree within both errors.
+    values, errors = quadrature_overlap_table(pair, *shape)
+    swapped = OscillatorPair(pair.energy_final, pair.energy_initial, -pair.displacement)
+    other, other_errors = quadrature_overlap_table(swapped, *shape[::-1])
+    assert np.all(np.abs(values - other.T) <= errors + other_errors.T)
+
+
 @pytest.mark.parametrize("pair", _seeded_pairs(20263, 8),
                          ids=lambda p: f"{p.energy_initial:.1f}-{p.displacement:.2f}")
 def test_moment_rows_agree_with_the_oracle_entrywise_to_n_512(pair):

@@ -57,6 +57,14 @@ class TestGaussianDelta:
         with pytest.raises(DomainError):
             gaussian_delta(1.0, sigma)
 
+    def test_weight_past_the_float_range_is_refused(self):
+        # 1/(σ sqrt(2π)) overflows below σ = 2.2e-309; above, the value is unchanged.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapabilityError, match="^the Gaussian weight is not finite"):
+                gaussian_delta(5e-324, 5e-324)
+            assert gaussian_delta(0.0, 1e-308) == 1.0 / (1e-308 * math.sqrt(2.0 * math.pi))
+
 
 class TestNonradiativeRate:
     def test_zero_coupling_gives_zero_rate(self, natural):
@@ -539,8 +547,9 @@ class TestUnderflow:
         assert abs(nonradiative_rate(certified, "accepting").total_rate - exact) < 1e-12 * exact
         mode = _vary(natural, "accepting", "displacement", 14.8).mode("accepting")
         n_max = nonradiative_rate(certified, "accepting").n_max_used  # ΔQ does not change it
-        moments, _ = rates._moments(mode.energy_excited, mode.energy_ground, mode.displacement,
-                                    n_max)
+        _, s1 = rates._moment_rows(mode.energy_excited, mode.energy_ground, mode.displacement,
+                                   n_max)
+        moments = rates._zero_point_length(mode.energy_excited) * s1
         _, _, terms = rates._rate_terms(moments, mode.energy_excited, mode.energy_ground,
                                         mode.coupling, natural.zpl_energy)
         exact = _high_precision_rate(_vary(natural, "accepting", "displacement", 14.8), "accepting")
@@ -589,8 +598,9 @@ class TestUnderflow:
         # ~3e-11 relative, far beyond eps, though every term is normal.
         mode = _deep(15.7).mode("m")
         n_max = nonradiative_rate(_deep(15.5), "m").n_max_used  # ΔQ does not change it
-        moments, _ = rates._moments(mode.energy_excited, mode.energy_ground, mode.displacement,
-                                    n_max)
+        _, s1 = rates._moment_rows(mode.energy_excited, mode.energy_ground, mode.displacement,
+                                   n_max)
+        moments = rates._zero_point_length(mode.energy_excited) * s1
         _, _, terms = rates._rate_terms(moments, mode.energy_excited, mode.energy_ground,
                                         mode.coupling, 5000.0)
         exact = _high_precision_rate(_deep(15.7), "m")

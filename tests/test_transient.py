@@ -365,6 +365,37 @@ class TestFit:
         assert len(info.value.trace) == 37
         self._assert_trace_descends(info.value.trace)
 
+    @staticmethod
+    def _scaled_counts(k):
+        """k·(1 + e^(−t)) on 50 bins over 10 µs."""
+        edges = np.linspace(0.0, 10.0, 51)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        return TransientHistogram(bin_edges=edges, counts=k * (1.0 + np.exp(-centers)))
+
+    @pytest.mark.parametrize("k, scaled", [(1e300, True), (1e150, False)])
+    def test_chi_square_whose_squares_overflow_is_summed_scaled(self, k, scaled):
+        # At k = 1e300 the residuals' squares pass 1.8e308, ((c − μ)/sqrt(μ))² do not;
+        # where the squares fit, the chi-square is summed as before.
+        hist = self._scaled_counts(k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_lifetime(hist)
+        assert fit.lifetime_us == pytest.approx(1.0, rel=1e-12)
+        theta = np.array([fit.amplitude, fit.lifetime_us, fit.background])
+        mu = transient._model(theta, hist.bin_centers)[1]
+        residual = hist.counts - mu
+        terms = (residual / np.sqrt(mu)) ** 2 if scaled else residual**2 / mu
+        assert fit.fit_quality == float(np.sum(terms)) / 47
+
+    @pytest.mark.parametrize("k", [1e304, 1e307])
+    def test_counts_summing_past_the_objective_range_are_refused(self, k):
+        # Σ c·log μ overflows the Poisson objective from k = 1e304, and Σ c itself at
+        # 1e307; the fit used to stop at its seed there with τ = 0.9976.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitPreconditionError, match="^the window's counts sum to "):
+                fit_lifetime(self._scaled_counts(k))
+
     def test_uncertainty_positive_on_noisy_data(self):
         fit = fit_lifetime(simulate_transient(0.885, 1e4, 10.0, 500, 10.0, seed=9))
         assert fit.lifetime_uncertainty_us > 0
