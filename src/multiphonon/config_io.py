@@ -81,8 +81,7 @@ def _fields(document, data, schema, prefix, occurrence):
             _fail(document, f"unknown key {prefix}{key}", f"{prefix}{key}", key, occurrence)
     for key in schema:
         if key not in data:
-            path = f"{prefix}{key}"
-            raise ConfigValidationError(f"required key {path} is missing", key_path=path)
+            _fail(document, f"required key {prefix}{key} is missing", f"{prefix}{key}")
     values = {}
     for key, attribute in schema.items():
         if attribute == "modes":
@@ -146,18 +145,18 @@ def parse_defect_config(document):
     return DefectConfiguration(modes=tuple(modes), **values)
 
 
-def _write_config(documents, number):
+def _write_config(documents):
     """The config writer: one configuration, or a list of them as an array.
 
-    Fields follow the schema tables.  Numbers are rendered by *number*
-    (``repr`` of the float, or a stored decimal string passed through) and
+    Fields follow the schema tables.  Numbers are rendered by ``str`` (of a
+    float, ``repr``'s digits; a stored decimal string passes through) and
     labels are JSON-quoted; the layout is that of ``json.dumps(indent=2)``.
     """
 
     def fields(source, schema):
         return {
             key: [fields(mode, _MODE_SCHEMA) for mode in source.modes] if attribute == "modes"
-            else number(getattr(source, attribute)) if attribute in _BOUNDS
+            else str(getattr(source, attribute)) if attribute in _BOUNDS
             else json.dumps(getattr(source, attribute))
             for key, attribute in schema.items()
         }
@@ -183,7 +182,7 @@ def serialize_defect_config(config):
     Parsing the output reproduces the input configuration exactly (float
     values round-trip through ``repr``).
     """
-    return _write_config(config, repr)
+    return _write_config(config)
 
 
 def configurations_config_json():
@@ -201,4 +200,4 @@ def configurations_config_json():
         )
         for label, rows in _MODE_ROWS.items()
     ]
-    return _write_config(documents, str)
+    return _write_config(documents)

@@ -122,9 +122,9 @@ def purcell_radiative_efficiency(eta0, purcell):
     limit rather than an error.
     """
     eta0, purcell = _purcell_inputs(eta0, purcell)
-    if eta0 == 0.0:
+    if eta0 == 0.0:  # +0.0: the general expression gives −0.0 for η₀ = −0.0 or P = −0.0
         return 0.0
-    if eta0 == 1.0:
+    if eta0 == 1.0:  # at P = 0 the general expression is 0/0
         return 1.0
     return eta0 * purcell / (1.0 + eta0 * (purcell - 1.0))
 

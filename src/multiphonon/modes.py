@@ -10,6 +10,7 @@ the original decimal strings so exports reproduce them digit for digit.
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from ._tables import (  # noqa: F401  (the public names are re-exported)
@@ -117,7 +118,11 @@ def reduced_mass(mass_a, mass_b):
     """Reduced mass mass_a·mass_b/(mass_a + mass_b) in amu; symmetric."""
     mass_a = _number(mass_a, "mass_a", gt=0.0)
     mass_b = _number(mass_b, "mass_b", gt=0.0)
-    mass = mass_a * mass_b / (mass_a + mass_b)
+    product = mass_a * mass_b
+    if product < sys.float_info.min:  # a·b underflows and would lose digits
+        light, heavy = sorted((mass_a, mass_b))
+        return light / (1.0 + light / heavy)
+    mass = product / (mass_a + mass_b)
     # Where a·b overflows, both masses are > 1, so 4/a and 4/b are normal: no digit is lost.
     return mass if math.isfinite(mass) else 4.0 / (4.0 / mass_a + 4.0 / mass_b)
 
@@ -136,8 +141,10 @@ def isotope_scale_energy(energy, mu_old, mu_new):
     energy = _number(energy, "energy", gt=0.0)
     mu_old = _number(mu_old, "mu_old", gt=0.0)
     mu_new = _number(mu_new, "mu_new", gt=0.0)
-    scaled = energy * math.sqrt(mu_old / mu_new)
-    if math.isinf(scaled):  # the ratio or E_new overflowed: scale mantissas and exponents apart
+    ratio = mu_old / mu_new
+    scaled = energy * math.sqrt(ratio)
+    # The ratio or E_new overflowed, or the ratio underflowed: scale mantissas and exponents apart.
+    if math.isinf(scaled) or ratio < sys.float_info.min:
         (m_e, e_e), (m_o, e_o), (m_n, e_n) = map(math.frexp, (energy, mu_old, mu_new))
         half, odd = divmod(e_o - e_n, 2)
         with contextlib.suppress(OverflowError):  # the mantissas give (0.35, 2): E_new overflows

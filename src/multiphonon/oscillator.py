@@ -15,8 +15,7 @@ n = 512 against the independent Gauss-Hermite quadrature oracle (see
 ``quadrature``), the position-operator sum rule and completeness.  Rows
 m >= 2 are that oracle's values, accurate to its absolute error.  A table or
 moment row is refused with ``CapabilityError`` if it is not finite (inf or
-NaN), or if S₀₀ or A_i·A_f is below the normal range, where either one loses digits;
-``_exponents``, which the float64 oracle shares, is the one check of A_i·A_f.
+NaN), or if S₀₀ or A_i·A_f is below the normal range, where either one loses digits.
 Transition moments measure positions from the initial-state equilibrium.
 """
 
@@ -86,32 +85,6 @@ def ho_length_scale(phonon_energy):
 def _zero_point_length(phonon_energy):
     """:func:`ho_length_scale` unchecked: inf where it overflows, for callers that refuse inf."""
     return math.sqrt(HBAR_SQ_MEV_AMU_A2 / (2.0 * phonon_energy))
-
-
-def _recurrence_coefficients(energy_initial, energy_final, displacement):
-    """The four constants driving the two-oscillator overlap recurrence.
-
-    With Gaussian exponents A_i, A_f and displacement ΔQ (final minimum at
-    +ΔQ relative to the initial), the overlaps S[m, n] satisfy
-
-        S[0, 0] = sqrt(e/2) * exp(b d / (2 e))
-        S[m, n] = b/sqrt(2m) S[m-1, n] - c sqrt((m-1)/m) S[m-2, n]
-                  + (e/2) sqrt(n/m) S[m-1, n-1]
-
-    and the transpose-symmetric relation in n with (c, d) in place of
-    (−c, b).  All coefficients are dimensionless and bounded (|c| < 1),
-    yet the forward recursion in m is not stable in general, so only rows
-    m <= 1 are run, forward in n.  The arguments may be floats or arrays
-    that broadcast together (one pair per element).
-    """
-    a_i = energy_initial / HBAR_SQ_MEV_AMU_A2
-    a_f = energy_final / HBAR_SQ_MEV_AMU_A2
-    total = a_i + a_f
-    b = 2.0 * displacement * np.sqrt(a_i) * a_f / total
-    c = -(a_i - a_f) / total  # (A_f − A_i)/(A_i + A_f), with −0.0 at equal energies
-    d = -2.0 * displacement * np.sqrt(a_f) * a_i / total
-    e = 4.0 * np.sqrt(a_i * a_f) / total
-    return b, c, d, e
 
 
 def _check_quantum_numbers(m, n):
@@ -213,20 +186,32 @@ def fc_overlap(m, n, pair):
 def _moment_rows(energy_initial, energy_final, displacement, n_max):
     """Rows m = 0 and m = 1 of :func:`fc_overlap_matrix` for G pairs at once.
 
+    From the exponents A_i, A_f and the displacement ΔQ (final minimum at +ΔQ), the
+    coefficients b, c, d and e below (dimensionless, |c| < 1) give
+
+        S[0, 0] = sqrt(e/2) * exp(b d / (2 e))
+        S[0, n] = d/sqrt(2n) S[0, n-1] + c sqrt((n-1)/n) S[0, n-2]
+        S[1, n] = b/sqrt(2) S[0, n] + (e/2) sqrt(n) S[0, n-1],
+
+    run forward in n, so the first k + 1 rows do not depend on ``n_max`` (the forward
+    recursion in m is not stable in general, so rows m >= 2 are not run here).
     The arguments are floats or arrays that broadcast to G oscillator pairs (G = 1 for
     three floats), and *n_max* an int the caller checked (at most 512).  Each entry comes
     from the same IEEE operations, in the same order, for any G, so column g equals
     ``fc_overlap_matrix(pair_g, 1, n_max)`` bit for bit (the table takes these two rows
     from here); for G = 1 the n-loop runs on Python floats, sparing numpy's per-call cost.
-    The recurrence runs forward in n, so the first k + 1 rows do not depend on ``n_max``.
 
     Returns
     -------
     (numpy.ndarray, numpy.ndarray)
         S[0, n] and S[1, n], each of shape ``(n_max + 1, G)``.
     """
-    b, c, d, e = _recurrence_coefficients(energy_initial, energy_final, displacement)
-    b, d = np.atleast_1d(b, d)  # both carry every argument's shape
+    a_i, a_f = energy_initial / HBAR_SQ_MEV_AMU_A2, energy_final / HBAR_SQ_MEV_AMU_A2
+    total = a_i + a_f
+    b = np.atleast_1d(2.0 * displacement * np.sqrt(a_i) * a_f / total)  # b, d: the broadcast shape
+    c = -(a_i - a_f) / total  # −0.0 at equal energies
+    d = np.atleast_1d(-2.0 * displacement * np.sqrt(a_f) * a_i / total)
+    e = 4.0 * np.sqrt(a_i * a_f) / total
     n = np.arange(1.0, n_max + 1.0)[:, None]
     step = d / np.sqrt(2.0 * n)
     back = c * np.sqrt((n - 1.0) / n)

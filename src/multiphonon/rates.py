@@ -12,20 +12,14 @@ delta function, with broadening fixed to σ = ħΩ_e/2.  The phonon sum is
 truncated once the Gaussian weight is negligible (10σ past the ZPL
 energy, where the weight is below 2e-22).
 
-One function, ``_rate_rows``, runs the whole pipeline for a batch of rows:
-the transition moments to the batch's largest cut-off, the kernel
-``_rate_terms``, the correctly rounded totals and the refusal mask
-(``_uncertified``).  ``nonradiative_rate`` runs it on one row and
-``rate_sweep`` on each chunk of valid grid points.  A correctly rounded sum
-is unique, so every sweep row equals ``nonradiative_rate`` of its own
-configuration exactly: a single rate is summed by one ``math.fsum``, a
-sweep chunk by one error-free pairwise tree, certified row by row, with
-``math.fsum`` for the rows it cannot certify (``_row_totals``).  A sum of
-finite terms past the float range is inf on both routes, and refused.
-Sweep rows are grouped by phonon cut-off into chunks of at most
-``_SWEEP_CHUNK_CELLS`` terms, which bounds memory.  ``SweepPoint``'s own
-``__init__`` builds each row with six stores into its instance dict, not the
-six ``object.__setattr__`` calls of a generated frozen ``__init__``.
+``nonradiative_rate`` runs ``_rate_rows`` on one row and ``rate_sweep`` on each
+chunk of valid grid points.  A correctly rounded sum is unique, so every sweep
+row equals ``nonradiative_rate`` of its own configuration exactly: a single
+rate is summed by one ``math.fsum``, a sweep chunk by one error-free pairwise
+tree, certified row by row, with ``math.fsum`` for the rows it cannot certify
+(``_row_totals``).  A sum of finite terms past the float range is inf on both
+routes, and refused.  Sweep rows are grouped by phonon cut-off into chunks of
+at most ``_SWEEP_CHUNK_CELLS`` terms, which bounds memory.
 """
 
 import math

@@ -9,15 +9,8 @@ the parameter covariance comes from the curvature of the objective at
 the optimum.  A seed past the float range (t·√counts or the amplitude at
 t = 0) and a τ variance that is not finite and ≥ 0 raise ``FitError``.
 
-The fit's line search keeps exp(-t/τ) and μ of the step it accepts, so
-the next iterate's Fisher matrix computes neither again; the Jacobian
-fills one preallocated (N, 3) array.
-
-Histograms are CSV: the header ``t_us,counts``, then one row per bin,
-written in fixed-size blocks: the center with ``repr``, the count without
-``.0`` when integer-valued.  Each block turns its own slice into lists, a
-block whose counts are all integers below 2**63 formats them as int64, and
-one %-format call writes the block's text.
+Histograms are CSV: the header ``t_us,counts``, then one row per bin: the
+center with ``repr``, the count without ``.0`` when integer-valued.
 The reader skips blank lines, takes any Python ``float`` syntax and names
 the physical line of a bad row.  Numpy's tokenizer parses the file in one
 pass; a ``float`` loop reads what it refuses.

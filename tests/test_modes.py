@@ -48,6 +48,19 @@ class TestReducedMass:
                 assert reduced_mass(a, b) == pytest.approx(float(exact), rel=4e-16)
                 assert reduced_mass(a, b) == reduced_mass(b, a)
 
+    def test_product_underflowing_to_zero(self):
+        # a·b = 1e-400 underflows to 0.0 where the reduced mass itself is normal.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reduced_mass(1e-200, 1e-200) == 1e-200 / 2
+
+    def test_product_underflowing_to_a_subnormal(self):
+        # a·b = 1e-320 keeps only 10 of its 53 bits.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reduced_mass(1e-160, 1e-160) == 1e-160 / 2
+            assert reduced_mass(1e-160, 3e-160) == pytest.approx(7.5e-161, rel=4e-16, abs=0.0)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             reduced_mass(0.0, 1.0)
@@ -85,7 +98,23 @@ class TestIsotopeScaleEnergy:
             for args in [(5e-324, 1.7e308, 5e-324), (1e-8, 1.7e308, 5e-324), (3.0, 1e300, 1e-300)]:
                 energy, mu_old, mu_new = map(mpmath.mpf, args)
                 exact = float(energy * mpmath.sqrt(mu_old / mu_new))
-                assert isotope_scale_energy(*args) == pytest.approx(exact, rel=4e-16)
+                assert isotope_scale_energy(*args) == pytest.approx(exact, rel=4e-16, abs=0.0)
+
+    def test_ratio_underflowing_to_zero(self):
+        # mu_old/mu_new = 5e-324/1.7e308 is 0.0 where E_new = 2.9e-8 is normal.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = mpmath.mpf(1.7e308) * mpmath.sqrt(mpmath.mpf(5e-324) / mpmath.mpf(1.7e308))
+            assert isotope_scale_energy(1.7e308, 5e-324, 1.7e308) == pytest.approx(
+                float(exact), rel=4e-16, abs=0.0)
+
+    def test_subnormal_ratio(self):
+        # mu_old/mu_new = 1e-310 is subnormal and short of bits: E_new came out 7 ulp low.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = mpmath.sqrt(mpmath.mpf(1e-300) / mpmath.mpf(1e10))
+            assert isotope_scale_energy(1.0, 1e-300, 1e10) == pytest.approx(float(exact), rel=4e-16,
+                                                                           abs=0.0)
 
     def test_energy_past_the_float_range_is_refused(self):
         for args in [(1.7e308, 4.0, 1.0), (1e300, 1e20, 1e-20)]:

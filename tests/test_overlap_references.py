@@ -27,7 +27,6 @@ from multiphonon import (
     quadrature_overlap_with_error,
 )
 from multiphonon.constants import HBAR_SQ_MEV_AMU_A2
-from multiphonon.oscillator import _recurrence_coefficients
 from multiphonon.quadrature import _decimal_overlap
 
 # The pairs whose m = 0 entries fell outside the error of the trapezoid-grid
@@ -45,10 +44,13 @@ LARGE_DISPLACEMENTS = [OscillatorPair(33.0, 33.0, 18.5), OscillatorPair(33.0, 33
 
 
 def reference_moment_rows(pair, n_max):
-    """Rows m = 0 and m = 1 of ``fc_overlap_matrix``'s recurrence, one entry at a time."""
-    b, c, d, e = map(float, _recurrence_coefficients(
-        pair.energy_initial, pair.energy_final, pair.displacement
-    ))
+    """Rows m = 0 and m = 1 of ``fc_overlap_matrix``'s recurrence, one entry at a time,
+    with the coefficients written out here on Python floats."""
+    a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
+    a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
+    dq, total = pair.displacement, a_i + a_f
+    b, c = 2.0 * dq * math.sqrt(a_i) * a_f / total, (a_f - a_i) / total
+    d, e = -2.0 * dq * math.sqrt(a_f) * a_i / total, 4.0 * math.sqrt(a_i * a_f) / total
     s = np.zeros((2, n_max + 1))
     s[0, 0] = math.sqrt(e / 2.0) * math.exp(b * d / (2.0 * e))
     for n in range(1, n_max + 1):
