@@ -17,7 +17,7 @@ from ._tables import (  # noqa: F401  (the public names are re-exported)
     _BOUNDS, _MODE_ROWS, _RECORD_ROWS, _ZPL_ENERGY_MEV, RECORDS_CSV_HEADER, SWEEP_CSV_HEADER,
     SWEEP_PARAMETERS, reference_records_csv,
 )
-from .errors import DomainError, ModeLookupError, _finite_result, _label, _number
+from .errors import CapabilityError, DomainError, ModeLookupError, _finite_result, _label, _number
 
 # Atomic masses in amu, rounded at 1e-5 from the AME2020 atomic mass
 # evaluation (12C is exact by definition of the amu).
@@ -115,13 +115,15 @@ class ReferenceRecord:
 
 
 def reduced_mass(mass_a, mass_b):
-    """Reduced mass mass_a·mass_b/(mass_a + mass_b) in amu; symmetric."""
+    """Reduced mass mass_a·mass_b/(mass_a + mass_b) in amu; symmetric; refused if it underflows to 0.0."""
     mass_a = _number(mass_a, "mass_a", gt=0.0)
     mass_b = _number(mass_b, "mass_b", gt=0.0)
     product = mass_a * mass_b
     if product < sys.float_info.min:  # a·b underflows and would lose digits
         light, heavy = sorted((mass_a, mass_b))
-        return light / (1.0 + light / heavy)
+        if mass := light / (1.0 + light / heavy):  # 0.0 only at 5e-324 twice: 2.5e-324 rounds to even
+            return mass
+        raise CapabilityError(f"the reduced mass of {mass_a!r} and {mass_b!r} underflows double precision")
     mass = product / (mass_a + mass_b)
     # Where a·b overflows, both masses are > 1, so 4/a and 4/b are normal: no digit is lost.
     return mass if math.isfinite(mass) else 4.0 / (4.0 / mass_a + 4.0 / mass_b)
@@ -136,7 +138,7 @@ def isotope_scale_energy(energy, mu_old, mu_new):
         E_new = E_old * sqrt(mu_old / mu_new).
 
     Composable: scaling mu1 -> mu2 -> mu3 equals scaling mu1 -> mu3.
-    :class:`CapabilityError` if E_new overflows double precision.
+    :class:`CapabilityError` if E_new overflows double precision or underflows to 0.0.
     """
     energy = _number(energy, "energy", gt=0.0)
     mu_old = _number(mu_old, "mu_old", gt=0.0)
@@ -149,6 +151,8 @@ def isotope_scale_energy(energy, mu_old, mu_new):
         half, odd = divmod(e_o - e_n, 2)
         with contextlib.suppress(OverflowError):  # the mantissas give (0.35, 2): E_new overflows
             scaled = math.ldexp(m_e * math.sqrt(math.ldexp(m_o, odd) / m_n), e_e + half)
+    if not scaled:  # E_new rounds to 0.0: at most half the smallest subnormal, 2.5e-324
+        raise CapabilityError(f"the scaled energy of {energy!r} meV underflows double precision")
     return _finite_result(scaled, "the scaled energy")
 
 

@@ -121,8 +121,8 @@ def _finite(values, pair, s00=None):
 
 
 def fc_overlap_matrix(pair, m_max, n_max):
-    """Overlap table S[m, n] = <chi_initial_m | chi_final_n>: rows m <= 1 from
-    :func:`_moment_rows`, rows m >= 2 the values of ``quadrature_overlap_table``.
+    """Overlap table S[m, n] = <chi_initial_m | chi_final_n>: rows m <= 1 from :func:`_moment_rows`,
+    rows m >= 2 the K-node values of ``quadrature_overlap_table``, without its error estimate.
 
     Parameters
     ----------
@@ -142,15 +142,17 @@ def fc_overlap_matrix(pair, m_max, n_max):
         or S₀₀ or A_i·A_f is below the normal range (2.2e-308).
     """
     m_max, n_max = _check_quantum_numbers(m_max, n_max)
-    _exponents(pair)  # refuses A_i·A_f before the recurrence divides by A_i + A_f
+    a_i, a_f = _exponents(pair)  # refuses A_i·A_f before the recurrence divides by A_i + A_f
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
         rows = _moment_rows(pair.energy_initial, pair.energy_final, pair.displacement, n_max)
         rows = _finite(np.vstack([row.T for row in rows])[: m_max + 1], pair, rows[0][0, 0])
-    if m_max <= 1:
-        return rows
-    from .quadrature import quadrature_overlap_table  # only here: rates never load quadrature
+        if m_max <= 1:
+            return rows
+        from .quadrature import _gauss_hermite, _weighted_rows  # only here: rates never load quadrature
 
-    table = quadrature_overlap_table(pair, m_max, n_max)[0]
+        count = (m_max + n_max) // 2 + 1  # the table's K nodes, without its K + 1 and error terms
+        rows_i, rows_f, _, _ = _weighted_rows(pair, a_i, a_f, m_max, n_max, *_gauss_hermite(count))
+        table = _finite(rows_i @ rows_f.T, pair)
     table[:2] = rows
     return table
 
@@ -222,9 +224,11 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
         step, back, rows = step.ravel().tolist(), back.ravel().tolist(), rows[0].tolist()
     if n_max >= 1:
         rows.append(step[0] * rows[0])
+    low, prev, append = rows[0], rows[-1], rows.append
     for step_n, back_n in zip(step[1:], back[1:]):
-        rows.append(step_n * rows[-1] + back_n * rows[-2])
-    s0 = np.array(rows).reshape(n_max + 1, -1)
+        low, prev = prev, step_n * prev + back_n * low
+        append(prev)
+    s0 = np.array(rows, dtype=float).reshape(n_max + 1, -1)  # a dtype spares its discovery
     s1 = b / math.sqrt(2.0) * s0
     s1[1:] += 0.5 * e * np.sqrt(n) * s0[:-1]
     return s0, s1

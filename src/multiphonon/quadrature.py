@@ -1,8 +1,8 @@
 """Gauss-Hermite quadrature oracle for harmonic-oscillator overlaps, m and n <= 512.
 
-The independent check of rows m <= 1 of ``oscillator.fc_overlap_matrix`` and the
-source of its rows m >= 2: it sums Hermite-Gaussian wavefunctions at quadrature
-nodes, never the analytic recurrence.  With
+The independent check of rows m <= 1 of ``oscillator.fc_overlap_matrix``, whose rows m >= 2
+are this table's K-node values, computed without its error estimate.  It sums Hermite-Gaussian
+wavefunctions at quadrature nodes, never the analytic recurrence.  With
 Q = A_f dQ/(A_i + A_f) + t sqrt(2/(A_i + A_f)), chi_m^i chi_n^f is a
 degree-(m + n) polynomial in t times exp(-t^2 - c), c = A_i A_f dQ^2/(2(A_i + A_f)),
 so K = (m + n)//2 + 1 Gauss-Hermite nodes are exact apart from rounding, and
@@ -63,9 +63,11 @@ def _hermite_rows(y, n_max):
     rows = np.zeros((n_max + 2, y.size))  # rows[k + 1] = h_k
     rows[1] = math.pi**-0.25 * np.exp(-0.5 * y * y)
     scratch, low, prev = np.empty(y.size), rows[0], rows[1]
-    for k, row in zip(range(1, n_max + 1), rows[2:]):
-        np.multiply(np.multiply(math.sqrt(2.0 / k), y, out=scratch), prev, out=row)
-        row -= np.multiply(math.sqrt((k - 1.0) / k), low, out=scratch)  # 0 h_-1 at k = 1
+    k = np.arange(1.0, n_max + 1.0)  # sqrt(2/k) y and sqrt((k-1)/k): each correctly rounded
+    np.multiply.outer(np.sqrt(2.0 / k), y, out=rows[2:])  # rows[k + 1] holds sqrt(2/k) y until step k
+    for down, row in zip(np.sqrt((k - 1.0) / k).tolist(), rows[2:]):
+        np.multiply(row, prev, row)  # out= by position: a keyword costs more than the product
+        row -= np.multiply(down, low, scratch)  # 0 h_-1 at k = 1
         low, prev = prev, row
     return rows[1:]
 
@@ -108,23 +110,28 @@ def _gauss_hermite(count):
     return nodes, weights
 
 
-def _float64_sums(pair, a_i, a_f, m_max, n_max, count):
-    """([S_K, S_K+1], [l1_K, l1_K+1], y_i, y_f at K), K = *count*, from one Hermite recurrence
-    to max(m_max, n_max) on [y_i(K), y_i(K+1), y_f(K), y_f(K+1)]: each step is elementwise,
-    as for one rule alone.  (A_i, A_f) are ``_exponents(pair)``."""
-    nodes, weights = map(np.concatenate, zip(_gauss_hermite(count), _gauss_hermite(count + 1)))
+def _weighted_rows(pair, a_i, a_f, m_max, n_max, nodes, weights):
+    """(rows_i, rows_f, y_i, y_f): A_i^(1/4) h_m(y_i) and sqrt(2/(A_i + A_f)) w_k A_f^(1/4) h_n(y_f) at
+    *nodes*, so rows_i @ rows_f.T sums the overlaps; one Hermite recurrence on [y_i, y_f]."""
     total = a_i + a_f
-    scale = math.sqrt(2.0 / total)
+    scale, points = math.sqrt(2.0 / total), nodes.size
     y_i = math.sqrt(a_i) * (pair.displacement * a_f / total + scale * nodes)
     y_f = math.sqrt(a_f) * (scale * nodes - pair.displacement * a_i / total)
-    points = nodes.size
     rows = _hermite_rows(np.concatenate((y_i, y_f)), max(m_max, n_max))
     rows *= np.repeat((a_i**0.25, a_f**0.25), points)
-    rows_i, rows_f = rows[: m_max + 1, :points], rows[: n_max + 1, points:]
+    rows_f = rows[: n_max + 1, points:]
     rows_f *= scale * weights
-    spans = slice(count), slice(count, points)
+    return rows[: m_max + 1, :points], rows_f, y_i, y_f
+
+
+def _float64_sums(pair, a_i, a_f, m_max, n_max, count):
+    """([S_K, S_K+1], [l1_K, l1_K+1], y_i, y_f at K), K = *count*, both rules at once."""
+    nodes, weights = map(np.concatenate, zip(_gauss_hermite(count), _gauss_hermite(count + 1)))
+    rows_i, rows_f, y_i, y_f = _weighted_rows(pair, a_i, a_f, m_max, n_max, nodes, weights)
+    spans = slice(count), slice(count, nodes.size)
     values = [rows_i[:, span] @ rows_f[:, span].T for span in spans]
-    np.abs(rows, out=rows)
+    for rows in rows_i, rows_f:  # in place: a copy of a 512-row table would cost its page faults
+        np.abs(rows, out=rows)
     rows_f *= np.maximum(64.0, 2.0 * (y_i * y_i + y_f * y_f))  # the floor's node weights
     return values, [rows_i[:, span] @ rows_f[:, span].T for span in spans], y_i[:count], y_f[:count]
 
@@ -157,7 +164,7 @@ def quadrature_overlap_table(pair, m_max, n_max):
         count = (m_max + n_max) // 2 + 1
         (values, other), (l1, other_l1), y_i, y_f = _float64_sums(pair, a_i, a_f, m_max, n_max, count)
         l1 = np.maximum(l1, other_l1)
-        errors = np.abs(values - other) + np.finfo(float).eps * l1
+        errors = np.abs(values - other) + sys.float_info.epsilon * l1
         low = ~(l1 >= sys.float_info.min)
         if low.any():
             log_bound = 1.0 - a_i * a_f * (pair.displacement * pair.displacement) / (2.0 * (a_i + a_f))

@@ -142,7 +142,7 @@ def test_criterion_07_oracle_equivalence():
         row = mp.fc_overlap_matrix(accepting, 0, 30)[0]
         for n in range(31):
             poisson = math.exp(-s_factor) * s_factor**n / math.factorial(n)
-            assert row[n] ** 2 == pytest.approx(poisson, rel=1e-10)
+            assert row[n] ** 2 == pytest.approx(poisson, rel=1e-10, abs=0.0)
 
         # Deep-tail certification beyond the float64 cancellation floor.
         tail = mp.quadrature_overlap_oracle(

@@ -4,7 +4,9 @@ Each function returns finite floats or raises a ``MultiphononError``, never a wa
 (warnings are errors here), for inputs drawn from ±0, the subnormals and the whole
 positive range to 1.7e308, plus a fixed list of extremes.  ``reduced_mass`` and
 ``isotope_scale_energy`` must also lie within 2 ulp of the 60-digit mpmath value: their
-plain paths round three times, and their over- and underflow paths are exact to that.
+plain paths round three times, and their over- and underflow paths are exact to that.  A
+positive result must be > 0.0: they may refuse one only where its exact value is at most
+half the smallest subnormal, where it would round to 0.0.
 """
 
 import math
@@ -33,6 +35,9 @@ EXTREMES = [0.0, -0.0, 5e-324, 1e-320, 1e-310, sys.float_info.min, 1e-300, 1e-20
             sys.float_info.max, -1.0]
 FLOATS = st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, sys.float_info.max))
 PROPERTY = settings(max_examples=300, deadline=None)
+# Half the smallest subnormal: a positive result at or below it may round to 0.0, which
+# the mass formulas refuse with CapabilityError rather than return.
+HALF_SUBNORMAL = mpmath.mpf(2) ** -1075
 
 
 def _contract(function, *args):
@@ -90,12 +95,15 @@ def test_cyclicity(eta0, purcell):
 @given(FLOATS, FLOATS)
 def test_reduced_mass(mass_a, mass_b):
     result = _contract(reduced_mass, mass_a, mass_b)
-    if result is None:  # refused only as a DomainError, for a mass that is not > 0
-        assert not (mass_a > 0.0 and mass_b > 0.0)
+    if not (mass_a > 0.0 and mass_b > 0.0):  # a DomainError, for a mass that is not > 0
+        assert result is None
         return
     with mpmath.workdps(60):
         exact = mpmath.mpf(mass_a) * mass_b / (mpmath.mpf(mass_a) + mass_b)
-        assert _ulps(result, exact) <= 2
+        if result is None:  # refused only where the reduced mass is at most half of 5e-324
+            assert exact <= HALF_SUBNORMAL
+            return
+        assert result > 0.0 and _ulps(result, exact) <= 2
     assert result == _contract(reduced_mass, mass_b, mass_a)
 
 
@@ -108,10 +116,10 @@ def test_isotope_scale_energy(energy, mu_old, mu_new):
         return
     with mpmath.workdps(60):
         exact = mpmath.mpf(energy) * mpmath.sqrt(mpmath.mpf(mu_old) / mu_new)
-        if result is None:  # refused only where E_new is within an ulp of overflow or past it
-            assert exact > sys.float_info.max - math.ulp(sys.float_info.max)
+        if result is None:  # refused only within an ulp of overflow or past it, or at most half of 5e-324
+            assert exact > sys.float_info.max - math.ulp(sys.float_info.max) or exact <= HALF_SUBNORMAL
         else:
-            assert _ulps(result, exact) <= 2
+            assert result > 0.0 and _ulps(result, exact) <= 2
 
 
 @PROPERTY

@@ -37,7 +37,7 @@ def solve_2x2_oracle(tau_a, tau_b, ratio):
 
 class TestTotalLifetime:
     def test_single_channel(self):
-        assert total_lifetime(1e6, 0.0) == pytest.approx(1e-6, rel=1e-15)
+        assert total_lifetime(1e6, 0.0) == pytest.approx(1e-6, rel=1e-15, abs=0.0)
 
     def test_symmetric_in_rates(self):
         assert total_lifetime(3e5, 7e4) == total_lifetime(7e4, 3e5)

@@ -61,6 +61,15 @@ class TestReducedMass:
             assert reduced_mass(1e-160, 1e-160) == 1e-160 / 2
             assert reduced_mass(1e-160, 3e-160) == pytest.approx(7.5e-161, rel=4e-16, abs=0.0)
 
+    def test_reduced_mass_below_the_subnormals_is_refused(self):
+        # 5e-324·5e-324/1e-323 = 2.5e-324 is a tie that rounds to even, 0.0; 5e-324 and
+        # 1e-323 give 3.3e-324, which rounds up to 5e-324.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapabilityError, match="^the reduced mass of 5e-324 and 5e-324 underflows"):
+                reduced_mass(5e-324, 5e-324)
+            assert reduced_mass(5e-324, 1e-323) == reduced_mass(1e-323, 5e-324) == 5e-324
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             reduced_mass(0.0, 1.0)
@@ -122,6 +131,16 @@ class TestIsotopeScaleEnergy:
                 warnings.simplefilter("error")
                 with pytest.raises(CapabilityError, match="^the scaled energy is not finite"):
                     isotope_scale_energy(*args)
+
+    def test_energy_below_the_subnormals_is_refused(self):
+        # E_new = 5e-324·sqrt(5e-324/1.7e308) is about 1.2e-478 (through the mantissas), and
+        # 5e-324·sqrt(1e-300) about 5e-474 (through the plain product): both were 0.0.
+        for args in [(5e-324, 5e-324, 1.7e308), (5e-324, 1e-300, 1.0)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CapabilityError, match="^the scaled energy of 5e-324 meV underflows"):
+                    isotope_scale_energy(*args)
+        assert isotope_scale_energy(5e-324, 1.0, 1.0) == 5e-324
 
     def test_domain_errors(self):
         for args in [(0.0, 1.0, 1.0), (10.0, 0.0, 1.0), (10.0, 1.0, math.nan)]:

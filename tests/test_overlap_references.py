@@ -13,12 +13,14 @@ accurate than any error they are compared with.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from multiphonon import (
+    CapabilityError,
     GridSpec,
     OscillatorPair,
     fc_overlap,
@@ -27,7 +29,7 @@ from multiphonon import (
     quadrature_overlap_with_error,
 )
 from multiphonon.constants import HBAR_SQ_MEV_AMU_A2
-from multiphonon.quadrature import _decimal_overlap
+from multiphonon.quadrature import _decimal_overlap, _hermite_rows
 
 # The pairs whose m = 0 entries fell outside the error of the trapezoid-grid
 # oracle, each at the overlap-certify seed that draws it (2, 2105, 12304).
@@ -41,6 +43,19 @@ TRAPEZOID_MISSES = [
 # underflows.
 LARGE_DISPLACEMENTS = [OscillatorPair(33.0, 33.0, 18.5), OscillatorPair(33.0, 33.0, 19.6),
                        OscillatorPair(20.0, 400.0, 7.0), OscillatorPair(400.0, 20.0, -7.3)]
+
+
+def reference_hermite_rows(y, n_max):
+    """``quadrature._hermite_rows`` as four ufunc calls a step, sqrt(2/k) and sqrt((k-1)/k)
+    from ``math.sqrt``: the same correctly rounded operations, one k at a time."""
+    rows = np.zeros((n_max + 2, y.size))
+    rows[1] = math.pi**-0.25 * np.exp(-0.5 * y * y)
+    scratch, low, prev = np.empty(y.size), rows[0], rows[1]
+    for k, row in zip(range(1, n_max + 1), rows[2:]):
+        np.multiply(np.multiply(math.sqrt(2.0 / k), y, out=scratch), prev, out=row)
+        row -= np.multiply(math.sqrt((k - 1.0) / k), low, out=scratch)
+        low, prev = prev, row
+    return rows[1:]
 
 
 def reference_moment_rows(pair, n_max):
@@ -223,3 +238,36 @@ def test_swapped_pair_gives_the_transposed_table(pair, shape):
     errors = quadrature_overlap_table(pair, *shape)[1]
     errors = errors + quadrature_overlap_table(swapped, *shape[::-1])[1].T
     assert np.all(np.abs(table - transposed) <= errors)
+
+
+@pytest.mark.parametrize("points", [1, 66, 126, 1026])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 30, 512])
+def test_hermite_rows_equal_the_step_by_step_reference(n_max, points):
+    rng = np.random.default_rng(1000 * n_max + points)
+    y = rng.uniform(-1.0, 1.0, points) * 10.0 ** rng.uniform(-3.0, 3.0, points)  # |y| up to 1e3
+    rows = _hermite_rows(y, n_max)
+    assert np.array_equal(rows.view(np.int64), reference_hermite_rows(y, n_max).view(np.int64))
+
+
+# Rows m >= 2 sum the K-node rule alone, without the table's K + 1 nodes and error
+# terms: the same bits as the table's values, with the process's default BLAS threads.
+@pytest.mark.parametrize("pair, shape", [(pair, shape) for pair in _seeded_pairs(54, 8)
+                                         for shape in [(2, 2), (7, 40), (40, 7), (30, 30), (2, 512), (512, 3)]]
+                         + LARGE_TABLES, ids=_table_id)
+def test_rows_m_at_least_2_are_the_table_values_bit_for_bit(pair, shape):
+    rows = fc_overlap_matrix(pair, *shape)[2:]
+    values = quadrature_overlap_table(pair, *shape)[0][2:]
+    assert np.array_equal(rows.view(np.int64), values.view(np.int64))
+
+
+def test_rows_m_at_least_2_are_refused_as_the_table_refuses():
+    # The pair of test_quadrature's non-finite refusal: NaN in rows m >= 2 only.
+    pair = OscillatorPair(1e-310, 1e300, 1e12)
+    messages = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (fc_overlap_matrix, quadrature_overlap_table):
+            with pytest.raises(CapabilityError, match="not finite in double precision") as refusal:
+                call(pair, 3, 20)
+            messages.append(str(refusal.value))
+    assert messages[0] == messages[1]

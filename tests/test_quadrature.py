@@ -187,7 +187,7 @@ def test_underflow_bound_keeps_the_normalization_factor():
     pair = OscillatorPair(1e308, 1e-308, 1.0)
     values, errors = quadrature_overlap_table(pair, 1, 3)
     exact, _ = quadrature_overlap_with_error(0, 1, pair, GridSpec(dps=30))
-    assert exact == pytest.approx(-9.78213338026192e-309, rel=1e-12)
+    assert exact == pytest.approx(-9.78213338026192e-309, rel=1e-12, abs=0.0)
     assert abs(values[0, 1] - exact) <= errors[0, 1] <= 1e-150
 
 
