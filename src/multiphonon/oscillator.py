@@ -32,6 +32,14 @@ from .errors import CapabilityError, _finite_result, _number
 # entry by entry to 512; refuse beyond rather than risk error.
 MAX_CERTIFIED_N = 512
 
+# sqrt(n), sqrt(2n), sqrt((n-1)/n) and sqrt(2/n), n = 1..512, for both recurrences: each entry
+# is one correctly rounded operation, so a prefix has the bits a call would compute itself.
+_N = np.arange(1.0, MAX_CERTIFIED_N + 1.0)
+_SQRT_N, _SQRT_2N, _SQRT_BACK, _SQRT_2_OVER_N = map(np.sqrt, (_N, 2.0 * _N, (_N - 1.0) / _N, 2.0 / _N))
+for _table in _SQRT_N, _SQRT_2N, _SQRT_BACK, _SQRT_2_OVER_N:
+    _table.setflags(write=False)
+_SQRT_BACK_TUPLE = tuple(_SQRT_BACK.tolist())  # for loops over Python floats
+
 
 @dataclass(frozen=True)
 class OscillatorPair:
@@ -145,7 +153,7 @@ def fc_overlap_matrix(pair, m_max, n_max):
     a_i, a_f = _exponents(pair)  # refuses A_i·A_f before the recurrence divides by A_i + A_f
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and NaN are refused
         rows = _moment_rows(pair.energy_initial, pair.energy_final, pair.displacement, n_max)
-        rows = _finite(np.vstack([row.T for row in rows])[: m_max + 1], pair, rows[0][0, 0])
+        rows = _finite(np.concatenate([row.T for row in rows])[: m_max + 1], pair, rows[0][0, 0])
         if m_max <= 1:
             return rows
         from .quadrature import _gauss_hermite, _weighted_rows  # only here: rates never load quadrature
@@ -201,7 +209,10 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
     three floats), and *n_max* an int the caller checked (at most 512).  Each entry comes
     from the same IEEE operations, in the same order, for any G, so column g equals
     ``fc_overlap_matrix(pair_g, 1, n_max)`` bit for bit (the table takes these two rows
-    from here); for G = 1 the n-loop runs on Python floats, sparing numpy's per-call cost.
+    from here).  sqrt(2n), sqrt((n-1)/n) and sqrt(n) are prefixes of the import-time
+    tables.  Three floats with A_i·A_f > 0 get b, c, d, e and S₀₀ from ``math``, and
+    step and back as one division and one product against the tables; for G = 1 the
+    n-loop runs on Python floats.  So one pair pays no numpy set-up on scalars.
 
     Returns
     -------
@@ -209,18 +220,24 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
         S[0, n] and S[1, n], each of shape ``(n_max + 1, G)``.
     """
     a_i, a_f = energy_initial / HBAR_SQ_MEV_AMU_A2, energy_final / HBAR_SQ_MEV_AMU_A2
+    # One pair on Python floats, unless A_i·A_f = 0: then e = 0 and Python would raise
+    # ZeroDivisionError where numpy gives the inf or NaN that callers refuse.
+    one = isinstance(a_i * a_f * displacement, float) and a_i * a_f > 0.0
+    sqrt, n = (math.sqrt, np.s_[:n_max]) if one else (np.sqrt, np.s_[:n_max, None])
+    displacement = displacement if one else np.atleast_1d(displacement)  # b, d: the broadcast shape G
     total = a_i + a_f
-    b = np.atleast_1d(2.0 * displacement * np.sqrt(a_i) * a_f / total)  # b, d: the broadcast shape
+    b = 2.0 * displacement * sqrt(a_i) * a_f / total
     c = -(a_i - a_f) / total  # −0.0 at equal energies
-    d = np.atleast_1d(-2.0 * displacement * np.sqrt(a_f) * a_i / total)
-    e = 4.0 * np.sqrt(a_i * a_f) / total
-    n = np.arange(1.0, n_max + 1.0)[:, None]
-    step = d / np.sqrt(2.0 * n)
-    back = c * np.sqrt((n - 1.0) / n)
+    d = -2.0 * displacement * sqrt(a_f) * a_i / total
+    e = 4.0 * sqrt(a_i * a_f) / total
     # S[0, 0] through math.exp: np.exp may differ by 1 ulp, and S₀₀ must stay bit-identical.
-    exponent = (b * d / (2.0 * e)).tolist()
-    rows = [np.sqrt(e / 2.0) * np.array([math.exp(x) for x in exponent])]
-    if len(exponent) == 1:  # one pair: the same operations on Python floats
+    exponent = b * d / (2.0 * e)
+    exp = math.exp(exponent) if one else np.array([math.exp(x) for x in exponent.tolist()])
+    rows = [sqrt(e / 2.0) * exp]
+    step, back = d / _SQRT_2N[n], c * _SQRT_BACK[n]
+    if one:
+        step, back = step.tolist(), back.tolist()
+    elif d.size == 1:  # one pair as arrays of one: the loop runs on Python floats too
         step, back, rows = step.ravel().tolist(), back.ravel().tolist(), rows[0].tolist()
     if n_max >= 1:
         rows.append(step[0] * rows[0])
@@ -230,7 +247,7 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
         append(prev)
     s0 = np.array(rows, dtype=float).reshape(n_max + 1, -1)  # a dtype spares its discovery
     s1 = b / math.sqrt(2.0) * s0
-    s1[1:] += 0.5 * e * np.sqrt(n) * s0[:-1]
+    s1[1:] += 0.5 * e * _SQRT_N[:n_max, None] * s0[:-1]
     return s0, s1
 
 

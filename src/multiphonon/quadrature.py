@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import HBAR_SQ_MEV_AMU_A2
 from .errors import AccuracyError, _number
-from .oscillator import _check_quantum_numbers, _exponents, _finite
+from .oscillator import _SQRT_2_OVER_N, _SQRT_BACK_TUPLE, _check_quantum_numbers, _exponents, _finite
 
 _GUARD_DIGITS = 10  # keeps the rounding noise of a Newton step far below 10^-(dps+3)
 
@@ -61,12 +61,13 @@ def _hermite_rows(y, n_max):
     Each step is elementwise: a point's values do not depend on the points beside it.
     """
     rows = np.zeros((n_max + 2, y.size))  # rows[k + 1] = h_k
-    rows[1] = math.pi**-0.25 * np.exp(-0.5 * y * y)
-    scratch, low, prev = np.empty(y.size), rows[0], rows[1]
-    k = np.arange(1.0, n_max + 1.0)  # sqrt(2/k) y and sqrt((k-1)/k): each correctly rounded
-    np.multiply.outer(np.sqrt(2.0 / k), y, out=rows[2:])  # rows[k + 1] holds sqrt(2/k) y until step k
-    for down, row in zip(np.sqrt((k - 1.0) / k).tolist(), rows[2:]):
-        np.multiply(row, prev, row)  # out= by position: a keyword costs more than the product
+    h0 = np.multiply(y, -0.5, rows[1])  # out= by position: a keyword costs more than the product
+    np.exp(np.multiply(h0, y, h0), h0)  # exp((-0.5 y) y), in place
+    h0 *= math.pi**-0.25
+    scratch, low, prev = np.empty(y.size), rows[0], h0
+    np.multiply(_SQRT_2_OVER_N[:n_max, None], y, rows[2:])  # rows[k + 1] holds sqrt(2/k) y until step k
+    for down, row in zip(_SQRT_BACK_TUPLE, rows[2:]):  # down = sqrt((k-1)/k)
+        np.multiply(row, prev, row)
         row -= np.multiply(down, low, scratch)  # 0 h_-1 at k = 1
         low, prev = prev, row
     return rows[1:]
@@ -115,13 +116,15 @@ def _weighted_rows(pair, a_i, a_f, m_max, n_max, nodes, weights):
     *nodes*, so rows_i @ rows_f.T sums the overlaps; one Hermite recurrence on [y_i, y_f]."""
     total = a_i + a_f
     scale, points = math.sqrt(2.0 / total), nodes.size
-    y_i = math.sqrt(a_i) * (pair.displacement * a_f / total + scale * nodes)
-    y_f = math.sqrt(a_f) * (scale * nodes - pair.displacement * a_i / total)
-    rows = _hermite_rows(np.concatenate((y_i, y_f)), max(m_max, n_max))
-    rows *= np.repeat((a_i**0.25, a_f**0.25), points)
+    y = scale * nodes + np.array([[pair.displacement * a_f / total], [-pair.displacement * a_i / total]])
+    y *= np.array([[math.sqrt(a_i)], [math.sqrt(a_f)]])  # rows y_i and y_f, one buffer for the recurrence
+    rows = _hermite_rows(y.ravel(), max(m_max, n_max))
+    factor = np.empty(2 * points)  # filled: np.repeat would cost three times as much
+    factor[:points], factor[points:] = a_i**0.25, a_f**0.25
+    rows *= factor
     rows_f = rows[: n_max + 1, points:]
     rows_f *= scale * weights
-    return rows[: m_max + 1, :points], rows_f, y_i, y_f
+    return rows[: m_max + 1, :points], rows_f, *y
 
 
 def _float64_sums(pair, a_i, a_f, m_max, n_max, count):

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -16,9 +17,13 @@ from multiphonon import (
     fc_overlap_matrix,
     ho_length_scale,
     huang_rhys_factor,
+    load_reference_dataset,
+    nonradiative_rate,
+    rate_sweep,
     transition_moment,
     transition_moments,
 )
+from multiphonon import oscillator
 from multiphonon.oscillator import MAX_CERTIFIED_N, _moment_rows
 
 HSQ = CONSTANTS.hbar_sq_mev_amu_a2
@@ -270,6 +275,29 @@ class TestTransitionMoment:
             assert transition_moment(n, accepting_pair) ** 2 == transition_moment(n, flipped) ** 2
 
 
+# A pair at the float extremes, with what fc_overlap_matrix(pair, 1, n) says after "the
+# overlaps of <pair>" and what nonradiative_rate says with it as the accepting mode; None
+# where both answer.  ħΩ at 5e-324, 1e-310 and 1e308 on each side, ΔQ at ±0 and ±1e308,
+# and equal energies, where c = −0.0.
+_UNDERFLOW = "underflow double precision: A_i·A_f = {} must reach 2.2250738585072014e-308"
+_NOT_FINITE = "are not finite in double precision"
+_RATE_NOT_FINITE = "the rate through mode 'accepting' is not finite in double precision (got nan s⁻¹)"
+_CUT_OFF = f"quantum number inf exceeds the certified recursion range (n <= {MAX_CERTIFIED_N})"
+FLOAT_EXTREMES = [
+    ((5e-324, 33.0, 0.734), _UNDERFLOW.format(0.0), _RATE_NOT_FINITE),
+    ((33.0, 5e-324, 0.734), _UNDERFLOW.format(0.0), _CUT_OFF),
+    ((1e-310, 33.0, 0.734), _UNDERFLOW.format(1.88854908894314e-310), _RATE_NOT_FINITE),
+    ((33.0, 1e-310, 0.734), _UNDERFLOW.format(1.88854908894314e-310), _CUT_OFF),
+    ((1e308, 33.0, 0.734), _NOT_FINITE, _CUT_OFF),
+    ((33.0, 1e308, 0.734), _NOT_FINITE, _RATE_NOT_FINITE),
+    ((33.0, 41.0, 0.0), None, None),
+    ((33.0, 41.0, -0.0), None, None),
+    ((33.0, 41.0, 1e308), _NOT_FINITE, _RATE_NOT_FINITE),
+    ((33.0, 41.0, -1e308), _NOT_FINITE, _RATE_NOT_FINITE),
+    ((33.0, 33.0, 0.734), None, None),
+]
+
+
 class TestBatchedMomentRows:
     """The batched m <= 1 rows against the scalar table, bit for bit."""
 
@@ -336,6 +364,44 @@ class TestBatchedMomentRows:
             assert row.shape == (n_max + 1, 1)
             assert rows[:, g].tobytes() == row[:, 0].tobytes()
 
+    @pytest.mark.parametrize("n_max", [0, 1, 2, MAX_CERTIFIED_N])
+    @pytest.mark.parametrize("case", [case for case, _, _ in FLOAT_EXTREMES], ids=str)
+    def test_lone_pair_at_a_float_extreme_equals_its_column_in_a_batch(self, case, n_max):
+        # One pair runs on Python floats unless A_i·A_f = 0, where Python's
+        # ZeroDivisionError would replace numpy's inf or NaN: as bytes, both
+        # routes must give the batch's column, signed zeros, NaN and inf included.
+        batch = np.array([(33.0, 41.0, 0.734), case, (263.0, 262.0, 0.002)]).T
+        with np.errstate(all="ignore"):
+            rows = _moment_rows(*batch, n_max)
+            lone = _moment_rows(*case, n_max)
+        for column, row in zip(rows, lone):
+            assert row.shape == (n_max + 1, 1)
+            assert column[:, 1].tobytes() == row[:, 0].tobytes()
+
+    @pytest.mark.parametrize("case, table_error, rate_error", FLOAT_EXTREMES,
+                             ids=[str(case) for case, _, _ in FLOAT_EXTREMES])
+    def test_float_extremes_are_refused_with_their_type_and_message(self, case, table_error, rate_error):
+        pair = OscillatorPair(*case)
+        for n_max in (0, 1, 2, MAX_CERTIFIED_N):
+            if table_error is None:
+                assert np.isfinite(fc_overlap_matrix(pair, 1, n_max)).all()
+            else:
+                with pytest.raises(CapabilityError) as refused:
+                    fc_overlap_matrix(pair, 1, n_max)
+                assert str(refused.value) == f"the overlaps of {pair} {table_error}"
+        _, (natural, _) = load_reference_dataset()
+        mode = replace(natural.mode("accepting"), energy_excited=case[0], energy_ground=case[1],
+                       displacement=case[2])
+        config = natural.with_mode(mode)
+        rows = rate_sweep(config, "accepting", "coupling", [mode.coupling, 0.5 * mode.coupling])
+        if rate_error is None:
+            assert rows[0].rate == nonradiative_rate(config, "accepting").total_rate
+        else:
+            with pytest.raises(CapabilityError) as refused:
+                nonradiative_rate(config, "accepting")
+            assert str(refused.value) == rate_error
+            assert [row.error for row in rows] == [rate_error, rate_error]
+
     def test_refuses_beyond_certified_range(self):
         # _moment_rows takes a checked n_max; its public route checks it.
         pair = OscillatorPair(33.0, 33.0, 0.7)
@@ -343,3 +409,24 @@ class TestBatchedMomentRows:
             transition_moments(pair, MAX_CERTIFIED_N + 1)
         with pytest.raises(DomainError):
             transition_moments(pair, -1)
+
+
+class TestCoefficientTables:
+    """The import-time sqrt tables that both overlap recurrences slice."""
+
+    TABLES = ("_SQRT_N", "_SQRT_2N", "_SQRT_BACK", "_SQRT_2_OVER_N")
+
+    def test_every_prefix_equals_the_expression_it_replaces(self):
+        for n_max in range(MAX_CERTIFIED_N + 1):
+            n = np.arange(1.0, n_max + 1.0)
+            expected = (np.sqrt(n), np.sqrt(2.0 * n), np.sqrt((n - 1.0) / n), np.sqrt(2.0 / n))
+            for name, values in zip(self.TABLES, expected):
+                assert np.array_equal(getattr(oscillator, name)[:n_max].view(np.int64), values.view(np.int64))
+            back = np.array(oscillator._SQRT_BACK_TUPLE[:n_max], dtype=float)
+            assert np.array_equal(back.view(np.int64), expected[2].view(np.int64))
+        assert len(oscillator._SQRT_BACK_TUPLE) == MAX_CERTIFIED_N
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_tables_are_read_only(self, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(oscillator, name)[0] = 1.0
