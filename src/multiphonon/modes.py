@@ -13,10 +13,8 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 
-from ._tables import (  # noqa: F401  (the public names are re-exported)
-    _BOUNDS, _MODE_ROWS, _RECORD_ROWS, _ZPL_ENERGY_MEV, RECORDS_CSV_HEADER, SWEEP_CSV_HEADER,
-    SWEEP_PARAMETERS, reference_records_csv,
-)
+from ._tables import _BOUNDS, _MODE_ROWS, _RECORD_ROWS, _ZPL_ENERGY_MEV
+from ._tables import reference_records_csv  # noqa: F401  (re-exported)
 from .errors import CapabilityError, DomainError, ModeLookupError, _finite_result, _label, _number
 
 # Atomic masses in amu, rounded at 1e-5 from the AME2020 atomic mass

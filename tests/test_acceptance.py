@@ -15,6 +15,7 @@ import pytest
 
 import multiphonon as mp
 from multiphonon.cli import run_command
+from references import noiseless_histogram
 
 RECORDS, CONFIGS = mp.load_reference_dataset()
 NATURAL, DEUTERIUM = CONFIGS
@@ -175,11 +176,7 @@ def test_criterion_08_sum_rules():
 def test_criterion_09_fitter_closure():
     with criterion(9, "lifetime fitter closure on synthetic transients", 30.0):
         for lifetime, t_max in ((0.885, 10.0), (4.807, 50.0)):
-            noiseless_edges = np.linspace(0.0, t_max, 501)
-            centers = 0.5 * (noiseless_edges[:-1] + noiseless_edges[1:])
-            means = 10.0 + 1e4 * np.exp(-centers / lifetime)
-            noiseless = mp.TransientHistogram(bin_edges=noiseless_edges, counts=means)
-            fit = mp.fit_lifetime(noiseless)
+            fit = mp.fit_lifetime(noiseless_histogram(lifetime, 1e4, 10.0, 500, t_max))
             assert fit.lifetime_us == pytest.approx(lifetime, rel=1e-6)
 
             taus, sigmas = [], []

@@ -266,6 +266,11 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "fit", "--histogram", "x.csv", "--window", "1;2")
         assert code == 2 and out == ""
 
+    def test_window_bound_that_is_not_a_number(self, capsys):
+        code, out, err = run(capsys, "fit", "--histogram", "x.csv", "--window", "0.2,x")
+        assert code == 2 and out == ""
+        assert err.endswith("error: argument --window: could not convert string to float: 'x'\n")
+
     def test_bad_sweep_parameter(self, capsys, natural_config_path):
         code, out, _ = run(capsys, "sweep", "--config", natural_config_path,
                            "--mode", "accepting", "--vary", "temperature",

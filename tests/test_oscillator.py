@@ -2,7 +2,6 @@ import math
 import sys
 from dataclasses import replace
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +24,7 @@ from multiphonon import (
 )
 from multiphonon import oscillator
 from multiphonon.oscillator import MAX_CERTIFIED_N, _moment_rows
+from references import mpmath_overlap_table
 
 HSQ = CONSTANTS.hbar_sq_mev_amu_a2
 
@@ -219,15 +219,9 @@ class TestFcOverlap:
 
     def test_normal_exponent_product_answers(self):
         # S₀₀ = sqrt(e/2) exp(b d / 2e), by 50-digit arithmetic.
-        with mpmath.workdps(50):
-            a_i, a_f = mpmath.mpf(1e-300) / HSQ, mpmath.mpf(33.0) / HSQ
-            dq, total = mpmath.mpf(0.7), a_i + a_f
-            b = 2 * dq * mpmath.sqrt(a_i) * a_f / total
-            d = -2 * dq * mpmath.sqrt(a_f) * a_i / total
-            e = 4 * mpmath.sqrt(a_i * a_f) / total
-            exact = mpmath.sqrt(e / 2) * mpmath.exp(b * d / (2 * e))
-        overlap = fc_overlap(0, 0, OscillatorPair(1e-300, 33.0, 0.7))
-        assert abs(overlap - exact) <= 1e-15 * exact
+        pair = OscillatorPair(1e-300, 33.0, 0.7)
+        exact = mpmath_overlap_table(pair, 0, 0, 50)[0][0]
+        assert abs(fc_overlap(0, 0, pair) - exact) <= 1e-15 * exact
 
 
 class TestTransitionMoment:

@@ -2,14 +2,14 @@
 
 Rows m <= 1 of ``fc_overlap_matrix`` advance whole rows of the recurrence
 in n; they must give the same IEEE results as the straightforward
-entry-by-entry recurrence below, bit for bit.  Rows m >= 2 are the values
-of the quadrature oracle, which shares no code with that recurrence.  The
-references of both are the recurrence's exact arithmetic, run in mpmath at
-60 digits or more (100 or more for m > 40): each float64 entry and each
-``decimal`` result must lie within its own reported error of it.  The
-forward recurrence in m loses at most ~17 of those digits for m <= 30, and
-fewer than 20 of 110 for m <= 512, which leaves the references far more
-accurate than any error they are compared with.
+entry-by-entry recurrence in ``references``, bit for bit.  Rows m >= 2 are
+the values of the quadrature oracle, which shares no code with that
+recurrence.  The references of both are the recurrence's exact arithmetic,
+run in mpmath at 60 digits or more (100 or more for m > 40): each float64
+entry and each ``decimal`` result must lie within its own reported error of
+it.  The forward recurrence in m loses at most ~17 of those digits for
+m <= 30, and fewer than 20 of 110 for m <= 512, which leaves the references
+far more accurate than any error they are compared with.
 """
 
 import math
@@ -28,8 +28,8 @@ from multiphonon import (
     quadrature_overlap_table,
     quadrature_overlap_with_error,
 )
-from multiphonon.constants import HBAR_SQ_MEV_AMU_A2
 from multiphonon.quadrature import _decimal_overlap, _hermite_rows
+from references import mpmath_overlap_table, reference_hermite_rows, reference_moment_rows
 
 # The pairs whose m = 0 entries fell outside the error of the trapezoid-grid
 # oracle, each at the overlap-certify seed that draws it (2, 2105, 12304).
@@ -43,39 +43,6 @@ TRAPEZOID_MISSES = [
 # underflows.
 LARGE_DISPLACEMENTS = [OscillatorPair(33.0, 33.0, 18.5), OscillatorPair(33.0, 33.0, 19.6),
                        OscillatorPair(20.0, 400.0, 7.0), OscillatorPair(400.0, 20.0, -7.3)]
-
-
-def reference_hermite_rows(y, n_max):
-    """``quadrature._hermite_rows`` as four ufunc calls a step, sqrt(2/k) and sqrt((k-1)/k)
-    from ``math.sqrt``: the same correctly rounded operations, one k at a time."""
-    rows = np.zeros((n_max + 2, y.size))
-    rows[1] = math.pi**-0.25 * np.exp(-0.5 * y * y)
-    scratch, low, prev = np.empty(y.size), rows[0], rows[1]
-    for k, row in zip(range(1, n_max + 1), rows[2:]):
-        np.multiply(np.multiply(math.sqrt(2.0 / k), y, out=scratch), prev, out=row)
-        row -= np.multiply(math.sqrt((k - 1.0) / k), low, out=scratch)
-        low, prev = prev, row
-    return rows[1:]
-
-
-def reference_moment_rows(pair, n_max):
-    """Rows m = 0 and m = 1 of ``fc_overlap_matrix``'s recurrence, one entry at a time,
-    with the coefficients written out here on Python floats."""
-    a_i = pair.energy_initial / HBAR_SQ_MEV_AMU_A2
-    a_f = pair.energy_final / HBAR_SQ_MEV_AMU_A2
-    dq, total = pair.displacement, a_i + a_f
-    b, c = 2.0 * dq * math.sqrt(a_i) * a_f / total, (a_f - a_i) / total
-    d, e = -2.0 * dq * math.sqrt(a_f) * a_i / total, 4.0 * math.sqrt(a_i * a_f) / total
-    s = np.zeros((2, n_max + 1))
-    s[0, 0] = math.sqrt(e / 2.0) * math.exp(b * d / (2.0 * e))
-    for n in range(1, n_max + 1):
-        s[0, n] = d / math.sqrt(2.0 * n) * s[0, n - 1]
-        if n >= 2:
-            s[0, n] += c * math.sqrt((n - 1.0) / n) * s[0, n - 2]
-    s[1, 0] = b / math.sqrt(2.0) * s[0, 0]
-    for n in range(1, n_max + 1):
-        s[1, n] = b / math.sqrt(2.0) * s[0, n] + 0.5 * e * math.sqrt(n) * s[0, n - 1]
-    return s
 
 
 def _seeded_pairs(seed, count):
@@ -108,26 +75,6 @@ def test_fc_overlap_equals_reference_entry():
         assert fc_overlap(m, n, pair) == reference_moment_rows(pair, n)[m, n]
 
 
-def mpmath_overlap_table(pair, m_max, n_max, dps):
-    """The overlap recurrence in exact form, evaluated in mpmath at *dps* digits."""
-    with mpmath.workdps(dps):
-        a_i = mpmath.mpf(pair.energy_initial) / mpmath.mpf(HBAR_SQ_MEV_AMU_A2)
-        a_f = mpmath.mpf(pair.energy_final) / mpmath.mpf(HBAR_SQ_MEV_AMU_A2)
-        dq, total = mpmath.mpf(pair.displacement), a_i + a_f
-        a, b = (a_i - a_f) / total, 2 * dq * mpmath.sqrt(a_i) * a_f / total
-        d, e = -2 * dq * mpmath.sqrt(a_f) * a_i / total, 4 * mpmath.sqrt(a_i * a_f) / total
-        s = [[mpmath.mpf(0)] * (n_max + 2) for _ in range(m_max + 2)]  # index -1 reads 0
-        s[0][0] = mpmath.sqrt(e / 2) * mpmath.exp(b * d / (2 * e))
-        for n in range(1, n_max + 1):
-            s[0][n] = d / mpmath.sqrt(2 * n) * s[0][n - 1] - a * mpmath.sqrt((n - 1) / mpmath.mpf(n)) * s[0][n - 2]
-        for m in range(1, m_max + 1):
-            for n in range(n_max + 1):
-                s[m][n] = (b / mpmath.sqrt(2 * m) * s[m - 1][n]
-                           + a * mpmath.sqrt((m - 1) / mpmath.mpf(m)) * s[m - 2][n]
-                           + e / 2 * mpmath.sqrt(n / mpmath.mpf(m)) * s[m - 1][n - 1])
-        return [row[: n_max + 1] for row in s[: m_max + 1]]
-
-
 def mpmath_deviation(values, reference, dps):
     """|value - reference| per entry, as floats, the difference taken at *dps* digits."""
     with mpmath.workdps(dps):
@@ -139,15 +86,13 @@ def test_mpmath_reference_matches_the_float64_recurrence_and_its_own_digits():
     pair = _seeded_pairs(22, 1)[0]
     reference = mpmath_overlap_table(pair, 1, 30, 60)
     assert np.allclose(np.array(reference, dtype=float), fc_overlap_matrix(pair, 1, 30), rtol=1e-12, atol=1e-15)
-    more = mpmath_overlap_table(pair, 30, 30, 80)
-    with mpmath.workdps(80):
-        assert max(abs(x - y) for row, other in zip(mpmath_overlap_table(pair, 30, 30, 60), more)
-                   for x, y in zip(row, other)) < mpmath.mpf(10) ** -40
-    for pair, shape in ((_seeded_pairs(52, 1)[0], (512, 8)), (OscillatorPair(20.0, 400.0, 0.5), (120, 120))):
-        more = mpmath_overlap_table(pair, *shape, 150)
-        with mpmath.workdps(150):
-            assert max(abs(x - y) for row, other in zip(mpmath_overlap_table(pair, *shape, 110), more)
-                       for x, y in zip(row, other)) < mpmath.mpf(10) ** -90
+    for pair, shape, dps, more, digits in ((pair, (30, 30), 60, 80, 40),
+                                           (_seeded_pairs(52, 1)[0], (512, 8), 110, 150, 90),
+                                           (OscillatorPair(20.0, 400.0, 0.5), (120, 120), 110, 150, 90)):
+        reference = mpmath_overlap_table(pair, *shape, more)
+        with mpmath.workdps(more):
+            assert max(abs(x - y) for row, other in zip(mpmath_overlap_table(pair, *shape, dps), reference)
+                       for x, y in zip(row, other)) < mpmath.mpf(10) ** -digits
 
 
 @pytest.mark.parametrize("pair", _seeded_pairs(23, 48) + TRAPEZOID_MISSES + LARGE_DISPLACEMENTS,

@@ -21,6 +21,7 @@ from multiphonon import (
 )
 from multiphonon import quadrature
 from multiphonon.constants import HBAR_SQ_MEV_AMU_A2
+from references import reference_hermite_rows
 
 # Where float64 quadrature certifies a 1e-8 relative comparison; smaller
 # overlaps are cross-checked in extended precision (see the deep-tail test).
@@ -114,14 +115,8 @@ def _one_rule_sums(pair, m_max, n_max, count):
     scale = math.sqrt(2.0 / total)
     y_i = math.sqrt(a_i) * (pair.displacement * a_f / total + scale * nodes)
     y_f = math.sqrt(a_f) * (scale * nodes - pair.displacement * a_i / total)
-    rows = []
-    for y, top, a in ((y_i, m_max, a_i), (y_f, n_max, a_f)):
-        h = [math.pi**-0.25 * np.exp(-0.5 * y * y)]
-        for k in range(1, top + 1):
-            row = math.sqrt(2.0 / k) * y * h[k - 1]
-            h.append(row - math.sqrt((k - 1.0) / k) * h[k - 2] if k >= 2 else row)
-        rows.append(np.array(h) * a**0.25)
-    rows_i, rows_f = rows[0], rows[1] * (scale * weights)
+    rows_i = reference_hermite_rows(y_i, m_max) * a_i**0.25
+    rows_f = reference_hermite_rows(y_f, n_max) * a_f**0.25 * (scale * weights)
     floor = np.abs(rows_f) * np.maximum(64.0, 2.0 * (y_i * y_i + y_f * y_f))
     return rows_i @ rows_f.T, np.abs(rows_i) @ floor.T
 

@@ -1,11 +1,11 @@
 import copy
 import math
+import operator
 import pickle
 import re
 import warnings
 from dataclasses import FrozenInstanceError, asdict, fields, make_dataclass, replace
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,9 +19,7 @@ from multiphonon import (
     ModeLookupError,
     MultiphononError,
     OscillatorPair,
-    fc_overlap_matrix,
     gaussian_delta,
-    ho_length_scale,
     isotope_rate_ratio,
     nonradiative_rate,
     rate_sweep,
@@ -31,8 +29,8 @@ from multiphonon import (
     VibrationalMode,
 )
 from multiphonon import rates
-from multiphonon.constants import HBAR_MEV_S, HBAR_SQ_MEV_AMU_A2
 from multiphonon.rates import SWEEP_PARAMETERS, SweepPoint
+from references import mpmath_rate, reference_rate
 
 EXPERIMENT_RATE = 1.0 / 0.885e-6  # s^-1, natural-variant total decay rate
 
@@ -116,17 +114,8 @@ class TestNonradiativeRate:
         # Re-derive the sum with 64 extra phonon terms; the default cut at
         # E_zpl + 10 sigma must already carry all the weight.
         for label in ("ch-stretch", "accepting"):
-            mode = natural.mode(label)
             result = nonradiative_rate(natural, label)
-            pair = OscillatorPair(mode.energy_excited, mode.energy_ground, mode.displacement)
-            moments = transition_moments(pair, result.n_max_used + 64)
-            prefactor = 2.0 * math.pi / HBAR_MEV_S * mode.coupling**2
-            extended = math.fsum(
-                prefactor
-                * float(moments[n]) ** 2
-                * gaussian_delta(natural.zpl_energy - n * mode.energy_ground, result.sigma)
-                for n in range(result.n_max_used + 65)
-            )
+            extended = reference_rate(natural, label, result.n_max_used + 64)
             assert result.total_rate == pytest.approx(extended, rel=1e-10)
 
     def test_missing_mode(self, natural):
@@ -250,6 +239,9 @@ def _direct(config, mode_label, parameter, value):
     return result.total_rate, result.n_max_used, result.sigma, None
 
 
+_ROW = operator.attrgetter("rate", "n_max", "sigma", "error")  # the fields _direct rebuilds
+
+
 def _sweep_grid(mode_label, parameter):
     """In-range values plus rows that must fail, in shuffled order."""
     if parameter == "zpl_energy":
@@ -274,23 +266,6 @@ def _mixed_n_max_grid():
     return [float(v) for v in np.random.default_rng(5).permutation(in_range + refused)]
 
 
-def _seed_rate(config, mode_label):
-    """The rate by the scalar formula: table moments and a gaussian_delta loop."""
-    mode = config.mode(mode_label)
-    pair = OscillatorPair(mode.energy_excited, mode.energy_ground, mode.displacement)
-    sigma = mode.energy_excited / 2.0
-    n_max = int(math.ceil((config.zpl_energy + 10.0 * sigma) / mode.energy_ground))
-    rows = fc_overlap_matrix(pair, 1, n_max)
-    moments = ho_length_scale(mode.energy_excited) * rows[1]
-    prefactor = 2.0 * math.pi / HBAR_MEV_S * mode.coupling**2
-    return math.fsum(
-        prefactor
-        * float(moments[n]) ** 2
-        * gaussian_delta(config.zpl_energy - n * mode.energy_ground, sigma)
-        for n in range(n_max + 1)
-    )
-
-
 class TestSweepExactness:
     """Every sweep row equals nonradiative_rate of its own configuration."""
 
@@ -304,8 +279,7 @@ class TestSweepExactness:
         assert np.array_equal([p.value for p in points], grid, equal_nan=True)
         resolved = 0
         for point in points:
-            expected = _direct(natural, mode_label, parameter, point.value)
-            assert (point.rate, point.n_max, point.sigma, point.error) == expected
+            assert _ROW(point) == _direct(natural, mode_label, parameter, point.value)
             resolved += point.error is None
         assert resolved >= 40
 
@@ -316,8 +290,7 @@ class TestSweepExactness:
         n_max = {p.n_max for p in points if p.error is None}
         assert min(n_max) == 8 and max(n_max) == 500
         for point in points:
-            expected = _direct(natural, "accepting", "energy_ground", point.value)
-            assert (point.rate, point.n_max, point.sigma, point.error) == expected
+            assert _ROW(point) == _direct(natural, "accepting", "energy_ground", point.value)
             if point.value < 2.148:
                 assert "exceeds the certified recursion range" in point.error
             else:
@@ -328,9 +301,8 @@ class TestSweepExactness:
         points = rate_sweep(natural, "accepting", "zpl_energy", grid)
         assert sum(p.n_max + 1 for p in points) > 3 * rates._SWEEP_CHUNK_CELLS
         for point in points[::97] + points[-1:]:
-            assert (point.rate, point.n_max, point.sigma, None) == _direct(
-                natural, "accepting", "zpl_energy", point.value
-            )
+            assert point.error is None
+            assert _ROW(point) == _direct(natural, "accepting", "zpl_energy", point.value)
 
     def test_empty_grid(self, natural):
         for parameter in SWEEP_PARAMETERS:
@@ -351,8 +323,7 @@ class TestSweepExactness:
         for point, entry in zip(points, grid):
             if point.error is None:
                 assert type(point.value) is float and point.value == float(entry)
-                expected = _direct(natural, "ch-stretch", parameter, float(entry))
-                assert (point.rate, point.n_max, point.sigma, point.error) == expected
+                assert _ROW(point) == _direct(natural, "ch-stretch", parameter, float(entry))
 
     @pytest.mark.parametrize(
         "entry", [math.nan, -math.inf, np.float64(math.inf), 10**400],
@@ -375,8 +346,7 @@ class TestSweepExactness:
         points = rate_sweep(natural, mode_label, parameter, grid)
         assert [p.value for p in points] == grid
         for point in points:
-            expected = _direct(natural, mode_label, parameter, point.value)
-            assert (point.rate, point.n_max, point.sigma, point.error) == expected
+            assert _ROW(point) == _direct(natural, mode_label, parameter, point.value)
         assert points[-1].error is None
 
 
@@ -396,8 +366,7 @@ class TestExtremeEnergies:
         for parameter in SWEEP_PARAMETERS:
             grid = [_current(config, "accepting", parameter), 1.5]
             for point in rate_sweep(config, "accepting", parameter, grid):
-                expected = _direct(config, "accepting", parameter, point.value)
-                assert (point.rate, point.n_max, point.sigma, point.error) == expected
+                assert _ROW(point) == _direct(config, "accepting", parameter, point.value)
                 assert point.rate is None
 
     @pytest.mark.parametrize("parameter, value", [
@@ -410,8 +379,7 @@ class TestExtremeEnergies:
         points = rate_sweep(natural, "accepting", parameter, grid)
         assert [point.error is None for point in points] == [True, False, True]
         for point in points:
-            expected = _direct(natural, "accepting", parameter, point.value)
-            assert (point.rate, point.n_max, point.sigma, point.error) == expected
+            assert _ROW(point) == _direct(natural, "accepting", parameter, point.value)
 
 
 def _overflowing():
@@ -432,11 +400,9 @@ class TestOverflowingTotal:
         config = _overflowing()
         first, second = rate_sweep(config, "m", "coupling", [1.0, 1e54])
         assert first.error is None and first.rate > 1e200
-        expected = _direct(config, "m", "coupling", 1.0)
-        assert (first.rate, first.n_max, first.sigma, first.error) == expected
+        assert _ROW(first) == _direct(config, "m", "coupling", 1.0)
         assert second.rate is None and "is not finite in double precision" in second.error
-        expected = _direct(config, "m", "coupling", 1e54)
-        assert (second.rate, second.n_max, second.sigma, second.error) == expected
+        assert _ROW(second) == _direct(config, "m", "coupling", 1e54)
 
     def test_message_in_full(self):
         # The total is a Python float in the text: inf, not np.float64(inf).
@@ -448,21 +414,23 @@ class TestOverflowingTotal:
 
 
 class TestRateKernelOracle:
-    """The batched kernel against the scalar formula it replaced."""
+    """The batched kernel against the float reference rate, which shares only its cut-off."""
 
     def test_reference_configurations(self, natural, deuterium):
         for config in (natural, deuterium):
             for mode in config.modes:
-                total = nonradiative_rate(config, mode.label).total_rate
-                assert total == pytest.approx(_seed_rate(config, mode.label), rel=1e-14)
+                result = nonradiative_rate(config, mode.label)
+                reference = reference_rate(config, mode.label, result.n_max_used)
+                assert result.total_rate == pytest.approx(reference, rel=1e-14)
 
     @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
     def test_sweep_rows(self, natural, parameter):
         for label in ("accepting", "ch-stretch"):
             for point in rate_sweep(natural, label, parameter, _sweep_grid(label, parameter)):
                 if point.error is None:
-                    seed = _seed_rate(_vary(natural, label, parameter, point.value), label)
-                    assert point.rate == pytest.approx(seed, rel=1e-14, abs=0.0)
+                    varied = _vary(natural, label, parameter, point.value)
+                    reference = reference_rate(varied, label, point.n_max)
+                    assert point.rate == pytest.approx(reference, rel=1e-14, abs=0.0)
 
     def test_terms_are_the_gaussian_delta_terms(self, natural):
         mode = natural.mode("accepting")
@@ -490,30 +458,11 @@ def test_moments_have_one_convention_and_no_reference_keyword(call, natural, deu
         call(natural, deuterium, OscillatorPair(33.0, 33.0, 0.7))
 
 
-def _high_precision_rate(config, mode_label, dps=40):
-    """The rate by the m <= 1 recurrence and the sum, in mpmath."""
+def _kernel_total(config, mode_label, n_max):
+    """The total of ``rates._rate_rows``, which ``nonradiative_rate`` may refuse to return."""
     mode = config.mode(mode_label)
-    with mpmath.workdps(dps):
-        a_i = mpmath.mpf(mode.energy_excited) / HBAR_SQ_MEV_AMU_A2
-        a_f = mpmath.mpf(mode.energy_ground) / HBAR_SQ_MEV_AMU_A2
-        dq, total = mpmath.mpf(mode.displacement), a_i + a_f
-        b, c = 2 * dq * mpmath.sqrt(a_i) * a_f / total, (a_f - a_i) / total
-        d, e = -2 * dq * mpmath.sqrt(a_f) * a_i / total, 4 * mpmath.sqrt(a_i * a_f) / total
-        sigma = mpmath.mpf(mode.energy_excited) / 2
-        n_max = int(math.ceil((config.zpl_energy + 10.0 * float(sigma)) / mode.energy_ground))
-        s0 = [mpmath.sqrt(e / 2) * mpmath.exp(b * d / (2 * e))]
-        for n in range(1, n_max + 1):
-            s0.append(d / mpmath.sqrt(2 * n) * s0[-1]
-                      + (c * mpmath.sqrt(mpmath.mpf(n - 1) / n) * s0[-2] if n >= 2 else 0))
-        length_sq = HBAR_SQ_MEV_AMU_A2 / (2 * mpmath.mpf(mode.energy_excited))
-        prefactor = 2 * mpmath.pi / HBAR_MEV_S * mpmath.mpf(mode.coupling) ** 2
-        rate = 0
-        for n in range(n_max + 1):
-            s1 = b / mpmath.sqrt(2) * s0[n] + (e / 2 * mpmath.sqrt(n) * s0[n - 1] if n else 0)
-            z = (config.zpl_energy - n * mpmath.mpf(mode.energy_ground)) / sigma
-            weight = mpmath.exp(-z * z / 2) / (sigma * mpmath.sqrt(2 * mpmath.pi))
-            rate += prefactor * length_sq * s1**2 * weight
-        return rate
+    row = {**vars(mode), "zpl_energy": config.zpl_energy}
+    return rates._rate_rows(mode.energy_excited, row, n_max)[1]
 
 
 def _deep(displacement):
@@ -543,17 +492,12 @@ class TestUnderflow:
         # of the recurrence; at 14.8, which is refused, the kernel's own
         # total is off in the fifth digit.
         certified = _vary(natural, "accepting", "displacement", 14.0)
-        exact = _high_precision_rate(certified, "accepting")
-        assert abs(nonradiative_rate(certified, "accepting").total_rate - exact) < 1e-12 * exact
-        mode = _vary(natural, "accepting", "displacement", 14.8).mode("accepting")
-        n_max = nonradiative_rate(certified, "accepting").n_max_used  # ΔQ does not change it
-        _, s1 = rates._moment_rows(mode.energy_excited, mode.energy_ground, mode.displacement,
-                                   n_max)
-        moments = rates._zero_point_length(mode.energy_excited) * s1
-        _, _, terms = rates._rate_terms(moments, mode.energy_excited, mode.energy_ground,
-                                        mode.coupling, natural.zpl_energy)
-        exact = _high_precision_rate(_vary(natural, "accepting", "displacement", 14.8), "accepting")
-        assert abs(math.fsum(terms[:, 0].tolist()) - exact) > 1e-6 * exact
+        result = nonradiative_rate(certified, "accepting")
+        exact = mpmath_rate(certified, "accepting", result.n_max_used, 40)
+        assert abs(result.total_rate - exact) < 1e-12 * exact
+        refused = _vary(natural, "accepting", "displacement", 14.8)  # ΔQ does not change n_max
+        exact = mpmath_rate(refused, "accepting", result.n_max_used, 40)
+        assert abs(_kernel_total(refused, "accepting", result.n_max_used) - exact) > 1e-6 * exact
 
     def test_sweep_reports_underflow_per_row(self, natural):
         grid = [12.0, 14.0, 14.5, 14.8, 15.0, 20.0, 0.734]
@@ -563,8 +507,7 @@ class TestUnderflow:
         for point in points[2:6]:
             assert point.rate is None and "underflows" in point.error
         for point in points:
-            expected = _direct(natural, "accepting", "displacement", point.value)
-            assert (point.rate, point.n_max, point.sigma, point.error) == expected
+            assert _ROW(point) == _direct(natural, "accepting", "displacement", point.value)
         assert points[6].rate == nonradiative_rate(natural, "accepting").total_rate
 
     def test_subnormal_overlap_start_refused(self):
@@ -578,8 +521,7 @@ class TestUnderflow:
         assert points[0].rate == 3.501453114025851e-249
         assert [point.error is None for point in points] == [True, False, False]
         for point in points:
-            expected = _direct(_deep(15.5), "m", "displacement", point.value)
-            assert (point.rate, point.n_max, point.sigma, point.error) == expected
+            assert _ROW(point) == _direct(_deep(15.5), "m", "displacement", point.value)
 
     def test_message_in_full(self):
         # Refused for its subnormal S₀₀; the total is printed as a plain float repr.
@@ -596,15 +538,9 @@ class TestUnderflow:
     def test_subnormal_overlap_start_refusal_guards_a_real_error(self):
         # At ΔQ = 15.7 (S₀₀ = 1.75e-313) the kernel's own total is off by
         # ~3e-11 relative, far beyond eps, though every term is normal.
-        mode = _deep(15.7).mode("m")
         n_max = nonradiative_rate(_deep(15.5), "m").n_max_used  # ΔQ does not change it
-        _, s1 = rates._moment_rows(mode.energy_excited, mode.energy_ground, mode.displacement,
-                                   n_max)
-        moments = rates._zero_point_length(mode.energy_excited) * s1
-        _, _, terms = rates._rate_terms(moments, mode.energy_excited, mode.energy_ground,
-                                        mode.coupling, 5000.0)
-        exact = _high_precision_rate(_deep(15.7), "m")
-        assert abs(math.fsum(terms[:, 0].tolist()) - exact) > 1e-11 * exact
+        exact = mpmath_rate(_deep(15.7), "m", n_max, 40)
+        assert abs(_kernel_total(_deep(15.7), "m", n_max) - exact) > 1e-11 * exact
 
     def test_zero_coupling_still_exactly_zero(self, natural):
         for displacement in (14.8, 15.0):
@@ -613,6 +549,18 @@ class TestUnderflow:
             assert nonradiative_rate(silent, "accepting").total_rate == 0.0
             points = rate_sweep(config, "accepting", "coupling", [0.0, 9.23])
             assert points[0].rate == 0.0 and points[1].error is not None
+
+
+# At 60 digits the sums to n = 400 and to 512 agree; the 10σ cut-off stops at n = 270 and 58.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the 10σ cut-off bounds the Gaussian weight only, "
+                          "and these terms keep growing past it (4.96e6x and 455x short)")
+@pytest.mark.parametrize("config", [
+    _deep(15.5), DefectConfiguration("wide", 100.0, (VibrationalMode("m", 33.0, 358.0, 8.0, 1.0),)),
+], ids=["deep-15.5", "wide-8"])
+def test_rate_is_the_converged_phonon_sum(config):
+    converged = mpmath_rate(config, "m", n_max=512, dps=60)
+    assert abs(nonradiative_rate(config, "m").total_rate - converged) < 1e-12 * converged
 
 
 # Non-negative floats from the subnormal range up to ~1e300.

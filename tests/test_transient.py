@@ -16,14 +16,7 @@ from multiphonon import (
     simulate_transient,
     write_histogram_csv,
 )
-
-
-def noiseless_histogram(lifetime, amplitude, background, n_bins, t_max):
-    """Expectation-valued transient: the model means used as counts."""
-    edges = np.linspace(0.0, t_max, n_bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    means = background + amplitude * np.exp(-centers / lifetime)
-    return TransientHistogram(bin_edges=edges, counts=means)
+from references import noiseless_histogram
 
 
 class TestSimulate:
