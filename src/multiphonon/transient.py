@@ -9,11 +9,13 @@ the parameter covariance comes from the curvature of the objective at
 the optimum.  A seed past the float range (t·√counts or the amplitude at
 t = 0) and a τ variance that is not finite and ≥ 0 raise ``FitError``.
 
-Histograms are CSV: the header ``t_us,counts``, then one row per bin: the
-center with ``repr``, the count without ``.0`` when integer-valued.
-The reader skips blank lines, takes any Python ``float`` syntax and names
-the physical line of a bad row.  Numpy's tokenizer parses the file in one
-pass; a ``float`` loop reads what it refuses.
+Histograms are CSV: the header ``t_us,counts``, then one row per bin: the center with
+``repr``, the count without ``.0`` when integer-valued.  The writer overwrites a file in
+place and cuts it to the rows written, after an exception too: ext4 flushes a file truncated
+to zero at close, and the next truncation waits.  Not atomic: a killed process may leave old
+rows past the new ones; to replace atomically, write a new path and rename it.  The reader
+skips blank lines, takes any Python ``float`` syntax and names the physical line of a bad
+row.  Numpy's tokenizer parses the file in one pass; a ``float`` loop reads what it refuses.
 
 Times are microseconds throughout this module.
 """
@@ -21,6 +23,8 @@ Times are microseconds throughout this module.
 import contextlib
 import io
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,27 +60,25 @@ class TransientHistogram:
         counts = np.asarray(self.counts, dtype=float)
         if edges.ndim != 1 or edges.size < 2:
             raise DomainError("bin_edges must be a 1D array of at least two edges")
-        if not np.all(np.isfinite(edges)):
+        if not np.isfinite(edges).all():
             raise DomainError("bin_edges must be finite")
-        if not np.all(edges[1:] > edges[:-1]):
+        if not (edges[1:] > edges[:-1]).all():  # before any difference, which could overflow
             raise DomainError("bin_edges must be strictly increasing")
         # In Python floats an overflow is inf without a warning.  The span bounds every
         # width and the two end pairs every center's sum; it keeps 2**-20 of headroom, as
         # rounding can take the sum of the widths past it.
-        first, second, penultimate, last = (float(edges[i]) for i in (0, 1, -2, -1))
+        (first, second), (penultimate, last) = edges[:2].tolist(), edges[-2:].tolist()
         if not all(map(math.isfinite, ((last - first) * (1.0 + 2.0**-20), first + second,
                                        penultimate + last))):
             raise DomainError("bin_edges overflow double precision: their span or a bin center")
-        widths = np.diff(edges)
-        mean_width = float(widths.mean())
+        widths = edges[1:] - edges[:-1]
         # Relative to the time span: a per-width comparison would trip on
         # IEEE representation noise for histograms with many bins.
-        span = float(edges[-1] - edges[0])
-        if np.max(np.abs(widths - mean_width)) > 1e-12 * span:
+        if abs(widths - widths.sum() / widths.size).max() > 1e-12 * (last - first):
             raise DomainError("bin widths must be uniform to within 1e-12 relative")
         if counts.ndim != 1 or counts.size != edges.size - 1:
             raise DomainError("counts length must equal the number of bins")
-        if np.any(~np.isfinite(counts)) or np.any(counts < 0):
+        if not (np.isfinite(counts).all() and counts.min() >= 0):
             raise DomainError("counts must be finite and non-negative")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
@@ -87,7 +89,7 @@ class TransientHistogram:
 
     @property
     def bin_width(self):
-        return float(np.mean(np.diff(self.bin_edges)))
+        return float(np.diff(self.bin_edges).mean())
 
 
 @dataclass(frozen=True)
@@ -155,10 +157,10 @@ def simulate_transient(lifetime, amplitude, background, n_bins, t_max, seed):
 def _initial_guess(t, counts):
     """Log-linear regression on background-subtracted counts."""
     tail = max(3, t.size // 10)
-    background = float(np.mean(counts[-tail:]))  # >= 0, as the counts are
+    background = float(counts[-tail:].mean())  # >= 0, as the counts are
     excess = counts - background
     mask = excess > 0
-    if mask.sum() < 2:
+    if np.count_nonzero(mask) < 2:
         raise FitError("no decaying component above the background estimate", trace=[])
     ty, y = t[mask], excess[mask]
     root_weights = np.sqrt(y)  # y is the inverse variance of log(counts) for Poisson data
@@ -187,7 +189,7 @@ def _model(theta, t):
 
 
 def _objective(mu, counts):
-    return float(np.sum(mu) - np.sum(counts * np.log(mu)))
+    return float(mu.sum() - (counts * np.log(mu)).sum())
 
 
 def _scoring_terms(theta, t, decay, mu):
@@ -205,8 +207,8 @@ def _scoring_terms(theta, t, decay, mu):
 
 
 def _valid(theta):
-    amplitude, tau, background = theta
-    return amplitude > 0 and tau > 0 and background >= 0 and np.all(np.isfinite(theta))
+    amplitude, tau, background = theta.tolist()
+    return 0 < amplitude < math.inf and 0 < tau < math.inf and 0 <= background < math.inf
 
 
 def fit_lifetime(histogram, fit_window=None):
@@ -234,7 +236,11 @@ def fit_lifetime(histogram, fit_window=None):
     t_all = histogram.bin_centers
     c_all = histogram.counts
     if fit_window is not None:
-        lo, hi = (_number(edge, "fit_window edge") for edge in fit_window)
+        try:
+            lo, hi = fit_window
+        except (TypeError, ValueError):
+            raise DomainError(f"fit_window must be a (lo, hi) pair, got {fit_window!r}") from None
+        lo, hi = _number(lo, "fit_window edge"), _number(hi, "fit_window edge")
         if not (lo < hi):
             raise FitPreconditionError(f"degenerate fit window ({lo!r}, {hi!r})")
         mask = (t_all >= lo) & (t_all <= hi)
@@ -242,7 +248,7 @@ def fit_lifetime(histogram, fit_window=None):
     if t_all.size < 10:
         raise FitPreconditionError(f"need >= 10 bins in the fit window, found {t_all.size}")
     with np.errstate(over="ignore"):  # refused below: as |log μ| < 710, Σ c·log μ stays finite
-        count_total = float(np.sum(c_all))
+        count_total = float(c_all.sum())
     if not count_total <= 1.7e305:
         raise FitPreconditionError(f"the window's counts sum to {count_total!r}, past 1.7e305")
 
@@ -279,7 +285,8 @@ def fit_lifetime(histogram, fit_window=None):
             # Even infinitesimal steps along the scoring direction do not
             # improve: numerically at the optimum.
             break
-        rel_change = np.max(np.abs(factor * step) / np.maximum(np.abs(accepted), 1e-300))
+        rel_change = max(abs(factor * change) / max(abs(value), 1e-300)
+                         for change, value in zip(step.tolist(), accepted.tolist()))
         theta, nll, decay, mu = accepted, candidate_nll, candidate_decay, candidate_mu
         trace.append((iteration, tuple(theta), nll))
         if rel_change < _RELATIVE_STEP_TOL:
@@ -305,9 +312,9 @@ def fit_lifetime(histogram, fit_window=None):
         )
     dof = max(t_all.size - 3, 1)
     with np.errstate(over="ignore"):  # a square past the float range: scaled by sqrt(μ) first
-        chi2 = float(np.sum((c_all - mu) ** 2 / mu))
+        chi2 = float(((c_all - mu) ** 2 / mu).sum())
         if math.isinf(chi2):
-            chi2 = float(np.sum(((c_all - mu) / np.sqrt(mu)) ** 2))
+            chi2 = float((((c_all - mu) / np.sqrt(mu)) ** 2).sum())
     if math.isinf(chi2):
         raise FitError("the chi-square is not finite in double precision", trace)
     return LifetimeFit(
@@ -321,9 +328,12 @@ def fit_lifetime(histogram, fit_window=None):
 
 
 def write_histogram_csv(histogram, path):
-    """Write a histogram as ``t_us,counts`` rows (t at bin centers)."""
+    """Write a histogram as ``t_us,counts`` rows (t at bin centers), in place (see above)."""
     centers, counts = histogram.bin_centers, histogram.counts
-    with open(path, "w") as handle:
+    with (open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as handle,  # no O_TRUNC
+          contextlib.ExitStack() as on_exit):
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # ftruncate refuses /dev/null
+            on_exit.callback(handle.truncate)  # after an exception too: no old rows stay
         handle.write(HISTOGRAM_CSV_HEADER + "\n")
         for start in range(0, centers.size, _CSV_BLOCK_ROWS):
             stop = start + _CSV_BLOCK_ROWS
@@ -376,6 +386,6 @@ def read_histogram_csv(path):
     if centers.size < 2:
         raise DomainError("histogram needs at least two bins")
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN edges are refused
-        width = float(np.mean(np.diff(centers)))
+        width = float(np.diff(centers).mean())
         edges = np.concatenate([centers - 0.5 * width, [centers[-1] + 0.5 * width]])
     return TransientHistogram(bin_edges=edges, counts=counts)

@@ -17,6 +17,7 @@ import hashlib
 import math
 import pathlib
 import sys
+import tempfile
 import warnings
 from dataclasses import astuple, is_dataclass, replace
 
@@ -33,6 +34,22 @@ EXTREME_N = (0, 1, 2, 512)
 # Sweep grids: ordinary values around the reference mode with NaN, a negative value,
 # the smallest subnormal and 1e308 among them, so rows fail and chunks split.
 SWEEP_EXTRAS = (math.nan, -1.0, 5e-324, 1e308, 0.0)
+# Transients: CSV round trips by bin count, seeded fits (simulate_transient's arguments
+# and the fit window), and two seeded fits that raise FitError after some iterations.
+CSV_BINS = (10, 500, 8193, 100_000)
+FITS = (((0.885, 1e4, 10.0, 500, 10.0, 11), None),
+        ((4.807, 200.0, 2.0, 10_000, 40.0, 12), (0.5, 35.0)),
+        ((0.885, 1e4, 10.0, 100_000, 10.0, 13), (0.1, 9.0)),
+        ((0.01, 30.0, 0.0, 500, 1.0, 0), None))
+FIT_ERRORS = ((0.885, 30.0, 50.0, 40, 20.0, 24), (0.01, 30.0, 50.0, 500, 10.0, 0))
+# Invalid bins and counts, one refusal each, and the refusals' precedence.
+BAD_HISTOGRAMS = (([0.0], [1.0]), ([0.0, math.nan, 2.0], [1.0, 1.0]), ([2.0, math.nan, 1.0], [1.0, 1.0]),
+                  ([0.0, 1.0, math.inf], [1.0, 1.0]), ([0.0, 2.0, 1.0], [1.0, 1.0]),
+                  ([0.0, 1.0, 1.0, 2.0], [1.0] * 3), ([1.7e308, -1.7e308, 0.0], [1.0, 1.0]),
+                  ([-1.7e308, 0.0, 1.7e308], [1.0, 1.0]), ([8e307, 1e308, 1.2e308], [1.0, 1.0]),
+                  ([0.0, 1.0, 3.0], [-1.0]), ([0.0, 1.0, 2.0], [-1.0]), ([0.0, 1.0, 2.0], [1.0, -1.0]),
+                  ([0.0, 1.0, 2.0], [math.nan, 1.0]), ([0.0, 1.0, 2.0], [1.0, -math.inf]),
+                  ([0.0, 1.0, 2.0], [-0.0, 1.0]))
 
 
 def _feed(digest, value):
@@ -81,9 +98,48 @@ def _sweep_grid(current):
     return [current * scale for scale in (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0)] + list(SWEEP_EXTRAS)
 
 
+def _transient_groups(transient):
+    """CSV bytes and the arrays read back, seeded fits, FitError traces and histogram refusals."""
+    from multiphonon import FitError
+
+    groups = {}
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory) / "histogram.csv"
+
+        def round_trip(histogram):
+            transient.write_histogram_csv(histogram, path)
+            back = transient.read_histogram_csv(path)
+            return path.read_bytes(), back.bin_edges, back.counts
+
+        # The float counts' longer rows first: the integer counts' file overwrites a longer one.
+        for bins in CSV_BINS:
+            simulated = transient.simulate_transient(0.885, 1e4, 10.0, bins, 10.0, bins)
+            expected = transient.TransientHistogram(
+                simulated.bin_edges, 10.0 + 1e4 * np.exp(-simulated.bin_centers / 0.885))
+            groups[f"transient/csv/{bins}"] = _group(
+                (lambda histogram=histogram: round_trip(histogram)) for histogram in (expected, simulated))
+
+    groups["transient/fit_lifetime"] = _group(
+        (lambda args=args, window=window: transient.fit_lifetime(transient.simulate_transient(*args), window))
+        for args, window in FITS)
+
+    def fit_error(args):
+        try:
+            transient.fit_lifetime(transient.simulate_transient(*args))
+        except FitError as exc:
+            return str(exc), exc.trace
+        return "no FitError"
+
+    groups["transient/FitError"] = _group((lambda args=args: fit_error(args)) for args in FIT_ERRORS)
+    groups["transient/TransientHistogram"] = _group(
+        (lambda edges=edges, counts=counts: transient.TransientHistogram(edges, counts))
+        for edges, counts in BAD_HISTOGRAMS)
+    return groups
+
+
 def digests():
     """{group: sha256} over every output group."""
-    from multiphonon import oscillator, quadrature, rates
+    from multiphonon import oscillator, quadrature, rates, transient
     from multiphonon.modes import load_reference_dataset
 
     pairs = _pairs(oscillator)
@@ -133,6 +189,7 @@ def digests():
 
         groups[f"rate_sweep/{parameter}"] = _group(
             (lambda config=config, label=label: sweep(config, label)) for config, label in cases)
+    groups.update(_transient_groups(transient))
     return groups
 
 

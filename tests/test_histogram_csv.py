@@ -115,6 +115,86 @@ class TestWriter:
         assert back.counts.tobytes() == (histogram.counts + 0.0).tobytes()
 
 
+class TestWriterInPlace:
+    """The writer overwrites an existing file in place and cuts it to the rows written."""
+
+    @staticmethod
+    def histogram(n_bins):
+        return simulate_transient(0.885, 1e4, 10.0, n_bins, 10.0, seed=n_bins)
+
+    def fresh_bytes(self, tmp_path, n_bins):
+        write_histogram_csv(self.histogram(n_bins), tmp_path / "fresh.csv")
+        return (tmp_path / "fresh.csv").read_bytes()
+
+    @pytest.mark.parametrize("old_bins, new_bins", [(8193, 500), (500, 8193), (500, 500)])
+    def test_overwrite_equals_a_fresh_write(self, tmp_path, old_bins, new_bins):
+        path = tmp_path / "reused.csv"
+        write_histogram_csv(self.histogram(old_bins), path)
+        write_histogram_csv(self.histogram(new_bins), path)
+        assert path.read_bytes() == self.fresh_bytes(tmp_path, new_bins)
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        write_histogram_csv(self.histogram(8193), target)
+        link.symlink_to(target)
+        write_histogram_csv(self.histogram(500), link)
+        assert link.is_symlink()
+        assert target.read_bytes() == self.fresh_bytes(tmp_path, 500)
+
+    def test_keeps_the_mode_of_an_existing_file(self, tmp_path):
+        path = tmp_path / "private.csv"
+        write_histogram_csv(self.histogram(8193), path)
+        path.chmod(0o600)
+        write_histogram_csv(self.histogram(500), path)
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert path.read_bytes() == self.fresh_bytes(tmp_path, 500)
+
+    def test_writes_to_a_pipe(self, tmp_path):
+        # A pipe is not cut: it has no length to cut to.
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            write_histogram_csv(self.histogram(8193), fifo)
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [self.fresh_bytes(tmp_path, 8193)]
+
+    def test_writes_to_dev_null(self):
+        # ftruncate would refuse /dev/null with EINVAL.
+        write_histogram_csv(self.histogram(500), os.devnull)
+
+    def test_an_error_after_the_first_block_leaves_only_the_rows_written(self, tmp_path,
+                                                                          monkeypatch):
+        path = tmp_path / "partial.csv"
+        write_histogram_csv(self.histogram(20_000), path)
+
+        class FirstBlockOnly(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, slice) and key.start:
+                    raise RuntimeError("second block")
+                return super().__getitem__(key)
+
+        centers = TransientHistogram.bin_centers
+        monkeypatch.setattr(TransientHistogram, "bin_centers",
+                            property(lambda self: centers.fget(self).view(FirstBlockOnly)))
+        with pytest.raises(RuntimeError, match="^second block$"):
+            write_histogram_csv(self.histogram(10_000), path)
+        monkeypatch.undo()
+        expected = self.fresh_bytes(tmp_path, 10_000).splitlines(keepends=True)[:8193]
+        assert path.read_bytes() == b"".join(expected)
+
+    def test_a_directory_or_a_missing_parent_is_refused(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            write_histogram_csv(self.histogram(500), tmp_path)
+        with pytest.raises(FileNotFoundError):
+            write_histogram_csv(self.histogram(500), tmp_path / "missing" / "h.csv")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestReader:
     def test_error_names_the_physical_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -109,26 +110,72 @@ class TestHistogramType:
 
     def test_rejects_nonuniform_bins(self):
         edges = np.array([0.0, 1.0, 2.0, 3.5])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^bin widths must be uniform to within 1e-12 relative$"):
             TransientHistogram(bin_edges=edges, counts=np.array([1.0, 2.0, 3.0]))
 
     def test_rejects_decreasing_edges(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^bin_edges must be strictly increasing$"):
             TransientHistogram(bin_edges=np.array([0.0, 2.0, 1.0]), counts=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("edges", [[0.0, 1.0, 1.0, 2.0], [1.0, 1.0], [-0.0, 0.0, 1.0]])
+    def test_rejects_equal_adjacent_edges(self, edges):
+        with pytest.raises(DomainError, match="^bin_edges must be strictly increasing$"):
+            TransientHistogram(bin_edges=edges, counts=np.ones(len(edges) - 1))
 
     def test_rejects_length_mismatch_and_negative_counts(self):
         edges = np.linspace(0, 1, 4)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^counts length must equal the number of bins$"):
             TransientHistogram(bin_edges=edges, counts=np.array([1.0, 2.0]))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^counts must be finite and non-negative$"):
             TransientHistogram(bin_edges=edges, counts=np.array([1.0, -2.0, 3.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_counts(self, bad):
+        with pytest.raises(DomainError, match="^counts must be finite and non-negative$"):
+            TransientHistogram(bin_edges=np.linspace(0, 1, 4), counts=np.array([1.0, bad, 3.0]))
+
+    def test_negative_zero_counts_are_accepted(self):
+        hist = TransientHistogram(bin_edges=np.linspace(0, 1, 4), counts=[-0.0, 1.0, -0.0])
+        assert hist.counts.tobytes() == np.array([-0.0, 1.0, -0.0]).tobytes()
+
+    @pytest.mark.parametrize("edges, counts", [
+        # A NaN edge in edges that are also out of order: the finite check comes first.
+        ([2.0, np.nan, 1.0], [1.0, 1.0]),
+        ([3.0, 2.0, np.inf], [1.0, 1.0]),
+        # Before the length of the counts and their values.
+        ([0.0, np.nan, 2.0], [1.0]),
+        ([0.0, np.nan, 2.0], [-1.0, np.nan]),
+    ])
+    def test_finite_edges_are_checked_first(self, edges, counts):
+        with pytest.raises(DomainError, match="^bin_edges must be finite$"):
+            TransientHistogram(bin_edges=edges, counts=counts)
+
+    @pytest.mark.parametrize("edges, counts, message", [
+        # Out of order and spanning past the float range: the order is checked first.
+        ([1.7e308, -1.7e308, 0.0], [1.0, 1.0], "^bin_edges must be strictly increasing$"),
+        ([0.0, 1.7e308, -1.7e308, 0.0], [1.0, 1.0, 1.0], "^bin_edges must be strictly increasing$"),
+        # Overflowing and non-uniform: the overflow is named.
+        ([-1.7e308, 0.0, 1.0, 1.7e308], [1.0, 1.0, 1.0],
+         "^bin_edges overflow double precision: their span or a bin center$"),
+        # Non-uniform bins before the counts' length and values.
+        ([0.0, 1.0, 3.0], [1.0], "^bin widths must be uniform to within 1e-12 relative$"),
+        ([0.0, 1.0, 3.0], [-1.0, 1.0], "^bin widths must be uniform to within 1e-12 relative$"),
+        # The length before the values.
+        ([0.0, 1.0, 2.0], [-1.0], "^counts length must equal the number of bins$"),
+        ([0.0, 1.0, 2.0], [[1.0, 1.0]], "^counts length must equal the number of bins$"),
+    ])
+    def test_refusal_precedence(self, edges, counts, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                TransientHistogram(bin_edges=edges, counts=counts)
 
     @pytest.mark.parametrize(
         "edges",
         [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 1.0, 2.0], [np.inf, np.inf, np.inf]],
     )
     def test_rejects_non_finite_edges(self, edges):
-        with pytest.raises(DomainError, match="bin_edges must be finite"):
+        with pytest.raises(DomainError, match="^bin_edges must be finite$"):
             TransientHistogram(bin_edges=edges, counts=[1.0, 2.0])
 
     @pytest.mark.parametrize("edges, overflows", [
@@ -244,6 +291,25 @@ class TestFit:
         hist = simulate_transient(0.885, 1e4, 10.0, 500, 10.0, seed=1)
         with pytest.raises(FitPreconditionError):
             fit_lifetime(hist, fit_window=(5.0, 5.0))
+
+    @pytest.mark.parametrize("window", [5, 5.0, object(), (1,), (1.0, 2.0, 3.0), [], iter(()),
+                                        np.array(5.0)])
+    def test_fit_window_that_is_not_a_pair_is_refused(self, window):
+        hist = simulate_transient(0.885, 1e4, 10.0, 500, 10.0, seed=1)
+        with pytest.raises(DomainError,
+                           match=f"^fit_window must be a \\(lo, hi\\) pair, got {re.escape(repr(window))}$"):
+            fit_lifetime(hist, fit_window=window)
+
+    @pytest.mark.parametrize("window", [(0.5, 9.0), [0.5, 9.0], np.array([0.5, 9.0]),
+                                        (np.float32(0.5), 9)])
+    def test_fit_window_pairs(self, window):
+        hist = simulate_transient(0.885, 1e4, 10.0, 500, 10.0, seed=11)
+        assert fit_lifetime(hist, fit_window=window) == fit_lifetime(hist, fit_window=(0.5, 9.0))
+
+    def test_fit_window_edges_must_be_real_numbers(self):
+        hist = simulate_transient(0.885, 1e4, 10.0, 500, 10.0, seed=1)
+        with pytest.raises(DomainError, match="^fit_window edge must be a real number, got 'a'$"):
+            fit_lifetime(hist, fit_window="ab")
 
     @pytest.mark.parametrize("args, window, expected", [
         ((0.885, 1000.0, 5.0, 500, 10.0, 11), None,
