@@ -210,9 +210,9 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
     from the same IEEE operations, in the same order, for any G, so column g equals
     ``fc_overlap_matrix(pair_g, 1, n_max)`` bit for bit (the table takes these two rows
     from here).  sqrt(2n), sqrt((n-1)/n) and sqrt(n) are prefixes of the import-time
-    tables.  Three floats with A_i·A_f > 0 get b, c, d, e and S₀₀ from ``math``, and
-    step and back as one division and one product against the tables; for G = 1 the
-    n-loop runs on Python floats.  So one pair pays no numpy set-up on scalars.
+    tables.  Three floats with A_i·A_f > 0 get b, c, d, e and S₀₀ from ``math``, step
+    and back as one division and one product against the tables, and the n-loop on
+    Python floats, so one pair pays no numpy set-up; arrays, even of one, run it on arrays.
 
     Returns
     -------
@@ -237,8 +237,6 @@ def _moment_rows(energy_initial, energy_final, displacement, n_max):
     step, back = d / _SQRT_2N[n], c * _SQRT_BACK[n]
     if one:
         step, back = step.tolist(), back.tolist()
-    elif d.size == 1:  # one pair as arrays of one: the loop runs on Python floats too
-        step, back, rows = step.ravel().tolist(), back.ravel().tolist(), rows[0].tolist()
     if n_max >= 1:
         rows.append(step[0] * rows[0])
     low, prev, append = rows[0], rows[-1], rows.append

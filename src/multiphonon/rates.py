@@ -8,18 +8,18 @@ phonon ladder n·ħΩ_g, and transition moments M_n = <χ_e0|Q − Q_e|χ_gn>
     Γ_NR = (2π/ħ) W² Σ_n M_n² G(E_ZPL - n ħΩ_g; σ),
 
 where G is a normalized Gaussian standing in for the energy-conserving
-delta function, with broadening fixed to σ = ħΩ_e/2.  The phonon sum is
-truncated once the Gaussian weight is negligible (10σ past the ZPL
-energy, where the weight is below 2e-22).
+delta function, with broadening fixed to σ = ħΩ_e/2.  The sum stops 10σ past the ZPL
+energy, where G < 2e-22: that bounds the weight G_n, not the term M_n²·G_n, so the sum is
+not certified converged (ROADMAP item 1; the strict xfail of the test suite's
+``test_rate_is_the_converged_phonon_sum``).
 
-``nonradiative_rate`` runs ``_rate_rows`` on one row and ``rate_sweep`` on each
-chunk of valid grid points.  A correctly rounded sum is unique, so every sweep
-row equals ``nonradiative_rate`` of its own configuration exactly: a single
-rate is summed by one ``math.fsum``, a sweep chunk by one error-free pairwise
-tree, certified row by row, with ``math.fsum`` for the rows it cannot certify
-(``_row_totals``).  A sum of finite terms past the float range is inf on both
-routes, and refused.  Sweep rows are grouped by phonon cut-off into chunks of
-at most ``_SWEEP_CHUNK_CELLS`` terms, which bounds memory.
+``nonradiative_rate`` runs ``_rate_rows`` on one row and ``rate_sweep`` on each chunk of
+valid grid points.  A correctly rounded sum is unique, so every sweep row equals
+``nonradiative_rate`` of its own configuration exactly: one row, a one-row sweep chunk
+too, is summed by one ``math.fsum``, a chunk of more rows by one error-free pairwise tree,
+certified row by row, with ``math.fsum`` for the rows it cannot certify (``_row_totals``).
+A sum of finite terms past the float range is inf on both routes, and refused.  Sweep rows
+are grouped by phonon cut-off into chunks of at most ``_SWEEP_CHUNK_CELLS`` terms.
 """
 
 import math
@@ -231,14 +231,14 @@ def _cut_off(zpl_energy, energy_excited, energy_ground):
 def _chunks(rows, n_max):
     """Split rows sorted by n_max into runs of at most _SWEEP_CHUNK_CELLS terms.
 
-    A run's last row has the largest cut-off, so it sets the run's size;
-    a row too large for the budget forms a run of its own.
+    A run's last row has the largest cut-off, so it sets the run's size, and a row too
+    large for the budget runs alone.  A one-row run is its bare index: scalars, not arrays.
     """
     start = 0
     while start < len(rows):
         cells = (n_max[rows[start:]] + 1) * np.arange(1, len(rows) - start + 1)
         stop = start + max(1, int(np.searchsorted(cells, _SWEEP_CHUNK_CELLS, side="right")))
-        yield rows[start:stop]
+        yield rows[start:stop] if stop - start > 1 else rows[start]
         start = stop
 
 
@@ -246,12 +246,12 @@ def _rate_rows(energy_excited, row, n_max):
     """The rate pipeline for a batch of R rows, from moments to refusal.
 
     *row* maps ``zpl_energy``, ``energy_ground``, ``displacement`` and ``coupling`` to
-    floats or arrays of length R; *n_max* is the int cut-off of one row or the array of R
-    cut-offs, ascending, and the moments run to the last (a prefix serves a smaller one).
-    Returns the kernel's ``(moment_sq, weight, contribution)``, the correctly rounded
-    totals (s⁻¹) and the ``_uncertified`` mask.  One row is summed by one top-down
-    ``_fsum`` and checked on floats, cheaper than ``_row_totals``'s tree and arrays, with
-    the same bits; its total is a float.  Under the caller's ``np.errstate``.
+    floats for one row, or to floats or arrays of length R ≥ 2; *n_max* is then the int
+    cut-off or the array of R cut-offs, ascending, and the moments run to the last (a prefix
+    serves a smaller one).  Returns the kernel's ``(moment_sq, weight, contribution)``, the
+    correctly rounded totals (s⁻¹) and the ``_uncertified`` mask.  Only here is one row told
+    from many: it is summed by one top-down ``_fsum`` and checked on floats, cheaper than
+    ``_row_totals``'s tree and arrays, with the same bits.  Under the caller's ``np.errstate``.
     """
     ground, displacement, coupling = row["energy_ground"], row["displacement"], row["coupling"]
     one = np.ndim(n_max) == 0
@@ -370,7 +370,7 @@ def rate_sweep(config, mode_label, parameter, grid):
         for chunk in _chunks(order, n_max):
             _, totals, refused = _rate_rows(mode.energy_excited,
                                             {**rows, parameter: values[chunk]}, n_max[chunk])
-            rates[chunk[~refused]] = totals[~refused]
+            rates[chunk] = np.where(refused, math.nan, totals)
 
     def rerun(value):
         """A failing row, rebuilt through the constructors and nonradiative_rate."""

@@ -34,6 +34,9 @@ EXTREME_N = (0, 1, 2, 512)
 # Sweep grids: ordinary values around the reference mode with NaN, a negative value,
 # the smallest subnormal and 1e308 among them, so rows fail and chunks split.
 SWEEP_EXTRAS = (math.nan, -1.0, 5e-324, 1e308, 0.0)
+# Chunks of one row: a one-point grid per parameter at the case's own value, and 16
+# values of ħΩ_g with 2.2 meV, which the accepting mode chunks as [16, 1].
+ONE_ROW_GROUND = tuple(np.linspace(100.0, 140.0, 16).tolist()) + (2.2,)
 # Transients: CSV round trips by bin count, seeded fits (simulate_transient's arguments
 # and the fit window), and two seeded fits that raise FitError after some iterations.
 CSV_BINS = (10, 500, 8193, 100_000)
@@ -189,6 +192,15 @@ def digests():
 
         groups[f"rate_sweep/{parameter}"] = _group(
             (lambda config=config, label=label: sweep(config, label)) for config, label in cases)
+
+    def one_row_chunks(config, label):
+        mode = config.mode(label)
+        grids = [(parameter, [config.zpl_energy if parameter == "zpl_energy" else getattr(mode, parameter)])
+                 for parameter in rates.SWEEP_PARAMETERS] + [("energy_ground", ONE_ROW_GROUND)]
+        return [rates.rate_sweep(config, label, parameter, grid) for parameter, grid in grids]
+
+    groups["rate_sweep/one-row-chunks"] = _group(
+        (lambda config=config, label=label: one_row_chunks(config, label)) for config, label in cases)
     groups.update(_transient_groups(transient))
     return groups
 

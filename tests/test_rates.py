@@ -272,16 +272,42 @@ class TestSweepExactness:
     @pytest.mark.parametrize("mode_label", ["accepting", "ch-stretch"])
     @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
     def test_rows_equal_direct_rate_across_chunks(self, natural, monkeypatch, parameter, mode_label):
-        # A small cell budget splits every grid into many chunks.
+        # A small cell budget splits every grid into many chunks; a one-point grid is a
+        # chunk of one row.
         monkeypatch.setattr(rates, "_SWEEP_CHUNK_CELLS", 97)
         grid = _sweep_grid(mode_label, parameter)
         points = rate_sweep(natural, mode_label, parameter, grid)
         assert np.array_equal([p.value for p in points], grid, equal_nan=True)
         resolved = 0
-        for point in points:
-            assert _ROW(point) == _direct(natural, mode_label, parameter, point.value)
+        for point, value in zip(points, grid):
+            (alone,) = rate_sweep(natural, mode_label, parameter, [value])
+            assert _ROW(point) == _ROW(alone) == _direct(natural, mode_label, parameter, value)
             resolved += point.error is None
         assert resolved >= 40
+
+    def test_one_row_chunks_reach_the_kernel_as_scalars(self, natural, monkeypatch):
+        # A one-row chunk takes nonradiative_rate's route: no single-column tree in
+        # _row_totals, and no array of one row for _row_totals or _moment_rows.  The
+        # 17-row grid chunks as [16, 1] at the default budget (n_max 8-11, then 500).
+        calls = []
+        for name in ("_moment_rows", "_row_totals"):
+            function = getattr(rates, name)
+            monkeypatch.setattr(rates, name, lambda *args, name=name, function=function:
+                                calls.append((name, args)) or function(*args))
+        mode = natural.mode("accepting")
+        grids = [(parameter, [natural.zpl_energy if parameter == "zpl_energy"
+                              else getattr(mode, parameter)]) for parameter in SWEEP_PARAMETERS]
+        grids.append(("energy_ground", [*np.linspace(100.0, 140.0, 16).tolist(), 2.2]))
+        sweeps = [rate_sweep(natural, "accepting", parameter, grid) for parameter, grid in grids]
+        monkeypatch.undo()  # _direct runs nonradiative_rate, which would add its own calls
+        for (parameter, _), points in zip(grids, sweeps):
+            for point in points:
+                assert point.error is None
+                assert _ROW(point) == _direct(natural, "accepting", parameter, point.value)
+        assert sorted(name for name, _ in calls) == ["_moment_rows"] * 6 + ["_row_totals"]
+        assert [args[0].shape[1] for name, args in calls if name == "_row_totals"] == [16]
+        for name, args in calls:
+            assert not [arg for arg in args if isinstance(arg, np.ndarray) and arg.size == 1], name
 
     def test_mixed_n_max_grid_at_default_budget(self, natural):
         grid = _mixed_n_max_grid()
